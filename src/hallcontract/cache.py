@@ -32,9 +32,9 @@ class OrbitCache:
                 payload = json.load(fh)
         except (FileNotFoundError, json.JSONDecodeError):
             return None
-        if payload.get("key") != key:
+        if not isinstance(payload, dict) or payload.get("key") != key:
             return None
-        return payload["value"]
+        return payload.get("value")
 
     def store(self, key: str, value) -> None:
         os.makedirs(self.directory, exist_ok=True)
@@ -66,7 +66,7 @@ class OrbitCache:
                     payload = json.load(fh)
                 out.append({"key": payload.get("key", "?"),
                             "bytes": os.path.getsize(path)})
-            except (json.JSONDecodeError, OSError):
+            except (json.JSONDecodeError, OSError, AttributeError):
                 out.append({"key": f"(unreadable: {name})", "bytes": 0})
         out.sort(key=lambda item: item["key"])
         return out

@@ -137,8 +137,7 @@ def _context(quiver_path: str, q: int, bounds: str | None) -> hall.HallContext:
             "automorphism; contract the graph level first")
     max_points, group_bound = _parse_bounds(bounds)
     return hall.HallContext(quiver, q, cache=OrbitCache(),
-                            sweep_bound=group_bound, max_points=max_points,
-                            oracle_bound=group_bound)
+                            max_points=max_points, oracle_bound=group_bound)
 
 
 def _heart(ctx: hall.HallContext, plus: str | None, minus: str | None,
@@ -503,7 +502,8 @@ _VERIFY_DISPATCH = {
 @click.argument("check", type=click.Choice(sorted(_VERIFY_DISPATCH)))
 @click.argument("quiver_file", type=click.Path())
 @click.option("--q", "q", type=int, required=True)
-@click.option("--max-dim", type=int, default=2, show_default=True)
+@click.option("--max-dim", type=click.IntRange(min=0), default=2,
+              show_default=True)
 @click.option("--plus", default=None)
 @click.option("--minus", default=None)
 @click.option("--edge", default=None)

@@ -44,7 +44,7 @@ _MODULI = {
 
 def _prime_power(q):
     if q < 2:
-        raise ValueError(f"field size must be at least 2, got {q}")
+        raise UnsupportedFieldError(f"field size must be at least 2, got {q}")
     for p in range(2, q + 1):
         if q % p == 0:
             e, m = 0, q
@@ -52,9 +52,9 @@ def _prime_power(q):
                 m //= p
                 e += 1
             if m != 1:
-                raise ValueError(f"{q} is not a prime power")
+                raise UnsupportedFieldError(f"{q} is not a prime power")
             return p, e
-    raise ValueError(f"{q} is not a prime power")
+    raise UnsupportedFieldError(f"{q} is not a prime power")
 
 
 class Field:

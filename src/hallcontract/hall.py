@@ -5,7 +5,8 @@ Elements are G-invariant functions on representation points, stored as
 finitely supported coefficient maps over (dimension vector, orbit id). The
 product is the push-pull convolution evaluated through stable graded
 subspaces, twisted by q^{-m/2}; restriction sums over block-triangular
-extensions, twisted by q^{-m*/2}. A contraction site equips the algebra with
+extensions, twisted by q^{-m*/2}, whose counts follow from the same flag
+counts by Riedtmann's formula. A contraction site equips the algebra with
 the heart subspace (contraction edges invertible), the transport maps to and
 from the contracted quiver's Hall algebra, and the verification routines for
 the embedding, the PBW transport, and the split short exact sequence.
@@ -14,13 +15,14 @@ the embedding, the PBW transport, and the split short exact sequence.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .cache import OrbitCache
 from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, Field
 from .quiver import (Quiver, cartan_of, check_contraction_assumptions,
                      contract_quiver, identity_automorphism, make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
-                       extensions_over, is_heart, orbits, quotient_point,
+                       group_order, is_heart, orbits, quotient_point,
                        stable_subspaces, sub_point)
 from .scalars import SqrtQScalar
 
@@ -30,12 +32,10 @@ class HallContext:
     orbit tables, and memoized structure constants."""
 
     def __init__(self, quiver: Quiver, q: int, cache: OrbitCache | None = None,
-                 sweep_bound: int = 10_000, max_points: int = DEFAULT_MAX_POINTS,
-                 oracle_bound: int = 10_000):
+                 max_points: int = DEFAULT_MAX_POINTS, oracle_bound: int = 10_000):
         self.quiver = quiver
         self.field = Field(q)
         self.cache = cache
-        self.sweep_bound = sweep_bound
         self.max_points = max_points
         self.oracle_bound = oracle_bound
         self.cartan = cartan_of(quiver, identity_automorphism(quiver))
@@ -76,7 +76,6 @@ class HallContext:
         key = self.dims_key(dims)
         if key not in self._tables:
             self._tables[key] = orbits(self.space(key),
-                                       sweep_bound=self.sweep_bound,
                                        max_points=self.max_points,
                                        cache=self.cache)
         return self._tables[key]
@@ -246,40 +245,36 @@ def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     return out
 
 
-def star(f1: HallElement, f2: HallElement) -> HallElement:
-    """The untwisted convolution: (f1 * f2)(y) = sum over y-stable graded U
-    with dim U = grade(f2) of f1(y^{V/U}) f2(y^U)."""
+def _convolve(f1: HallElement, f2: HallElement, twisted: bool) -> HallElement:
+    """Sum over flag-table buckets of c1 c2 times the flag count, each
+    homogeneous pair scaled by q^{-m/2} when twisted."""
     _same_ctx(f1, f2)
     ctx = f1.ctx
     terms: dict = {}
     for (tk, t), c1 in f1.terms.items():
         for (wk, w), c2 in f2.terms.items():
-            nk = tuple(a + b for a, b in zip(tk, wk))
             bucket = _flag_table(ctx, tk, wk).get((t, w))
             if not bucket:
                 continue
             c = c1 * c2
+            if twisted:
+                m = m_omega(ctx.quiver, ctx.dims_dict(tk), ctx.dims_dict(wk))
+                c = c * SqrtQScalar.half_power(ctx.q, -m)
+            nk = tuple(a + b for a, b in zip(tk, wk))
             for big, count in bucket.items():
                 _accum(terms, (nk, big), c * count)
     return HallElement(ctx, terms)
+
+
+def star(f1: HallElement, f2: HallElement) -> HallElement:
+    """The untwisted convolution: (f1 * f2)(y) = sum over y-stable graded U
+    with dim U = grade(f2) of f1(y^{V/U}) f2(y^U)."""
+    return _convolve(f1, f2, twisted=False)
 
 
 def circ(f1: HallElement, f2: HallElement) -> HallElement:
     """The Hall product: q^{-m/2} times the convolution, per homogeneous pair."""
-    _same_ctx(f1, f2)
-    ctx = f1.ctx
-    terms: dict = {}
-    for (tk, t), c1 in f1.terms.items():
-        for (wk, w), c2 in f2.terms.items():
-            nk = tuple(a + b for a, b in zip(tk, wk))
-            bucket = _flag_table(ctx, tk, wk).get((t, w))
-            if not bucket:
-                continue
-            m = m_omega(ctx.quiver, ctx.dims_dict(tk), ctx.dims_dict(wk))
-            c = c1 * c2 * SqrtQScalar.half_power(ctx.q, -m)
-            for big, count in bucket.items():
-                _accum(terms, (nk, big), c * count)
-    return HallElement(ctx, terms)
+    return _convolve(f1, f2, twisted=True)
 
 
 def diagram_star_oracle(f1: HallElement, f2: HallElement,
@@ -391,25 +386,28 @@ def tensor(f1: HallElement, f2: HallElement) -> TensorElement:
 
 def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of block-triangular extensions of the
-    representative pair landing in it}."""
+    representative pair landing in it}, derived from the flag table by
+    Riedtmann's formula ext = flag |Aut T| |Aut W| q^{t.w} / |Aut L|."""
     memo_key = (tkey, wkey)
     if memo_key in ctx._ext_tables:
         return ctx._ext_tables[memo_key]
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    tspace, ttable = ctx.space(tkey), ctx.table(tkey)
-    wspace, wtable = ctx.space(wkey), ctx.table(wkey)
-    big_space, big_table = ctx.space(nkey), ctx.table(nkey)
+    aut = {}
+    for key in (tkey, wkey, nkey):
+        order = group_order(ctx.space(key))
+        aut[key] = [order // size for size in ctx.table(key).sizes]
+    hom = ctx.q ** sum(a * b for a, b in zip(tkey, wkey))
     out: dict = {}
-    for t in range(ttable.count):
-        xt = ttable.representative(t)
-        for w in range(wtable.count):
-            xw = wtable.representative(w)
-            counter: dict = {}
-            for y in extensions_over(tspace, wspace, xt, xw, big_space,
-                                     ctx.max_points):
-                big = big_table.ordinal_of(y)
-                counter[big] = counter.get(big, 0) + 1
-            out[(t, w)] = counter
+    for (t, w), bucket in _flag_table(ctx, tkey, wkey).items():
+        scale = aut[tkey][t] * aut[wkey][w] * hom
+        counter = out[(t, w)] = {}
+        for big, flags in bucket.items():
+            count, rest = divmod(flags * scale, aut[nkey][big])
+            if rest:
+                raise AssertionError(
+                    f"flag count {flags} at {tkey}+{wkey}, pair {(t, w)}, orbit "
+                    f"{big} gives a non-integral extension count")
+            counter[big] = count
     ctx._ext_tables[memo_key] = out
     return out
 
@@ -499,7 +497,6 @@ class HeartContext:
         self.minus_vertex = pair.minus_orbit[0]
         self.orbit_size = len(pair.minus_orbit)
         self.hat = HallContext(self.con.quiver, ctx.q, cache=ctx.cache,
-                               sweep_bound=ctx.sweep_bound,
                                max_points=ctx.max_points,
                                oracle_bound=ctx.oracle_bound)
         self._maps: dict = {}
@@ -624,12 +621,35 @@ def complement_split(hc: HeartContext, f: HallElement) -> tuple[HallElement, Hal
     return heart, f - heart
 
 
-def _half_power_exponent(value: SqrtQScalar, q: int, span: int = 64):
-    """n with value = q^{n/2}, if one exists in the scanned range."""
-    for n in range(-span, span + 1):
-        if value == SqrtQScalar.half_power(q, n):
-            return n
+def _half_power_exponent(value: SqrtQScalar, q: int):
+    """n with value = q^{n/2} exactly, or None. q^{n/2} is a + 0 sqrt(q) for
+    even n, 0 + b sqrt(q) for odd n, and r^n when q = r^2 (b is then 0)."""
+    r = math.isqrt(q)
+    if r * r == q:
+        return _exact_log(value.a, r)
+    if value.b == 0:
+        k = _exact_log(value.a, q)
+        return None if k is None else 2 * k
+    if value.a == 0:
+        k = _exact_log(value.b, q)
+        return None if k is None else 2 * k + 1
     return None
+
+
+def _exact_log(x, base: int):
+    """k with x = base^k for a rational x and an integer k, or None."""
+    if x <= 0:
+        return None
+    num, den, sign = x.numerator, x.denominator, 1
+    if den != 1:
+        if num != 1:
+            return None
+        num, sign = den, -1
+    k = 0
+    while num % base == 0:
+        num //= base
+        k += 1
+    return sign * k if num == 1 else None
 
 
 def _check(name: str, check_id: str, passed: bool, witness=None) -> dict:

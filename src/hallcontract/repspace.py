@@ -2,8 +2,9 @@
 
 A point assigns to each edge h a matrix of shape dims(target) x dims(source);
 the group prod_v GL(dims(v)) acts by (g.x)_h = g_{h''} x_h g_{h'}^{-1}. Points
-are enumerated exactly and orbits computed by brute force, either by sweeping
-the whole group over each representative or by closing under generators.
+are enumerated exactly, and each orbit is found by closing its rank-least
+point under the group generators. Extensions are enumerated here too, as an
+independent cross-check of the structure constants the Hall layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
 are indexed by vertices, not vertex orbits.
@@ -165,6 +166,10 @@ def enumerate_group(space: RepSpace, max_count: int = DEFAULT_MAX_POINTS):
     return [tuple(combo) for combo in itertools.product(*factors)]
 
 
+#: The cached form of an orbit table, in constructor order.
+_PAYLOAD_FIELDS = ("index", "sizes", "rep_ranks")
+
+
 @dataclass
 class OrbitTable:
     """Dense orbit index over point ranks. Orbit k is named "o{k}"; its
@@ -212,33 +217,10 @@ class OrbitTable:
                 yield self.space.point_from_rank(rank)
 
     def to_payload(self) -> dict:
-        return {"index": list(self.index), "sizes": list(self.sizes),
-                "rep_ranks": list(self.rep_ranks)}
+        return {f: list(getattr(self, f)) for f in _PAYLOAD_FIELDS}
 
 
-def _orbits_via_sweep(space: RepSpace):
-    # apply the whole group to each fresh representative
-    pairs = [(g, tuple(m.inverse() for m in g)) for g in enumerate_group(space)]
-    index = [-1] * space.total_points
-    sizes: list[int] = []
-    reps: list[int] = []
-    for r in range(space.total_points):
-        if index[r] != -1:
-            continue
-        k = len(reps)
-        reps.append(r)
-        x = space.point_from_rank(r)
-        count = 0
-        for g, ginv in pairs:
-            ry = space.point_rank(act(space, g, x, ginv))
-            if index[ry] == -1:
-                index[ry] = k
-                count += 1
-        sizes.append(count)
-    return index, sizes, reps
-
-
-def _orbits_via_closure(space: RepSpace):
+def _close_orbits(space: RepSpace):
     # close each fresh representative under generator applications
     pairs = [(g, tuple(m.inverse() for m in g)) for g in group_generators(space)]
     index = [-1] * space.total_points
@@ -265,30 +247,19 @@ def _orbits_via_closure(space: RepSpace):
     return index, sizes, reps
 
 
-def orbits(space: RepSpace, method: str = "auto",
-           sweep_bound: int = 10_000,
-           max_points: int = DEFAULT_MAX_POINTS,
+def orbits(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS,
            cache=None) -> OrbitTable:
-    """Orbit table of the group action; both methods give identical tables, so
-    the cache key ignores the method."""
+    """Orbit table of the group action, read from the cache when it holds an
+    entry of the right shape; any other entry is recomputed."""
     if space.total_points > max_points:
         raise EnumerationBoundError(
             f"{space.total_points} points exceed the bound {max_points}")
     key = space.cache_key() if cache is not None else None
     if cache is not None:
         payload = cache.load(key)
-        if payload is not None:
-            return OrbitTable(space, payload["index"], payload["sizes"],
-                              payload["rep_ranks"])
-    if method == "auto":
-        method = "sweep" if group_order(space) <= sweep_bound else "closure"
-    if method == "sweep":
-        index, sizes, reps = _orbits_via_sweep(space)
-    elif method == "closure":
-        index, sizes, reps = _orbits_via_closure(space)
-    else:
-        raise ValueError(f"unknown orbit method {method!r}")
-    table = OrbitTable(space, index, sizes, reps)
+        if isinstance(payload, dict) and all(f in payload for f in _PAYLOAD_FIELDS):
+            return OrbitTable(space, *(payload[f] for f in _PAYLOAD_FIELDS))
+    table = OrbitTable(space, *_close_orbits(space))
     if cache is not None:
         cache.store(key, table.to_payload())
     return table

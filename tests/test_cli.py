@@ -286,6 +286,11 @@ def test_hall_orbits_failure_modes(tmp_path):
     r = runner.invoke(main, ["hall", "orbits", jordan,
                              "--dim", "p=2", "--q", "2"])
     assert r.exit_code == 4
+    for q in ("6", "1", "0"):
+        r = runner.invoke(main, ["hall", "orbits", jordan,
+                                 "--dim", "1", "--q", q])
+        assert r.exit_code == 4, (q, r.exception)
+        assert r.stdout == "" and "error:" in r.stderr
 
     swapped = dict(KRON)
     swapped["automorphism"] = {"vertices": {"p": "m", "m": "p"},
@@ -405,6 +410,12 @@ def test_hall_verify_cli(tmp_path):
                              "--q", "2", "--max-dim", "1"])
     assert r.exit_code == 0
     assert payload_of(r)["status"] == "pass"
+
+    # a negative depth would run zero checks and report them as a pass
+    r = runner.invoke(main, ["hall", "verify", "bialgebra", a1_file,
+                             "--q", "2", "--max-dim", "-1"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
 
     r = runner.invoke(main, ["hall", "verify", "embedding", quiver_file,
                              "--q", "2", "--max-dim", "1"])

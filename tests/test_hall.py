@@ -1,5 +1,6 @@
 """Hall algebra products, coproducts, and the contraction transport."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from hallcontract.ffalg import EnumerationBoundError, Mat
 from hallcontract.hall import (
     HallElement,
+    _ext_table,
+    _half_power_exponent,
     TensorElement,
     char_function,
     circ,
@@ -33,7 +36,8 @@ from hallcontract.hall import (
     verify_ses,
     zero_element,
 )
-from hallcontract.repspace import enumerate_points, fiber_of_contraction
+from hallcontract.repspace import (enumerate_points, extensions_over,
+                                   fiber_of_contraction)
 from hallcontract.scalars import SqrtQScalar
 
 from conftest import jordan_quiver, kronecker_quiver
@@ -105,6 +109,30 @@ def test_exponent_bookkeeping():
     assert m_star_omega(kq, kt, kt) == 0
     assert m_omega(jq, {"1": 2}, {"1": 1}) == 4
     assert m_star_omega(jq, {"1": 2}, {"1": 1}) == 0
+
+
+@pytest.mark.parametrize("ctx_name, bound", [
+    ("a1_ctx3", 3), ("jordan_ctx", 3), ("kron_ctx", 2)])
+def test_extension_counts_follow_from_flag_counts(request, ctx_name, bound):
+    """The extension table derived by Riedtmann's formula equals a direct
+    count of block-triangular extensions of every representative pair."""
+    ctx = request.getfixturevalue(ctx_name)
+    nvert = len(ctx.quiver.vertices)
+    for tk in itertools.product(range(bound + 1), repeat=nvert):
+        for wk in itertools.product(*(range(bound - t + 1) for t in tk)):
+            nk = tuple(a + b for a, b in zip(tk, wk))
+            ttable, wtable, big = ctx.table(tk), ctx.table(wk), ctx.table(nk)
+            direct = {}
+            for t in range(ttable.count):
+                for w in range(wtable.count):
+                    counter = direct[(t, w)] = {}
+                    for y in extensions_over(ctx.space(tk), ctx.space(wk),
+                                             ttable.representative(t),
+                                             wtable.representative(w),
+                                             ctx.space(nk)):
+                        o = big.ordinal_of(y)
+                        counter[o] = counter.get(o, 0) + 1
+            assert _ext_table(ctx, tk, wk) == direct, (tk, wk)
 
 
 def test_restriction_values(a1_ctx, jordan_ctx):
@@ -295,6 +323,15 @@ def test_verification_reports_pass_at_depth_one(kron_heart):
         assert report["failures"] == 0
         assert report["checks"]
         assert all(c["check_id"] for c in report["checks"])
+
+
+def test_half_power_exponent_is_exact():
+    for q in (2, 3, 4):
+        for n in (-200, -65, -1, 0, 1, 2, 65, 200):
+            assert _half_power_exponent(SqrtQScalar.half_power(q, n), q) == n
+        for a, b in ((1, 1), (-1, 0), (5, 0), (Fraction(1, 6), 0), (0, 5),
+                     (0, Fraction(-1, q))):
+            assert _half_power_exponent(SqrtQScalar(q, a, b), q) is None
 
 
 def test_bialgebra_report_shape(a1_ctx):

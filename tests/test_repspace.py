@@ -1,5 +1,7 @@
 """Representation spaces over F_q: points, orbits, hearts, extensions."""
 
+import json
+
 import pytest
 
 from hallcontract.cache import OrbitCache
@@ -133,13 +135,26 @@ def test_orbit_sizes_divide_group_order():
         assert all(order % s == 0 for s in table.sizes)
 
 
-def test_sweep_and_closure_agree():
-    for space in (jordan_space(2), kron_space((1, 1), q=3), kron_space((2, 2))):
-        a = orbits(space, method="sweep")
-        b = orbits(space, method="closure")
-        assert a.index == b.index
-        assert a.sizes == b.sizes
-        assert a.rep_ranks == b.rep_ranks
+def test_orbit_tables_agree_with_burnside_and_stabilisers():
+    # every count below is taken over the whole group, never the generators;
+    # (1, 3) has a 3-dimensional vertex, so the swap generator is exercised
+    spaces = (jordan_space(2), jordan_space(2, q=4), kron_space((1, 1), q=3),
+              kron_space((2, 2)), kron_space((1, 3)))
+    for space in spaces:
+        table = orbits(space)
+        group = enumerate_group(space)
+        order = group_order(space)
+        assert len(group) == order
+        points = list(enumerate_points(space))
+        fixed = sum(1 for g in group for x in points if act(space, g, x) == x)
+        assert table.count * order == fixed
+        for k in range(table.count):
+            rep = table.representative(k)
+            images = [act(space, g, rep) for g in group]
+            stabiliser = sum(1 for y in images if y == rep)
+            assert table.sizes[k] * stabiliser == order
+            assert all(table.ordinal_of(y) == k for y in images)
+            assert table.index.count(k) == table.sizes[k]
 
 
 def test_representatives_are_rank_least():
@@ -171,6 +186,25 @@ def test_orbit_cache_roundtrip(tmp_path):
     assert orbits(space, cache=cache).sizes == first.sizes
     assert cache.purge() >= 1
     assert cache.entries() == []
+
+
+def test_malformed_cache_entries_are_misses(tmp_path):
+    space = jordan_space(2)
+    cache = OrbitCache(str(tmp_path))
+    first = orbits(space, cache=cache)
+    key = space.cache_key()
+    malformed = ["[1, 2]", '"text"', {"key": key}, {"key": key, "value": [1, 2]},
+                 {"key": key, "value": {"index": first.index, "sizes": first.sizes}}]
+    for entry in malformed:
+        with open(cache._path(key), "w", encoding="utf-8") as fh:
+            fh.write(entry if isinstance(entry, str) else json.dumps(entry))
+        table = orbits(space, cache=cache)
+        assert (table.index, table.sizes, table.rep_ranks) == (
+            first.index, first.sizes, first.rep_ranks)
+    with open(cache._path(key), "w", encoding="utf-8") as fh:
+        fh.write("[1, 2]")
+    assert cache.load(key) is None
+    assert cache.entries()[0]["key"].startswith("(unreadable")
 
 
 def test_nontrivial_automorphism_is_refused():
