@@ -80,9 +80,18 @@ class Quiver:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "tuple[Quiver, Automorphism]":
-        quiver = cls(tuple(payload["vertices"]),
-                     tuple(Edge(e["id"], e["source"], e["target"])
-                           for e in payload["edges"]))
+        vertices, edges = payload["vertices"], payload["edges"]
+        if not (isinstance(vertices, list)
+                and all(isinstance(v, str) for v in vertices)):
+            raise ValueError("vertices must be a list of strings")
+        if not isinstance(edges, list) or not all(
+                isinstance(e, dict)
+                and all(isinstance(e.get(f), str) for f in ("id", "source", "target"))
+                for e in edges):
+            raise ValueError("edges must be a list of objects with string "
+                             "id, source and target")
+        quiver = cls(tuple(vertices),
+                     tuple(Edge(e["id"], e["source"], e["target"]) for e in edges))
         spec = payload.get("automorphism")
         if spec is None:
             autom = identity_automorphism(quiver)

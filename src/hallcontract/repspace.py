@@ -3,8 +3,12 @@
 A point assigns to each edge h a matrix of shape dims(target) x dims(source);
 the group prod_v GL(dims(v)) acts by (g.x)_h = g_{h''} x_h g_{h'}^{-1}. Points
 are enumerated exactly, and each orbit is found by closing its rank-least
-point under the group generators. Extensions are enumerated here too, as an
-independent cross-check of the structure constants the Hall layer derives.
+point under the group generators. The closure runs on integer point codes
+(ranks), never on matrices: each generator acts F_p-linearly on a code's
+base-p digits, so act() is applied to the basis codes only and the closure
+applies generators by chunked table lookup. Extensions are enumerated here
+too, as an independent cross-check of the structure constants the Hall
+layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
 are indexed by vertices, not vertex orbits.
@@ -13,6 +17,7 @@ are indexed by vertices, not vertex orbits.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .ffalg import (DEFAULT_MAX_POINTS, EnumerationBoundError, Field, Mat,
@@ -220,9 +225,95 @@ class OrbitTable:
         return {f: list(getattr(self, f)) for f in _PAYLOAD_FIELDS}
 
 
+#: Bits of a point code that one table lookup reads; for odd p, as many
+#: base-p digits as fit in that many bits.
+_CHUNK_BITS = 8
+
+
+def _code_digits(code: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of a point code, least significant first."""
+    digits = []
+    for _ in range(n):
+        code, d = divmod(code, p)
+        digits.append(d)
+    return digits
+
+
+def _generator_images(space: RepSpace):
+    """A function taking a point code (its rank) to the codes of its images
+    under every group generator, in generator order.
+
+    A code is a base-p number with n = e*N digits, and each generator acts
+    F_p-linearly on those digits, so act() is called on the n basis codes
+    p**j only. The images under all G generators are packed side by side in
+    one int: generator g owns the bits from g*n*B, one B-bit field per digit
+    (B = 1 for p = 2). For each chunk of input digits a table maps the
+    chunk's value to the packed, mod-p reduced images of that chunk; a code's
+    packed images are the XOR (p = 2) or the sum (odd p) of its chunks'
+    entries. For odd p, reduction tables then read B-bit fields a few at a
+    time and return their digits mod p at their place in a code."""
+    p = space.field.p
+    n = space.field.e * space.point_entries
+    gens = [(g, tuple(m.inverse() for m in g)) for g in group_generators(space)]
+    if n == 0:
+        return lambda code: [0] * len(gens)
+    # columns[j]: the digits of every generator's image of p**j, generator-major
+    columns = [[d for g, ginv in gens
+                for d in _code_digits(space.point_rank(
+                    act(space, g, space.point_from_rank(p ** j), ginv)), p, n)]
+               for j in range(n)]
+    chunk_digits = 1
+    while p ** (chunk_digits + 1) <= 1 << _CHUNK_BITS:
+        chunk_digits += 1
+    radix = p ** chunk_digits
+    chunks = -(-n // chunk_digits)
+    bits = 1 if p == 2 else (chunks * (p - 1)).bit_length()
+    tables = []
+    for start in range(0, n, chunk_digits):
+        vecs = [[0] * len(columns[0])]
+        for col in columns[start:start + chunk_digits]:
+            vecs = [[(a + d * b) % p for a, b in zip(vec, col)]
+                    for d in range(p) for vec in vecs]
+        tables.append([sum(d << (k * bits) for k, d in enumerate(vec))
+                       for vec in vecs])
+    slots = range(0, len(gens) * n * bits, n * bits)
+
+    if p == 2:
+        code_mask = (1 << n) - 1
+
+        def images(code):
+            packed = 0
+            for table in tables:
+                code, c = divmod(code, radix)
+                packed ^= table[c]
+            return [(packed >> s) & code_mask for s in slots]
+        return images
+
+    per_lookup = max(1, _CHUNK_BITS // bits)
+    field_mask = (1 << bits) - 1
+    reducers = []
+    for start in range(0, n, per_lookup):
+        width = min(per_lookup, n - start)
+        table = [sum((f >> (i * bits) & field_mask) % p * p ** (start + i)
+                     for i in range(width))
+                 for f in range(1 << (width * bits))]
+        reducers.append((table, start * bits, (1 << (width * bits)) - 1))
+    lookups = [(t, s + offset, m) for s in slots for t, offset, m in reducers]
+
+    def images(code):
+        packed = 0
+        for table in tables:
+            code, c = divmod(code, radix)
+            packed += table[c]
+        # one slot's code is the sum of its len(reducers) consecutive parts
+        parts = iter([t[(packed >> s) & m] for t, s, m in lookups])
+        return list(map(sum, zip(*[parts] * len(reducers))))
+    return images
+
+
 def _close_orbits(space: RepSpace):
     # close each fresh representative under generator applications
-    pairs = [(g, tuple(m.inverse() for m in g)) for g in group_generators(space)]
+    images = _generator_images(space)
     index = [-1] * space.total_points
     sizes: list[int] = []
     reps: list[int] = []
@@ -232,32 +323,53 @@ def _close_orbits(space: RepSpace):
         k = len(reps)
         reps.append(r)
         index[r] = k
-        frontier = [space.point_from_rank(r)]
+        frontier = [r]
         count = 1
         while frontier:
-            x = frontier.pop()
-            for g, ginv in pairs:
-                y = act(space, g, x, ginv)
-                ry = space.point_rank(y)
-                if index[ry] == -1:
-                    index[ry] = k
+            for y in images(frontier.pop()):
+                if index[y] == -1:
+                    index[y] = k
                     count += 1
                     frontier.append(y)
         sizes.append(count)
     return index, sizes, reps
 
 
+def _fits_space(space: RepSpace, payload) -> bool:
+    """Whether a cached payload is shaped like an orbit table of the space:
+    one ordinal per point, each ordinal k first met at rep_ranks[k] with the
+    ordinals met in order, sizes the ordinals' counts, and every size a
+    divisor of the group order. Linear in the points; it does not act."""
+    if not isinstance(payload, dict):
+        return False
+    fields = [payload.get(f) for f in _PAYLOAD_FIELDS]
+    if not all(isinstance(v, list) and set(map(type, v)) <= {int} for v in fields):
+        return False
+    index, sizes, rep_ranks = fields
+    if len(index) != space.total_points or len(rep_ranks) != len(sizes):
+        return False
+    if dict(Counter(index)) != dict(enumerate(sizes)):
+        return False
+    first = dict(zip(reversed(index), range(len(index) - 1, -1, -1)))
+    if first != dict(enumerate(rep_ranks)):
+        return False
+    order = group_order(space)
+    return (all(a < b for a, b in zip(rep_ranks, rep_ranks[1:]))
+            and all(order % s == 0 for s in sizes))
+
+
 def orbits(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS,
            cache=None) -> OrbitTable:
-    """Orbit table of the group action, read from the cache when it holds an
-    entry of the right shape; any other entry is recomputed."""
+    """Orbit table of the group action, read from the cache when its entry
+    fits the space (see _fits_space); any other entry is recomputed and
+    overwritten."""
     if space.total_points > max_points:
         raise EnumerationBoundError(
             f"{space.total_points} points exceed the bound {max_points}")
     key = space.cache_key() if cache is not None else None
     if cache is not None:
         payload = cache.load(key)
-        if isinstance(payload, dict) and all(f in payload for f in _PAYLOAD_FIELDS):
+        if _fits_space(space, payload):
             return OrbitTable(space, *(payload[f] for f in _PAYLOAD_FIELDS))
     table = OrbitTable(space, *_close_orbits(space))
     if cache is not None:

@@ -16,6 +16,8 @@ from hallcontract import cartan as ct
 from hallcontract import quiver as qv
 from hallcontract.cache import OrbitCache
 from hallcontract.cli import main
+from hallcontract.ffalg import Field
+from hallcontract.repspace import RepSpace
 
 from conftest import kronecker_datum, mixed_orbit_datum
 
@@ -299,6 +301,42 @@ def test_hall_orbits_failure_modes(tmp_path):
     r = runner.invoke(main, ["hall", "orbits", swapped_file,
                              "--dim", "1,1", "--q", "2"])
     assert r.exit_code == 4
+
+
+def test_malformed_quiver_json_exits_4(tmp_path):
+    edge = {"id": "e", "source": "a", "target": "b"}
+    malformed = [
+        {"vertices": "ab", "edges": []},
+        {"vertices": ["a", 1], "edges": []},
+        {"vertices": {"a": 1}, "edges": []},
+        {"vertices": ["a", "b"], "edges": "e"},
+        {"vertices": ["a", "b"], "edges": [["e", "a", "b"]]},
+        {"vertices": ["a", "b"], "edges": [dict(edge, id=7)]},
+        {"vertices": ["a", "b"], "edges": [dict(edge, source=None)]},
+        {"vertices": ["a", "b"], "edges": [{"id": "e", "source": "a"}]},
+        ["a", "b"],
+    ]
+    for k, payload in enumerate(malformed):
+        path = write_json(tmp_path, f"bad{k}.json", payload)
+        r = runner.invoke(main, ["hall", "orbits", path, "--dim", "1,1", "--q", "2"])
+        assert r.exit_code == 4, (payload, r.exception)
+        assert r.stdout == "" and "error:" in r.stderr
+
+
+def test_hall_orbits_recomputes_a_forged_cache_entry(tmp_path):
+    env = {"HALL_CACHE_DIR": str(tmp_path / "cache")}
+    quiver, _ = qv.Quiver.from_dict(KRON)
+    space = RepSpace(quiver, Field(2), {"p": 1, "m": 1})
+    # well-formed, but claims the four points form one orbit
+    OrbitCache(env["HALL_CACHE_DIR"]).store(
+        space.cache_key(), {"index": [0] * 4, "sizes": [4], "rep_ranks": [0]})
+    kron = write_json(tmp_path, "kron.json", KRON)
+    r = runner.invoke(main, ["hall", "orbits", kron, "--dim", "1,1", "--q", "2"],
+                      env=env)
+    assert r.exit_code == 0
+    p = payload_of(r)
+    assert p["count"] == 4
+    assert [o["size"] for o in p["orbits"]] == [1, 1, 1, 1]
 
 
 def test_hall_mult_cli(tmp_path):

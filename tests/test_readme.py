@@ -3,24 +3,58 @@
 import json
 import os
 import re
+import shlex
+
+from click.testing import CliRunner
 
 from hallcontract import HallContext, HallElement, Quiver
+from hallcontract.cli import main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
-def json_blocks():
+def readme_text():
     with open(README, encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def json_blocks():
     return [json.loads(block)
-            for block in re.findall(r"```json\n(.*?)```", text, re.DOTALL)]
+            for block in re.findall(r"```json\n(.*?)```", readme_text(), re.DOTALL)]
+
+
+def quiver_example():
+    (quiver_payload,) = [b for b in json_blocks() if "vertices" in b]
+    return quiver_payload
 
 
 def test_hall_element_example_names_the_quiver_example():
-    blocks = json_blocks()
-    (quiver_payload,) = [b for b in blocks if "vertices" in b]
-    (element,) = [b for b in blocks if "terms" in b]
-    quiver, _ = Quiver.from_dict(quiver_payload)
+    (element,) = [b for b in json_blocks() if "terms" in b]
+    quiver, _ = Quiver.from_dict(quiver_example())
     assert element["quiver"] == quiver.content_hash() == "9c88aa25cf1e97a1"
     ctx = HallContext(quiver, element["q"])
     assert HallElement.from_json(ctx, element).to_json() == element
+
+
+def test_python_example_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", readme_text(), re.DOTALL)
+    monkeypatch.setenv("HALL_CACHE_DIR", str(tmp_path))
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2
+    assert all(line.startswith("HallElement(") for line in printed)
+    assert any(name.endswith(".json") for name in os.listdir(tmp_path))
+
+
+def test_quiver_contract_example_matches_the_output(tmp_path):
+    (command, expected) = re.findall(
+        r"```\n\$ (hallc quiver contract kron\.json[^\n]*)\n(.*?)```",
+        readme_text(), re.DOTALL)[0]
+    # kron.json is the quiver example with its optional automorphism left out
+    payload = {k: v for k, v in quiver_example().items() if k != "automorphism"}
+    (tmp_path / "kron.json").write_text(json.dumps(payload))
+    argv = shlex.split(command)[1:]
+    argv[argv.index("kron.json")] = str(tmp_path / "kron.json")
+    r = CliRunner().invoke(main, argv)
+    assert r.exit_code == 0
+    assert json.loads(r.stdout) == json.loads(expected)

@@ -10,6 +10,7 @@ from hallcontract.quiver import contract_quiver, identity_automorphism, make_orb
 from hallcontract.repspace import (
     RepSpace,
     UnsupportedAutomorphismError,
+    _generator_images,
     act,
     contract_point,
     direct_sum_point,
@@ -32,7 +33,8 @@ from hallcontract.repspace import (
 from hallcontract.ffalg import Subspace
 from hallcontract.cartan import realize_graph
 
-from conftest import double_orbit_datum, jordan_quiver, kronecker_quiver
+from conftest import (a1_quiver, double_orbit_datum, jordan_quiver,
+                      kronecker_quiver)
 
 
 def jordan_space(n, q=2):
@@ -128,6 +130,57 @@ def test_zero_dimension_space_has_one_orbit():
     assert table.sizes == [1]
 
 
+def similarity_classes(n, q):
+    """Similarity classes of n x n matrices over F_q: the coefficient of x^n
+    in prod_{k>=1} 1 / (1 - q x^k), that is, the sum of q^(number of parts)
+    over the partitions of n (Kac 1983; Hua, J. Algebra 226, 2000)."""
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(k, n + 1):
+            series[i] += q * series[i - k]
+    return series[n]
+
+
+def test_similarity_class_formula():
+    # q^4 + q^3 + 2q^2 + q at n = 4
+    assert [similarity_classes(n, 2) for n in range(5)] == [1, 2, 6, 14, 34]
+    assert similarity_classes(2, 3) == 12
+
+
+def test_jordan_orbits_are_similarity_classes():
+    for q in (5, 7, 8, 9):
+        table = orbits(jordan_space(2, q=q))
+        assert table.count == similarity_classes(2, q) == q * q + q
+        assert sum(table.sizes) == q ** 4
+
+
+def _images_by_act(space, code):
+    x = space.point_from_rank(code)
+    return [space.point_rank(act(space, g, x)) for g in group_generators(space)]
+
+
+def test_code_kernel_matches_act():
+    # every generator on every code; the spaces cover q = 2, 3, 4, 5, 7, 8, 9,
+    # one and several lookup chunks, and spaces without entries
+    spaces = (RepSpace(a1_quiver(), Field(3), {"1": 2}), jordan_space(0, q=5),
+              jordan_space(1), kron_space((1, 1), q=7), jordan_space(2),
+              jordan_space(3), kron_space((1, 3), q=3), jordan_space(2, q=3),
+              jordan_space(2, q=4), kron_space((1, 2), q=5),
+              kron_space((1, 1), q=8), kron_space((1, 1), q=9))
+    for space in spaces:
+        images = _generator_images(space)
+        for r in range(space.total_points):
+            assert images(r) == _images_by_act(space, r), (space, r)
+
+
+def test_code_kernel_with_three_chunks():
+    # 3^12 codes, three chunks of digits: a spread of codes, not all of them
+    space = kron_space((2, 3), q=3)
+    images = _generator_images(space)
+    for r in range(0, space.total_points, 4099):
+        assert images(r) == _images_by_act(space, r), r
+
+
 def test_orbit_sizes_divide_group_order():
     for space in (jordan_space(2), kron_space((2, 1)), kron_space((1, 1), q=3)):
         table = orbits(space)
@@ -139,7 +192,8 @@ def test_orbit_tables_agree_with_burnside_and_stabilisers():
     # every count below is taken over the whole group, never the generators;
     # (1, 3) has a 3-dimensional vertex, so the swap generator is exercised
     spaces = (jordan_space(2), jordan_space(2, q=4), kron_space((1, 1), q=3),
-              kron_space((2, 2)), kron_space((1, 3)))
+              kron_space((2, 2)), kron_space((1, 3)), jordan_space(2, q=3),
+              kron_space((1, 1), q=9))
     for space in spaces:
         table = orbits(space)
         group = enumerate_group(space)
@@ -173,11 +227,12 @@ def test_orbit_cache_roundtrip(tmp_path):
     again = orbits(space, cache=OrbitCache(str(tmp_path)))
     assert again.index == first.index and again.sizes == first.sizes
 
-    # the load path is exercised for real: a doctored entry is returned as is
+    # an entry whose sizes disagree with its index is recomputed and replaced
     doctored = first.to_payload()
     doctored["sizes"] = list(reversed(first.sizes))
     cache.store(space.cache_key(), doctored)
-    assert orbits(space, cache=cache).sizes == list(reversed(first.sizes))
+    assert orbits(space, cache=cache).sizes == first.sizes
+    assert cache.load(space.cache_key()) == first.to_payload()
 
     # corrupt entries fall back to recomputation
     path = cache._path(space.cache_key())
@@ -205,6 +260,34 @@ def test_malformed_cache_entries_are_misses(tmp_path):
         fh.write("[1, 2]")
     assert cache.load(key) is None
     assert cache.entries()[0]["key"].startswith("(unreadable")
+
+
+def test_entries_that_do_not_fit_the_space_are_recomputed(tmp_path):
+    space = jordan_space(2)
+    cache = OrbitCache(str(tmp_path))
+    good = orbits(space, cache=cache).to_payload()
+    index, sizes, reps = good["index"], good["sizes"], good["rep_ranks"]
+    swapped = {1: 2, 2: 1}
+    forged = [
+        dict(good, index=index[:-1]),
+        dict(good, index=index[:-1] + [len(sizes)]),
+        dict(good, index=[-1] + index[1:]),
+        # still increasing, but the last point is not where the last ordinal starts
+        dict(good, rep_ranks=reps[:-1] + [len(index) - 1]),
+        # ordinals 1 and 2 relabelled: consistent, but not met in order
+        {"index": [swapped.get(k, k) for k in index],
+         "sizes": [sizes[swapped.get(k, k)] for k in range(len(sizes))],
+         "rep_ranks": [reps[swapped.get(k, k)] for k in range(len(reps))]},
+        dict(good, sizes=[float(v) for v in sizes]),
+        dict(good, index=[False if k == 0 else k for k in index]),
+        dict(good, sizes="123456"),
+        # one orbit of 16 points: consistent, but 16 does not divide |GL_2(F_2)|
+        {"index": [0] * 16, "sizes": [16], "rep_ranks": [0]},
+    ]
+    for payload in forged:
+        cache.store(space.cache_key(), payload)
+        assert orbits(space, cache=cache).to_payload() == good, payload
+        assert cache.load(space.cache_key()) == good
 
 
 def test_nontrivial_automorphism_is_refused():
