@@ -1,7 +1,8 @@
 """Command line front end: JSON in, JSON (or a table) out.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 unknown command or bad
-usage, 3 an enumeration bound was exceeded, 4 unreadable or invalid input.
+Exit codes: 0 all checks pass, 1 a check failed or a verify suite decided
+no check, 2 unknown command or bad usage, 3 an enumeration bound was
+exceeded, 4 unreadable or invalid input.
 Reports are deterministic; wall time goes to stderr so stdout stays
 byte-for-byte reproducible.
 """

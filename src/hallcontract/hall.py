@@ -43,6 +43,8 @@ class HallContext:
         self._tables: dict = {}
         self._flag_tables: dict = {}
         self._ext_tables: dict = {}
+        self._oracle_flags: dict = {}
+        self._group_profiles: dict = {}
 
     @property
     def q(self) -> int:
@@ -181,6 +183,8 @@ class HallElement:
 
     @classmethod
     def from_json(cls, ctx: HallContext, payload: dict) -> "HallElement":
+        if not isinstance(payload, dict):
+            raise ValueError("an element must be a JSON object")
         if payload.get("q") != ctx.q:
             raise ValueError(f"element is over q={payload.get('q')}, "
                              f"context has q={ctx.q}")
@@ -279,49 +283,97 @@ def circ(f1: HallElement, f2: HallElement) -> HallElement:
 
 def diagram_star_oracle(f1: HallElement, f2: HallElement,
                         max_flags: int | None = None) -> HallElement:
-    """The convolution computed the long way round: enumerate every stable
-    graded subspace together with every pair of graded isomorphisms onto the
-    standard quotient and sub spaces, and divide by the two group orders.
+    """The convolution computed the long way round: every stable graded
+    subspace together with every pair of graded isomorphisms onto the
+    standard quotient and sub spaces, divided by the two group orders.
 
-    Shares nothing with the structure-constant route except the orbit tables,
-    so exact agreement with star() is a real consistency check.
+    Shared with star(): the orbit tables, and the flag geometry of
+    stable_subspaces, quotient_point and sub_point. Independent of it: no
+    flag is counted by orbit pair (the flag table is never read), no
+    Riedtmann factor is used, and each quotient and sub point is summed
+    over its whole group by Mat act() rather than assumed to stay in its
+    orbit, so exact agreement with star() is a real consistency check.
+    Memoized on the context: the flags of each grade pair with their
+    points' group profiles, and each point's group profile. The bound on
+    |G_t| |G_w| is checked on every call, before any enumeration.
     """
     _same_ctx(f1, f2)
     ctx = f1.ctx
     if max_flags is None:
         max_flags = ctx.oracle_bound
+    pairs = [(tk, wk) for tk in sorted({k for k, _ in f1.terms})
+             for wk in sorted({k for k, _ in f2.terms})]
+    orders = {}
+    for tk, wk in pairs:
+        ot, ow = group_order(ctx.space(tk)), group_order(ctx.space(wk))
+        if ot * ow > max_flags:
+            raise EnumerationBoundError(
+                f"{ot}*{ow} flag isomorphisms exceed the bound {max_flags}")
+        orders[(tk, wk)] = ot * ow
+    zero = SqrtQScalar.zero(ctx.q)
     terms: dict = {}
-    for tk in sorted({k for k, _ in f1.terms}):
-        for wk in sorted({k for k, _ in f2.terms}):
-            tspace, wspace = ctx.space(tk), ctx.space(wk)
-            gt = [(g, tuple(m.inverse() for m in g))
-                  for g in enumerate_group(tspace, max_flags)]
-            gw = [(g, tuple(m.inverse() for m in g))
-                  for g in enumerate_group(wspace, max_flags)]
-            if len(gt) * len(gw) > max_flags:
-                raise EnumerationBoundError(
-                    f"{len(gt)}*{len(gw)} flag isomorphisms exceed the bound "
-                    f"{max_flags}")
-            nk = tuple(a + b for a, b in zip(tk, wk))
-            big_space, big_table = ctx.space(nk), ctx.table(nk)
-            omega = ctx.dims_dict(wk)
-            zero = SqrtQScalar.zero(ctx.q)
-            for big in range(big_table.count):
-                y = big_table.representative(big)
-                total = zero
-                for U in stable_subspaces(big_space, y, omega, ctx.max_points):
-                    quot = quotient_point(big_space, y, U)
-                    sub = sub_point(big_space, y, U)
-                    s1 = zero
-                    for g, ginv in gt:
-                        s1 = s1 + f1.value_at(tk, act(tspace, g, quot, ginv))
-                    s2 = zero
-                    for g, ginv in gw:
-                        s2 = s2 + f2.value_at(wk, act(wspace, g, sub, ginv))
-                    total = total + s1 * s2
-                if not total.is_zero():
-                    _accum(terms, (nk, big), total / (len(gt) * len(gw)))
+    for tk, wk in pairs:
+        nk = tuple(a + b for a, b in zip(tk, wk))
+        c1 = {o: c for (k, o), c in f1.terms.items() if k == tk}
+        c2 = {o: c for (k, o), c in f2.terms.items() if k == wk}
+        for big, flags in enumerate(_oracle_flags(ctx, tk, wk)):
+            total = zero
+            for qprofile, sprofile in flags:
+                s1 = _group_sum(c1, qprofile)
+                if s1 is not None:
+                    s2 = _group_sum(c2, sprofile)
+                    if s2 is not None:
+                        total = total + s1 * s2
+            if not total.is_zero():
+                _accum(terms, (nk, big), total / orders[(tk, wk)])
     return HallElement(ctx, terms)
+
+
+def _group_sum(coeffs: dict, profile: dict):
+    """sum over g in G of f(g.x), from f's coefficients at one grade and the
+    group profile of x; None when no orbit of the profile is in f's support."""
+    total = None
+    for o, n in profile.items():
+        if o in coeffs:
+            term = coeffs[o] * n
+            total = term if total is None else total + term
+    return total
+
+
+def _oracle_flags(ctx: HallContext, tkey: tuple, wkey: tuple) -> list:
+    """big orbit -> [(group profile of the quotient point, of the sub point)
+    for each stable graded U in its representative with dim U = wkey]."""
+    memo_key = (tkey, wkey)
+    if memo_key in ctx._oracle_flags:
+        return ctx._oracle_flags[memo_key]
+    nkey = tuple(a + b for a, b in zip(tkey, wkey))
+    big_space, big_table = ctx.space(nkey), ctx.table(nkey)
+    omega = ctx.dims_dict(wkey)
+    out = []
+    for big in range(big_table.count):
+        y = big_table.representative(big)
+        out.append([(_group_profile(ctx, tkey, quotient_point(big_space, y, U)),
+                     _group_profile(ctx, wkey, sub_point(big_space, y, U)))
+                    for U in stable_subspaces(big_space, y, omega,
+                                              ctx.max_points)])
+    ctx._oracle_flags[memo_key] = out
+    return out
+
+
+def _group_profile(ctx: HallContext, key: tuple, x: tuple) -> dict:
+    """Orbit ordinal -> number of g in G with g.x in that orbit, by applying
+    every group element to x. The caller has bounded the group order."""
+    space = ctx.space(key)
+    memo_key = (key, space.point_rank(x))
+    if memo_key in ctx._group_profiles:
+        return ctx._group_profiles[memo_key]
+    table = ctx.table(key)
+    profile: dict = {}
+    for g in enumerate_group(space, math.inf):
+        o = table.ordinal_of(act(space, g, x))
+        profile[o] = profile.get(o, 0) + 1
+    ctx._group_profiles[memo_key] = profile
+    return profile
 
 
 class TensorElement:
@@ -661,10 +713,12 @@ def _check(name: str, check_id: str, passed: bool, witness=None) -> dict:
 
 
 def _finish_report(command: str, config: dict, checks: list[dict]) -> dict:
+    """A report passes only if it decided at least one check and none
+    failed; one that decided none has status "empty"."""
     failures = sum(1 for c in checks if c["status"] == "fail")
+    status = "fail" if failures else "pass" if checks else "empty"
     return {"command": command, "config": config, "checks": checks,
-            "failures": failures,
-            "status": "pass" if failures == 0 else "fail"}
+            "failures": failures, "status": status}
 
 
 def _key_pairs_upto(nvertices: int, max_dim: int):

@@ -195,7 +195,7 @@ class OrbitTable:
         return f"o{k}"
 
     def ordinal_of_id(self, orbit_id: str) -> int:
-        if not orbit_id.startswith("o"):
+        if not isinstance(orbit_id, str) or not orbit_id.startswith("o"):
             raise KeyError(f"malformed orbit id {orbit_id!r}")
         try:
             k = int(orbit_id[1:])

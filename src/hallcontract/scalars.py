@@ -131,7 +131,20 @@ class SqrtQScalar:
 
     @classmethod
     def from_json(cls, q: int, payload: dict) -> "SqrtQScalar":
-        return cls(q, Fraction(payload["a"]), Fraction(payload["b"]))
+        """Read {"a", "b"} as exact rationals: strings such as "3/2" or
+        integers. A float (inexact) or a zero denominator is a ValueError."""
+        parts = []
+        for name in ("a", "b"):
+            value = payload[name]
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise ValueError(f"coefficient {name!r} must be a rational "
+                                 f"string, got {value!r}")
+            try:
+                parts.append(Fraction(value))
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {name!r} has a zero "
+                                 f"denominator: {value!r}") from None
+        return cls(q, *parts)
 
     def __repr__(self):
         if self.b == 0:

@@ -9,7 +9,10 @@ lines go to stderr, so stdout can be compared byte for byte across runs.
 import json
 import re
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hallcontract import HallContext, HeartContext, char_function
 from hallcontract import cartan as ct
@@ -361,6 +364,25 @@ def test_hall_mult_cli(tmp_path):
     assert r.exit_code == 4
 
 
+def test_malformed_element_json_exits_4(tmp_path):
+    quiver_file = write_json(tmp_path, "a1.json", A1)
+    good = char_function(a1_context(), (1,), 0).to_json()
+    (term,) = good["terms"]
+    malformed = [
+        [],
+        dict(good, terms=[dict(term, orbit=0)]),
+        dict(good, terms=[dict(term, coeff={"a": "1/0", "b": "0"})]),
+        dict(good, terms=[dict(term, coeff={"a": 0.1, "b": "0"})]),
+        dict(good, terms=[dict(term, coeff={"a": True, "b": "0"})]),
+    ]
+    for k, payload in enumerate(malformed):
+        path = write_json(tmp_path, f"bad{k}.json", payload)
+        r = runner.invoke(main, ["hall", "mult", quiver_file, path, path,
+                                 "--q", "2"])
+        assert r.exit_code == 4, (payload, r.exception)
+        assert r.stdout == "" and "error:" in r.stderr
+
+
 def test_hall_res_cli(tmp_path):
     quiver_file = write_json(tmp_path, "a1.json", A1)
     ctx = a1_context()
@@ -461,6 +483,22 @@ def test_hall_verify_cli(tmp_path):
     assert "--plus and --minus" in r.stderr
 
 
+def test_verify_that_decides_no_check_does_not_pass(tmp_path):
+    # at depth 0 every orbit is in the heart, so the ideal suite has no case
+    quiver_file = write_json(tmp_path, "kron.json", KRON)
+    argv = ["hall", "verify", "ideal", quiver_file, "--q", "2", "--max-dim", "0",
+            "--plus", "p", "--minus", "m"]
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 1
+    p = payload_of(r)
+    assert p["checks"] == [] and p["failures"] == 0
+    assert p["status"] == "empty"
+
+    r = runner.invoke(main, argv + ["--format", "table"])
+    assert r.exit_code == 1
+    assert r.stdout.strip() == "0 failed / 0 checks"
+
+
 def test_hall_verify_table_format(tmp_path):
     quiver_file = write_json(tmp_path, "kron.json", KRON)
     r = runner.invoke(main, ["hall", "verify", "embedding", quiver_file,
@@ -503,3 +541,171 @@ def test_cache_commands_honor_cache_dir(tmp_path):
 
     r = runner.invoke(main, ["cache", "info"], env=env)
     assert payload_of(r)["entries"] == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the documented commands
+
+
+AUTOM_KRON = dict(KRON, automorphism={"vertices": {"p": "p", "m": "m"},
+                                      "edges": {"e": "f", "f": "e"}})
+SWAPPED_KRON = dict(KRON, automorphism={"vertices": {"p": "m", "m": "p"},
+                                        "edges": {"e": "f", "f": "e"}})
+BAD_QUIVERS = [
+    "{oops", "[]", "null", '"kron"',
+    {"vertices": "ab", "edges": []},
+    {"vertices": ["a", "a"], "edges": []},
+    {"vertices": ["a"], "edges": [{"id": "e", "source": "a", "target": "z"}]},
+    {"vertices": ["a"], "edges": [{"id": "e", "source": "a", "target": "a"},
+                                  {"id": "e", "source": "a", "target": "a"}]},
+    {"vertices": ["a"], "edges": [], "automorphism": 5},
+    {"vertices": ["a"], "edges": [], "automorphism": {"vertices": {"a": "b"}}},
+]
+
+
+def _bad_elements(a1_hash: str) -> list:
+    def term(**fields):
+        return dict({"dim": {"1": 1}, "orbit": "o0",
+                     "coeff": {"a": "1", "b": "0"}}, **fields)
+
+    def element(*terms, q=2, quiver=a1_hash):
+        return {"q": q, "quiver": quiver, "terms": list(terms)}
+
+    return [
+        "{oops", "[]", "null", {}, {"q": 2}, {"q": "2", "quiver": a1_hash},
+        {"q": 2, "quiver": a1_hash, "terms": 3},
+        {"q": 2, "quiver": a1_hash, "terms": [3]},
+        element(q=2, quiver="0000000000000000"),
+        element(term(orbit="o9")), element(term(orbit="x")),
+        element(term(orbit=0)), element(term(dim={"1": -1})),
+        element(term(dim={"1": "a"})), element(term(dim={"2": 1})),
+        element(term(dim=[1])), element(term(dim={"1": 60})),
+        element(term(coeff={"a": "1/0", "b": "0"})),
+        element(term(coeff={"a": "x"})), element(term(coeff="1")),
+        element(term(), term()),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Quiver and element files, well formed and not: "families" pairs each
+    well-formed quiver and q with elements over them; "quivers" and
+    "elements" list every file of their kind."""
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def put(name, payload):
+        path = root / name
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return str(path)
+
+    paths = {name: put(f"{name}.json", payload) for name, payload in (
+        ("a1", A1), ("jordan", JORDAN), ("kron", KRON))}
+    bad_quivers = [put("kron-autom.json", AUTOM_KRON),
+                   put("kron-swapped.json", SWAPPED_KRON),
+                   str(root / "absent.json")]
+    bad_quivers += [put(f"bad-quiver{k}.json", p) for k, p in enumerate(BAD_QUIVERS)]
+
+    # the Kronecker family's last elements are over the contracted quiver,
+    # for hall psi
+    a1_2, a1_3 = a1_context(2), a1_context(3)
+    jordan2 = HallContext(qv.Quiver.from_dict(JORDAN)[0], 2, cache=OrbitCache())
+    kron2 = HallContext(qv.Quiver.from_dict(KRON)[0], 2, cache=OrbitCache())
+    hat2 = HeartContext(kron2, "p", "m", "e").hat
+    families = []
+    for name, ctx, pieces in (
+            ("a1", a1_2, ((a1_2, (1,)), (a1_2, (2,)))),
+            ("a1", a1_3, ((a1_3, (1,)),)),
+            ("jordan", jordan2, ((jordan2, (1,)), (jordan2, (2,)))),
+            ("kron", kron2, ((kron2, (1, 0)), (kron2, (1, 1)), (hat2, (1,))))):
+        elements = []
+        for ectx, dims in pieces:
+            for o in range(ectx.table(dims).count)[:2]:
+                elements.append(put(f"{name}-q{ctx.q}-el{len(elements)}.json",
+                                    char_function(ectx, dims, o).to_json()))
+        families.append((paths[name], str(ctx.q), elements))
+    a1_hash = qv.Quiver.from_dict(A1)[0].content_hash()
+    bad_elements = [put(f"bad-element{k}.json", p)
+                    for k, p in enumerate(_bad_elements(a1_hash))]
+    return {"families": families,
+            "quivers": sorted(paths.values()) + bad_quivers,
+            "elements": [e for _, _, els in families for e in els] + bad_elements}
+
+
+# (usual values, unusual ones): malformed, or valid but rare like q = 4.
+# Dims stay <= 2 and verify depths <= 1, so that no command builds a space of
+# more than 65,536 points (the Jordan square at (4,), Kronecker (2,2) at q=4).
+DIMS = (["0", "1", "2", "1,1", "2,0", "0,2", "1=2", "p=1,m=1"],
+        ["-1", "1,2,3", "p=1", "", "a", "1,,1", "p=x", "1=1,1=2"])
+QS = (["2", "3"], ["0", "1", "4", "6", "-2", "x"])
+MAX_DIMS = (["0", "1"], ["-1", "x"])
+BOUNDS = ([None, "4096,10000"], ["1,1", "0,5", "5", "a,b", "100,2", "1,2,3"])
+SITES = ([("p", "m"), ("m", "p")], [None, ("p", "p"), ("1", "m"), ("zz", "m")])
+EDGES = ([None, "e", "f"], ["zz"])
+CHECKS = ["embedding", "pbw", "ideal", "ses", "bialgebra", "comult-compat"]
+
+
+@st.composite
+def cli_argv(draw, files):
+    usual = draw(st.booleans())
+
+    def pick(values):
+        return draw(st.sampled_from(values[0] if usual else values[0] + values[1]))
+
+    if usual:
+        # a quiver with elements over it and its q, so commands get past parsing
+        quiver, q, elements = draw(st.sampled_from(files["families"]))
+    else:
+        quiver, q = draw(st.sampled_from(files["quivers"])), pick(QS)
+        elements = files["elements"]
+    q, element = ["--q", q], st.sampled_from(elements)
+    plus_minus, edge = pick(SITES), pick(EDGES)
+    site = [] if plus_minus is None else ["--plus", plus_minus[0],
+                                          "--minus", plus_minus[1]]
+    site += [] if edge is None else ["--edge", edge]
+    command = draw(st.sampled_from(["orbits", "mult", "res", "psi", "verify",
+                                    "cartan", "contract", "verify-l14"]))
+    if command == "orbits":
+        argv = ["hall", "orbits", quiver, "--dim", pick(DIMS)] + q
+    elif command == "mult":
+        argv = ["hall", "mult", quiver, draw(element), draw(element)] + q
+    elif command == "res":
+        argv = ["hall", "res", quiver, draw(element)] + q
+        for flag in draw(st.sampled_from([[], ["--tau"], ["--tau", "--omega"]])):
+            argv += [flag, pick(DIMS)]
+    elif command == "psi":
+        argv = ["hall", "psi", quiver, draw(element)] + q + site
+    elif command == "verify":
+        argv = (["hall", "verify", draw(st.sampled_from(CHECKS)), quiver,
+                 "--max-dim", pick(MAX_DIMS)] + q + site
+                + ["--format", draw(st.sampled_from(["json", "table"]))])
+    else:
+        argv = ["quiver", command, quiver]
+        if command != "cartan":
+            plus, minus = plus_minus or ("p", "zz")
+            argv += ["--plus-orbit", plus, "--minus-orbit", minus]
+    bounds = pick(BOUNDS)
+    if argv[0] == "hall" and bounds is not None:
+        argv += ["--bounds", bounds]
+    return argv
+
+
+@given(data=st.data())
+def test_fuzzed_commands_keep_the_exit_code_contract(fuzz_files, data):
+    """Any documented command over fuzzed flags and files exits 0-4 through
+    the CLI's own handlers, never with a traceback, and a verify report that
+    decided no check never passes."""
+    argv = data.draw(cli_argv(fuzz_files), label="argv")
+    r = runner.invoke(main, argv)
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        argv, r.exc_info)
+    assert r.exit_code in range(5), (argv, r.exit_code)
+    assert "Traceback" not in r.stderr
+    if argv[:2] == ["hall", "verify"] and r.exit_code in (0, 1):
+        if "table" in argv:
+            if r.stdout.rstrip().endswith("/ 0 checks"):
+                assert r.exit_code == 1, argv
+        else:
+            report = json.loads(r.stdout)
+            if "checks" in report and not report["checks"]:
+                assert report["status"] != "pass", argv
+                assert r.exit_code == 1, argv

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hallcontract.ffalg import EnumerationBoundError, Mat
+from hallcontract.cache import OrbitCache
 from hallcontract.hall import (
+    HallContext,
     HallElement,
     _ext_table,
     _half_power_exponent,
@@ -95,9 +97,38 @@ def test_oracle_agrees_on_spot_checks(jordan_ctx, kron_ctx):
 
 
 def test_oracle_respects_its_bound(jordan_ctx):
+    """Also once a default-bound call has warmed the memo; and a fresh
+    context gives the same products as the warmed one."""
     f = char_function(jordan_ctx, (2,), 2)
     with pytest.raises(EnumerationBoundError):
         diagram_star_oracle(f, f, max_flags=10)
+    warm = diagram_star_oracle(f, f)
+    assert ((2,), (2,)) in jordan_ctx._oracle_flags
+    with pytest.raises(EnumerationBoundError):
+        diagram_star_oracle(f, f, max_flags=10)
+    assert diagram_star_oracle(f, f) == warm
+
+    fresh = HallContext(jordan_ctx.quiver, 2, cache=OrbitCache())
+
+    def products(ctx):
+        basis = [char_function(ctx, (n,), o) for n in range(3)
+                 for o in range(ctx.table((n,)).count)]
+        return [diagram_star_oracle(f, g).terms
+                for f, g in itertools.product(basis, repeat=2)]
+
+    assert products(fresh) == products(jordan_ctx)
+
+
+def test_oracle_shares_no_state_with_the_flag_table():
+    """One corrupted flag count moves star but not the oracle."""
+    ctx = HallContext(jordan_quiver(), 2, cache=OrbitCache())
+    f = char_function(ctx, (1,), 0)
+    before = diagram_star_oracle(f, f)
+    assert star(f, f) == before
+    bucket = ctx._flag_tables[((1,), (1,))][(0, 0)]
+    bucket[min(bucket)] += 1
+    assert star(f, f) != diagram_star_oracle(f, f)
+    assert diagram_star_oracle(f, f) == before
 
 
 def test_exponent_bookkeeping():

@@ -58,3 +58,15 @@ def test_quiver_contract_example_matches_the_output(tmp_path):
     r = CliRunner().invoke(main, argv)
     assert r.exit_code == 0
     assert json.loads(r.stdout) == json.loads(expected)
+
+
+def test_quiver_example_with_its_automorphism_exits_4(tmp_path):
+    """The README says why kron.json drops the example's automorphism."""
+    path = tmp_path / "kron-autom.json"
+    path.write_text(json.dumps(quiver_example()))
+    for argv in (["quiver", "contract", str(path), "--plus-orbit", "p",
+                  "--minus-orbit", "m"],
+                 ["hall", "orbits", str(path), "--dim", "1,1", "--q", "2"]):
+        r = CliRunner().invoke(main, argv)
+        assert r.exit_code == 4
+        assert r.stdout == ""
