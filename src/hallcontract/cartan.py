@@ -71,17 +71,12 @@ class ContractionPair:
 
 def validate_cartan(datum: CartanDatum) -> list[str]:
     """All violations of the datum axioms, empty iff valid."""
-    problems = []
     labels, form = datum.labels, datum.form
     n = len(labels)
-    if len(set(labels)) != n:
-        problems.append("duplicate labels")
-    if len(form) != n or any(len(row) != n for row in form):
-        problems.append(f"form must be {n}x{n}")
-        return problems
-    if len(datum.phi1) != n or len(datum.phi2) != n:
-        problems.append("phi1/phi2 length mismatch")
-        return problems
+    problems = ["duplicate labels"] if len(set(labels)) != n else []
+    shape = _shape_problems(datum)
+    if shape:
+        return problems + shape
     for i in range(n):
         if datum.phi1[i] < 1:
             problems.append(f"phi1({labels[i]}) = {datum.phi1[i]} must be >= 1")
@@ -111,15 +106,29 @@ def validate_cartan(datum: CartanDatum) -> list[str]:
     return problems
 
 
+def _shape_problems(datum: CartanDatum) -> list[str]:
+    n = len(datum.labels)
+    if len(datum.form) != n or any(len(row) != n for row in datum.form):
+        return [f"form must be {n}x{n}"]
+    if len(datum.phi1) != n or len(datum.phi2) != n:
+        return ["phi1/phi2 length mismatch"]
+    return []
+
+
 def validate_pair(datum: CartanDatum, pair: ContractionPair) -> list[str]:
+    """All reasons the pair cannot be contracted, empty iff it can. On a
+    datum whose form or weights do not fit its labels (validate_cartan says
+    which) only unknown labels are reported."""
     problems = []
     for lab in (pair.plus, pair.minus):
         if lab not in datum.labels:
             problems.append(f"unknown label {lab!r}")
-    if problems:
+    if problems or _shape_problems(datum):
         return problems
     if pair.plus == pair.minus:
         return [f"pair labels must differ, got {pair.plus!r} twice"]
+    if merged_label(pair) in datum.labels:
+        problems.append(f"merged label {merged_label(pair)!r} is already a label")
     if datum.phi1_of(pair.plus) != datum.phi1_of(pair.minus):
         problems.append(
             f"phi1 mismatch: phi1({pair.plus}) = {datum.phi1_of(pair.plus)} "

@@ -372,8 +372,11 @@ def quiver_verify_l14(file, plus, minus, edge, out, fmt):
         if problems:
             return ({"command": "quiver verify-l14", "violations": problems,
                      "status": "fail"}, 1)
-        agree, mapping, via_graph, via_cartan = qv.cartan_contraction_commutes(
-            quiver, autom, pair)
+        try:
+            agree, mapping, via_graph, via_cartan = qv.cartan_contraction_commutes(
+                quiver, autom, pair)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         payload = {"command": "quiver verify-l14", "agree": agree,
                    "label_mapping": mapping,
                    "contract_then_cartan": via_graph.to_dict(),

@@ -3,7 +3,9 @@
 Elements of F_q (q = p^e) are plain ints 0..q-1, read as base-p digit
 vectors of polynomial coefficients. A Field builds its arithmetic tables
 once, so everything downstream is int indexing; matrices are immutable
-tuples of row tuples and therefore hashable. Nothing here floats.
+tuples of row tuples and therefore hashable. One row reduction on those
+tables, _rref, is behind Mat.rank, Mat.inverse and the canonical basis of
+Subspace.spanned_by. Nothing here floats.
 """
 
 from __future__ import annotations
@@ -272,26 +274,7 @@ class Mat:
         return Mat(self.field, tuple(zip(*self.data)), cols=self.rows)
 
     def rank(self) -> int:
-        f = self.field
-        work = [list(r) for r in self.data]
-        rank = 0
-        for col in range(self.cols):
-            pivot = None
-            for r in range(rank, self.rows):
-                if work[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            pinv = f.inv(work[rank][col])
-            work[rank] = [f.mul(pinv, x) for x in work[rank]]
-            for r in range(self.rows):
-                if r != rank and work[r][col]:
-                    c = work[r][col]
-                    work[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(work[r], work[rank])]
-            rank += 1
-        return rank
+        return len(_rref(self.field, [list(r) for r in self.data], self.cols))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -300,27 +283,40 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
-        f = self.field
         work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.data)]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            work[col], work[pivot] = work[pivot], work[col]
-            pinv = f.inv(work[col][col])
-            work[col] = [f.mul(pinv, x) for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    c = work[r][col]
-                    work[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(work[r], work[col])]
-        return Mat(f, tuple(tuple(row[n:]) for row in work), cols=n)
+        if _rref(self.field, work, n) != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
+        return Mat(self.field, tuple(tuple(row[n:]) for row in work), cols=n)
 
     def __repr__(self):
         return f"Mat({self.field.q}, {self.data!r}, cols={self.cols})"
+
+
+def _rref(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
+    """Bring rows to reduced row echelon form in place, choosing pivots among
+    the first ncols columns only, and return the pivot columns."""
+    mul, add, neg, inv = field._mul, field._add, field._neg, field._inv
+    pivots: list[int] = []
+    r, nrows = 0, len(rows)
+    for col in range(ncols):
+        for pivot in range(r, nrows):
+            if rows[pivot][col]:
+                break
+        else:
+            continue
+        prow = rows[pivot]
+        if prow[col] != 1:
+            scale = mul[inv[prow[col]]]
+            prow = [scale[x] for x in prow]
+        rows[pivot], rows[r] = rows[r], prow
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != r:
+                m = mul[neg[c]]
+                rows[i] = [add[x][m[y]] for x, y in zip(row, prow)]
+        pivots.append(col)
+        r += 1
+    return pivots
 
 
 def block2x2(field: Field, tl: Mat, tr: Mat, bl: Mat, br: Mat) -> Mat:
@@ -378,33 +374,11 @@ class Subspace:
 
     @classmethod
     def spanned_by(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        """Canonicalize an arbitrary spanning set by column reduction."""
-        cols = [list(v) for v in vectors]
-        pivots: list[int] = []
-        basis_cols: list[list[int]] = []
-        for vec in cols:
-            vec = list(vec)
-            # reduce against the basis built so far
-            for p, b in zip(pivots, basis_cols):
-                c = vec[p]
-                if c:
-                    vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, b)]
-            pivot = next((r for r, x in enumerate(vec) if x), None)
-            if pivot is None:
-                continue
-            pinv = field.inv(vec[pivot])
-            vec = [field.mul(pinv, x) for x in vec]
-            # back-substitute into earlier basis columns
-            for idx, b in enumerate(basis_cols):
-                c = b[pivot]
-                if c:
-                    basis_cols[idx] = [field.sub(x, field.mul(c, y)) for x, y in zip(b, vec)]
-            pivots.append(pivot)
-            basis_cols.append(vec)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        pivots = [pivots[i] for i in order]
-        basis_cols = [basis_cols[i] for i in order]
-        data = tuple(tuple(basis_cols[j][r] for j in range(len(pivots))) for r in range(ambient))
+        """Canonicalize an arbitrary spanning set: its reduced row echelon
+        form, read as columns."""
+        rows = [list(v) for v in vectors]
+        pivots = _rref(field, rows, ambient)
+        data = tuple(tuple(row[r] for row in rows[:len(pivots)]) for r in range(ambient))
         return cls(field, ambient, Mat(field, data, cols=len(pivots)), tuple(pivots))
 
     def coords(self, v: tuple[int, ...]):

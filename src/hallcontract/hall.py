@@ -2,14 +2,16 @@
 coefficients.
 
 Elements are G-invariant functions on representation points, stored as
-finitely supported coefficient maps over (dimension vector, orbit id). The
-product is the push-pull convolution evaluated through stable graded
-subspaces, twisted by q^{-m/2}; restriction sums over block-triangular
-extensions, twisted by q^{-m*/2}, whose counts follow from the same flag
-counts by Riedtmann's formula. A contraction site equips the algebra with
-the heart subspace (contraction edges invertible), the transport maps to and
-from the contracted quiver's Hall algebra, and the verification routines for
-the embedding, the PBW transport, and the split short exact sequence.
+finitely supported coefficient maps over (dimension vector, orbit id);
+HallElement and TensorElement (its tensor square) share one sparse-vector
+base for their linear operations. The product is the push-pull convolution
+evaluated through stable graded subspaces, twisted by q^{-m/2}; restriction
+sums over block-triangular extensions, twisted by q^{-m*/2}, whose counts
+follow from the same flag counts by Riedtmann's formula. A contraction site
+equips the algebra with the heart subspace (contraction edges invertible),
+the transport maps to and from the contracted quiver's Hall algebra, and the
+verification routines for the embedding, the PBW transport, and the split
+short exact sequence, whose reports share one site config.
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ def _prune(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if not v.is_zero()}
 
 
-class HallElement:
-    """Finitely supported coefficient map (dims key, orbit ordinal) -> scalar."""
+class _Terms:
+    """A finitely supported coefficient map over one context, zero
+    coefficients pruned; the vector-space operations return the same class."""
 
     def __init__(self, ctx: HallContext, terms: dict):
         self.ctx = ctx
@@ -126,7 +129,7 @@ class HallElement:
         return not self.terms
 
     def __eq__(self, other):
-        return (isinstance(other, HallElement) and self.ctx is other.ctx
+        return (type(other) is type(self) and self.ctx is other.ctx
                 and self.terms == other.terms)
 
     def __add__(self, other):
@@ -134,22 +137,22 @@ class HallElement:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             _accum(terms, k, v)
-        return HallElement(self.ctx, terms)
+        return type(self)(self.ctx, terms)
 
     def __sub__(self, other):
-        _same_ctx(self, other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _accum(terms, k, -v)
-        return HallElement(self.ctx, terms)
+        return self + -other
 
     def __neg__(self):
-        return HallElement(self.ctx, {k: -v for k, v in self.terms.items()})
+        return type(self)(self.ctx, {k: -v for k, v in self.terms.items()})
 
-    def scale(self, c) -> "HallElement":
+    def scale(self, c):
         if not isinstance(c, SqrtQScalar):
             c = SqrtQScalar(self.ctx.q, c)
-        return HallElement(self.ctx, {k: v * c for k, v in self.terms.items()})
+        return type(self)(self.ctx, {k: v * c for k, v in self.terms.items()})
+
+
+class HallElement(_Terms):
+    """Finitely supported coefficient map (dims key, orbit ordinal) -> scalar."""
 
     def homogeneous(self) -> dict:
         """Grade -> sub-element, grouping the terms by dims key."""
@@ -376,38 +379,8 @@ def _group_profile(ctx: HallContext, key: tuple, x: tuple) -> dict:
     return profile
 
 
-class TensorElement:
+class TensorElement(_Terms):
     """Finitely supported map ((dims, orbit), (dims, orbit)) -> scalar."""
-
-    def __init__(self, ctx: HallContext, terms: dict):
-        self.ctx = ctx
-        self.terms = _prune(terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.ctx is other.ctx
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        _same_ctx(self, other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _accum(terms, k, v)
-        return TensorElement(self.ctx, terms)
-
-    def __sub__(self, other):
-        _same_ctx(self, other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _accum(terms, k, -v)
-        return TensorElement(self.ctx, terms)
-
-    def scale(self, c) -> "TensorElement":
-        if not isinstance(c, SqrtQScalar):
-            c = SqrtQScalar(self.ctx.q, c)
-        return TensorElement(self.ctx, {k: v * c for k, v in self.terms.items()})
 
     def to_json(self) -> dict:
         terms = []
@@ -721,6 +694,14 @@ def _finish_report(command: str, config: dict, checks: list[dict]) -> dict:
             "failures": failures, "status": status}
 
 
+def _site_config(hc: HeartContext, max_dim: int, **extra) -> dict:
+    """The config every contraction-site suite reports."""
+    ctx = hc.ctx
+    return {"q": ctx.q, "quiver": ctx.quiver.content_hash(), **extra,
+            "plus": hc.plus_vertex, "minus": hc.minus_vertex,
+            "edge": hc.pair.edge, "max_dim": max_dim}
+
+
 def _key_pairs_upto(nvertices: int, max_dim: int):
     """All (tau, omega) key pairs with componentwise tau + omega <= max_dim."""
     rng = range(max_dim + 1)
@@ -771,10 +752,8 @@ def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
                 f"round trip on P[{nk},o{o}]", "embedding-injective-roundtrip",
                 back == f,
                 witness={"f": f.to_json(), "back": back.to_json()}))
-    config = {"q": ctx.q, "quiver": ctx.quiver.content_hash(),
-              "contracted_quiver": hat.quiver.content_hash(),
-              "plus": hc.plus_vertex, "minus": hc.minus_vertex,
-              "edge": hc.pair.edge, "max_dim": max_dim}
+    config = _site_config(hc, max_dim,
+                          contracted_quiver=hat.quiver.content_hash())
     return _finish_report("verify embedding", config, checks)
 
 
@@ -802,10 +781,7 @@ def verify_pbw(hc: HeartContext, max_dim: int = 2) -> dict:
                 f"twisted transport of P[{nk},o{o}]", "pbw-transport-twisted",
                 twisted == expected.scale(twist),
                 witness={"transported": twisted.to_json()}))
-    config = {"q": ctx.q, "quiver": ctx.quiver.content_hash(),
-              "plus": hc.plus_vertex, "minus": hc.minus_vertex,
-              "edge": hc.pair.edge, "max_dim": max_dim}
-    return _finish_report("verify pbw", config, checks)
+    return _finish_report("verify pbw", _site_config(hc, max_dim), checks)
 
 
 def verify_ideal(hc: HeartContext, max_dim: int = 2) -> dict:
@@ -830,10 +806,7 @@ def verify_ideal(hc: HeartContext, max_dim: int = 2) -> dict:
                         "complement-two-sided-ideal", heart_part.is_zero(),
                         witness={"product": prod.to_json(),
                                  "heart_component": heart_part.to_json()}))
-    config = {"q": ctx.q, "quiver": ctx.quiver.content_hash(),
-              "plus": hc.plus_vertex, "minus": hc.minus_vertex,
-              "edge": hc.pair.edge, "max_dim": max_dim}
-    return _finish_report("verify ideal", config, checks)
+    return _finish_report("verify ideal", _site_config(hc, max_dim), checks)
 
 
 def verify_ses(hc: HeartContext, max_dim: int = 2) -> dict:
@@ -889,10 +862,7 @@ def verify_ses(hc: HeartContext, max_dim: int = 2) -> dict:
                         f"the heart", "heart-subalgebra-split", leak.is_zero(),
                         witness={"product": prod.to_json(),
                                  "complement_component": leak.to_json()}))
-    config = {"q": ctx.q, "quiver": ctx.quiver.content_hash(),
-              "plus": hc.plus_vertex, "minus": hc.minus_vertex,
-              "edge": hc.pair.edge, "max_dim": max_dim}
-    return _finish_report("verify ses", config, checks)
+    return _finish_report("verify ses", _site_config(hc, max_dim), checks)
 
 
 def verify_bialgebra(ctx: HallContext, max_dim: int = 2) -> dict:
@@ -992,8 +962,5 @@ def comult_compat(hc: HeartContext, max_dim: int = 1) -> dict:
                 "components_only_in_big_coproduct": only_big,
                 "components_only_in_transported_coproduct": only_hat,
             })
-    config = {"q": ctx.q, "quiver": ctx.quiver.content_hash(),
-              "plus": hc.plus_vertex, "minus": hc.minus_vertex,
-              "edge": hc.pair.edge, "max_dim": max_dim}
-    return {"command": "verify comult-compat", "config": config,
+    return {"command": "verify comult-compat", "config": _site_config(hc, max_dim),
             "status": "observed", "cases": cases}

@@ -82,32 +82,23 @@ class RepSpace:
             rank, d = divmod(rank, q)
             digits.append(d)
         digits.reverse()
-        mats = []
-        pos = 0
-        for rows, cols in self.edge_shapes:
-            n = rows * cols
-            mats.append(Mat.from_flat(self.field, rows, cols, digits[pos:pos + n]))
-            pos += n
-        return tuple(mats)
+        return _mats_from_digits(self.field, self.edge_shapes, digits)
 
     def point_to_dict(self, x: tuple) -> dict:
         return {e.id: [list(row) for row in m.data]
                 for e, m in zip(self.quiver.edges, x)}
 
-    def point_from_dict(self, payload: dict) -> tuple:
-        if set(payload) != set(self.edge_index):
-            raise ValueError("point must assign a matrix to every edge")
-        q = self.field.q
-        mats = []
-        for e, (rows, cols) in zip(self.quiver.edges, self.edge_shapes):
-            raw = payload[e.id]
-            if len(raw) != rows or any(len(row) != cols for row in raw):
-                raise ValueError(f"matrix at edge {e.id!r} must be {rows}x{cols}")
-            flat = [v for row in raw for v in row]
-            if any(not isinstance(v, int) or v < 0 or v >= q for v in flat):
-                raise ValueError(f"entries at edge {e.id!r} must lie in 0..{q - 1}")
-            mats.append(Mat.from_flat(self.field, rows, cols, flat))
-        return tuple(mats)
+
+def _mats_from_digits(field: Field, shapes, digits) -> tuple:
+    """One matrix per (rows, cols) shape, filled row by row from consecutive
+    digits."""
+    mats = []
+    pos = 0
+    for rows, cols in shapes:
+        n = rows * cols
+        mats.append(Mat.from_flat(field, rows, cols, digits[pos:pos + n]))
+        pos += n
+    return tuple(mats)
 
 
 def enumerate_points(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS):
@@ -115,17 +106,9 @@ def enumerate_points(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS):
     if space.total_points > max_points:
         raise EnumerationBoundError(
             f"{space.total_points} points exceed the bound {max_points}")
-    q = space.field.q
-    field = space.field
-    shapes = space.edge_shapes
-    for digits in itertools.product(range(q), repeat=space.point_entries):
-        mats = []
-        pos = 0
-        for rows, cols in shapes:
-            n = rows * cols
-            mats.append(Mat.from_flat(field, rows, cols, digits[pos:pos + n]))
-            pos += n
-        yield tuple(mats)
+    field, shapes = space.field, space.edge_shapes
+    for digits in itertools.product(range(field.q), repeat=space.point_entries):
+        yield _mats_from_digits(field, shapes, digits)
 
 
 def act(space: RepSpace, g: tuple, x: tuple, ginv: tuple | None = None) -> tuple:
@@ -195,21 +178,20 @@ class OrbitTable:
         return f"o{k}"
 
     def ordinal_of_id(self, orbit_id: str) -> int:
-        if not isinstance(orbit_id, str) or not orbit_id.startswith("o"):
-            raise KeyError(f"malformed orbit id {orbit_id!r}")
+        """The ordinal k of the canonical id "o{k}"; any other spelling of
+        k (o01, o+1, o 1, ...) is malformed."""
         try:
             k = int(orbit_id[1:])
-        except ValueError:
-            raise KeyError(f"malformed orbit id {orbit_id!r}") from None
+        except (TypeError, ValueError):
+            k = None
+        if k is None or orbit_id != f"o{k}":
+            raise KeyError(f"malformed orbit id {orbit_id!r}")
         if not 0 <= k < self.count:
             raise KeyError(f"no orbit {orbit_id!r}; table has {self.count} orbits")
         return k
 
     def ordinal_of(self, x: tuple) -> int:
         return self.index[self.space.point_rank(x)]
-
-    def id_of(self, x: tuple) -> str:
-        return self.orbit_id(self.ordinal_of(x))
 
     def representative(self, k: int) -> tuple:
         return self.space.point_from_rank(self.rep_ranks[k])
@@ -541,10 +523,6 @@ def sub_dims_of(U: dict) -> dict:
     return {v: s.dim for v, s in U.items()}
 
 
-def quotient_dims_of(space: RepSpace, U: dict) -> dict:
-    return {v: space.dims[v] - U[v].dim for v in space.quiver.vertices}
-
-
 def extension_space(space_t: RepSpace, space_w: RepSpace) -> RepSpace:
     if space_t.quiver is not space_w.quiver and space_t.quiver != space_w.quiver:
         raise ValueError("extension requires points on the same graph")
@@ -576,18 +554,12 @@ def extensions_over(space_t: RepSpace, space_w: RepSpace, xt: tuple, xw: tuple,
     shapes = [(wt, ts) for (tt, ts), (wt, ws)
               in zip(space_t.edge_shapes, space_w.edge_shapes)]
     entry_count = sum(r * c for r, c in shapes)
+    zeros = [Mat.zeros(field, tt, ws) for (tt, _), (_, ws)
+             in zip(space_t.edge_shapes, space_w.edge_shapes)]
     for digits in itertools.product(range(field.q), repeat=entry_count):
-        mats = []
-        pos = 0
-        for k, (rows, cols) in enumerate(shapes):
-            n = rows * cols
-            m = Mat.from_flat(field, rows, cols, digits[pos:pos + n])
-            pos += n
-            tt, ts = space_t.edge_shapes[k]
-            wt, ws = space_w.edge_shapes[k]
-            mats.append(block2x2(field, xt[k], Mat.zeros(field, tt, ws),
-                                 m, xw[k]))
-        yield tuple(mats)
+        corners = _mats_from_digits(field, shapes, digits)
+        yield tuple(block2x2(field, a, z, m, b)
+                    for a, z, m, b in zip(xt, zeros, corners, xw))
 
 
 def direct_sum_point(space_t: RepSpace, space_w: RepSpace,

@@ -75,6 +75,21 @@ def test_pair_validation():
     good = kronecker_datum()
     assert validate_pair(good, ContractionPair("i+", "i-")) == []
 
+    # the merged label "i++i-" must be new
+    taken = CartanDatum.make(("i+", "i-", "i++i-"), ((2, -2, 0), (-2, 2, 0), (0, 0, 2)),
+                             (1, 1, 1), (0, 0, 0))
+    assert any("already a label" in p for p in validate_pair(
+        taken, ContractionPair("i+", "i-")))
+    with pytest.raises(ValueError):
+        contract_cartan(taken, ContractionPair("i+", "i-"))
+
+    # a form or weights that do not fit the labels leave the pair unjudged
+    short = CartanDatum.make(("a", "b"), ((2,),), (1,), (0,))
+    assert validate_pair(short, ContractionPair("a", "b")) == []
+    assert validate_cartan(short) == ["form must be 2x2"]
+    with pytest.raises(ValueError):
+        check_psi_identity(short, ContractionPair("a", "b"))
+
 
 def test_contract_kronecker_datum():
     out = contract_cartan(kronecker_datum(), ContractionPair("i+", "i-"))

@@ -22,7 +22,7 @@ from hallcontract.cli import main
 from hallcontract.ffalg import Field
 from hallcontract.repspace import RepSpace
 
-from conftest import kronecker_datum, mixed_orbit_datum
+from conftest import double_orbit_datum, kronecker_datum, mixed_orbit_datum
 
 runner = CliRunner()
 
@@ -236,6 +236,13 @@ def test_quiver_verify_l14_cli(tmp_path):
     assert p["contract_then_cartan"]["labels"]
     assert p["cartan_then_contract"]["labels"]
 
+    # the datum side cannot name the merged label "p+m": it is taken
+    taken = write_json(tmp_path, "taken.json", dict(KRON, vertices=["p", "m", "p+m"]))
+    r = runner.invoke(main, ["quiver", "verify-l14", taken,
+                             "--plus-orbit", "p", "--minus-orbit", "m", "--edge", "e"])
+    assert r.exit_code == 4, r.exc_info
+    assert "already a label" in r.stderr
+
 
 # ---------------------------------------------------------------------------
 # hall
@@ -374,6 +381,10 @@ def test_malformed_element_json_exits_4(tmp_path):
         dict(good, terms=[dict(term, coeff={"a": "1/0", "b": "0"})]),
         dict(good, terms=[dict(term, coeff={"a": 0.1, "b": "0"})]),
         dict(good, terms=[dict(term, coeff={"a": True, "b": "0"})]),
+        # orbit o0 spelled other than canonically
+        dict(good, terms=[dict(term, orbit="o00")]),
+        dict(good, terms=[dict(term, orbit="o+0")]),
+        dict(good, terms=[dict(term, orbit="o 0")]),
     ]
     for k, payload in enumerate(malformed):
         path = write_json(tmp_path, f"bad{k}.json", payload)
@@ -577,6 +588,7 @@ def _bad_elements(a1_hash: str) -> list:
         {"q": 2, "quiver": a1_hash, "terms": [3]},
         element(q=2, quiver="0000000000000000"),
         element(term(orbit="o9")), element(term(orbit="x")),
+        element(term(orbit="o00")),
         element(term(orbit=0)), element(term(dim={"1": -1})),
         element(term(dim={"1": "a"})), element(term(dim={"2": 1})),
         element(term(dim=[1])), element(term(dim={"1": 60})),
@@ -709,3 +721,109 @@ def test_fuzzed_commands_keep_the_exit_code_contract(fuzz_files, data):
             if "checks" in report and not report["checks"]:
                 assert report["status"] != "pass", argv
                 assert r.exit_code == 1, argv
+
+
+# A valid datum whose pair (i+, i-) would merge into a label it already has.
+COLLIDING_DATUM = {"labels": ["i+", "i-", "i++i-"],
+                   "form": [[2, -2, 0], [-2, 2, 0], [0, 0, 2]],
+                   "phi1": [1, 1, 1], "phi2": [0, 0, 0]}
+BAD_DATA = [
+    "{oops", "[]", "null", "5", {}, {"labels": ["a"]},
+    {"labels": "ab", "form": [[2, 0], [0, 2]], "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [[2]], "phi1": [1], "phi2": [0]},
+    {"labels": ["a", "b"], "form": [[2, -1], [-1, 2]], "phi1": [1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [[2, -1], [-1, 2]], "phi1": [1, 1], "phi2": [0]},
+    {"labels": ["a", "b"], "form": [[2, -1], [-1]], "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "a"], "form": [[2, -1], [-1, 2]], "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [[2, -1], [0, 2]], "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [[0, 0], [0, 0]], "phi1": [0, -1], "phi2": [1, 0]},
+    {"labels": ["a", "b"], "form": [[2, 1], [1, 2]], "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [["x", 0], [0, 2]], "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [[[2], 0], [0, 2]], "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": 7, "phi1": [1, 1], "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [[2, -2], [-2, 2]], "phi1": {"a": 1},
+     "phi2": {"a": 0, "b": 0}},
+    {"labels": ["a", "b"], "form": [[2, -2], [-2, 2]], "phi1": None, "phi2": [0, 0]},
+    {"labels": ["a", "b"], "form": [[4, -3], [-3, 2]], "phi1": [2, 1], "phi2": [0, 0]},
+]
+BAD_TARGETS = ["{oops", "[]", "null", {}, {"labels": 5, "matrix": []},
+               {"labels": ["i+", "i-"], "matrix": [[1, 0]]},
+               {"labels": ["i+", "i-"], "matrix": [[1, "x"], [0, 1]]},
+               {"labels": ["i+", "i-"], "matrix": 3},
+               {"labels": ["a"], "matrix": [[1]]}]
+
+
+@pytest.fixture(scope="module")
+def datum_files(tmp_path_factory):
+    """Datum and Weyl-element files: "families" pairs each well-formed datum
+    with its labels and with targets over it (each simple reflection, the
+    identity and a non-element); "data" and "targets" list every file."""
+    root = tmp_path_factory.mktemp("datum-fuzz")
+
+    def put(name, payload):
+        path = root / name
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return str(path)
+
+    families = []
+    for k, datum in enumerate([kronecker_datum(), mixed_orbit_datum(),
+                               double_orbit_datum(),
+                               ct.CartanDatum.from_dict(COLLIDING_DATUM)]):
+        rd = ct.build_root_datum(datum)
+        n = len(datum.labels)
+        elements = [ct.reflection(rd, lab) for lab in datum.labels]
+        elements += [ct.WeylElement.identity(datum.labels),
+                     ct.WeylElement(datum.labels, tuple(
+                         tuple(2 * int(i == j) for j in range(n)) for i in range(n)))]
+        targets = [put(f"datum{k}-target{t}.json", e.to_dict())
+                   for t, e in enumerate(elements)]
+        families.append((put(f"datum{k}.json", datum.to_dict()),
+                         list(datum.labels), targets))
+    data = [f for f, _, _ in families] + [str(root / "absent.json")]
+    data += [put(f"bad-datum{k}.json", p) for k, p in enumerate(BAD_DATA)]
+    targets = [t for _, _, ts in families for t in ts]
+    targets += [put(f"bad-target{k}.json", p) for k, p in enumerate(BAD_TARGETS)]
+    return {"families": families, "data": data, "targets": targets}
+
+
+LABELS = ["i+", "i-", "a", "b", "c", "i++i-", "zz", ""]
+DEPTHS = (["0", "1", "2", "3"], ["-1", "x", "", "2.5"])
+
+
+@st.composite
+def datum_argv(draw, files):
+    usual = draw(st.booleans())
+    if usual:
+        # a well-formed datum with its own labels and targets
+        datum, labels, targets = draw(st.sampled_from(files["families"]))
+    else:
+        datum, labels = draw(st.sampled_from(files["data"])), LABELS
+        targets = files["targets"]
+    depths = DEPTHS[0] if usual else DEPTHS[0] + DEPTHS[1]
+    command = draw(st.sampled_from(["validate", "contract", "realize",
+                                    "check-psi", "search"]))
+    if command in ("validate", "realize"):
+        argv = ["cartan", command, datum]
+    elif command == "search":
+        argv = ["weyl", "search", datum, "--target", draw(st.sampled_from(targets)),
+                "--depth", draw(st.sampled_from(depths))]
+    else:
+        argv = ["cartan" if command == "contract" else "weyl", command, datum,
+                "--plus", draw(st.sampled_from(labels)),
+                "--minus", draw(st.sampled_from(labels))]
+    return argv + ["--format", draw(st.sampled_from(["json", "table"]))]
+
+
+@given(data=st.data())
+def test_fuzzed_datum_commands_keep_the_exit_code_contract(datum_files, data):
+    """cartan validate|contract|realize and weyl check-psi|search over fuzzed
+    datum and target files, labels and depths exit 0-4 through the CLI's own
+    handlers, never with a traceback; exit 0 and 1 print a JSON report."""
+    argv = data.draw(datum_argv(datum_files), label="argv")
+    r = runner.invoke(main, argv)
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        argv, r.exc_info)
+    assert r.exit_code in range(5), (argv, r.exit_code)
+    assert "Traceback" not in r.stderr
+    if r.exit_code in (0, 1):
+        json.loads(r.stdout)

@@ -1,5 +1,8 @@
 """Finite fields, exact matrices, subspaces, and the GL enumerations."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -152,6 +155,61 @@ def test_subspace_canonical_form_is_basis_independent():
     assert u1.dim == 2
     assert u1.contains((1, 1, 0))
     assert not u1.contains((1, 1, 1))
+
+
+def _all_matrices(field, rows, cols):
+    for flat in itertools.product(range(field.q), repeat=rows * cols):
+        yield Mat.from_flat(field, rows, cols, flat)
+
+
+def _span(field, vectors, n):
+    """Every linear combination of the vectors in F_q^n, by brute force."""
+    out = set()
+    for coeffs in itertools.product(range(field.q), repeat=len(vectors)):
+        acc = (0,) * n
+        for c, v in zip(coeffs, vectors):
+            acc = tuple(field.add(a, field.mul(c, x)) for a, x in zip(acc, v))
+        out.add(acc)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("q,max_n", [(2, 3), (3, 2)])
+def test_rank_and_inverse_against_brute_force(q, max_n):
+    """Over every matrix up to the size: rank is log_q of the image size,
+    and inverse() is a two-sided inverse that exists exactly at full rank."""
+    f = Field(q)
+    for rows in range(max_n + 1):
+        for cols in range(max_n + 1):
+            vectors = list(itertools.product(range(q), repeat=cols))
+            for m in _all_matrices(f, rows, cols):
+                image = len({m.vec(v) for v in vectors})
+                assert q ** m.rank() == image, m
+                if rows != cols:
+                    continue
+                eye = Mat.identity(f, rows)
+                if m.rank() < rows:
+                    with pytest.raises(ZeroDivisionError):
+                        m.inverse()
+                else:
+                    assert m @ m.inverse() == eye and m.inverse() @ m == eye
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+def test_spanned_by_is_the_enumerated_subspace_with_its_members(q, n):
+    f = Field(q)
+    by_members: dict = {}
+    for k in range(n + 1):
+        for sub in enumerate_subspaces(f, n, k):
+            columns = [sub.basis.column(j) for j in range(k)]
+            by_members.setdefault(_span(f, columns, n), []).append(sub)
+    assert all(len(subs) == 1 for subs in by_members.values())
+    rng = random.Random(q * 100 + n)
+    for _ in range(150):
+        vectors = [tuple(rng.choice([0] * q + list(range(q))) for _ in range(n))
+                   for _ in range(rng.randrange(5))]
+        (expected,) = by_members[_span(f, vectors, n)]
+        got = Subspace.spanned_by(f, n, vectors)
+        assert got == expected and got.pivots == expected.pivots, vectors
 
 
 def test_subspace_counts_are_gaussian_binomials():

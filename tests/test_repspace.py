@@ -116,6 +116,11 @@ def test_jordan_orbit_table():
         table.ordinal_of_id("o9")
     with pytest.raises(KeyError):
         table.ordinal_of_id("x1")
+    # only the canonical spelling "o{k}" names orbit k
+    for spelling in ("o01", "o+1", "o 1", "o0_1", "o\uff11", "o1 ", "o", "oNone",
+                     "O1", "o1.0", 1, None):
+        with pytest.raises(KeyError):
+            table.ordinal_of_id(spelling)
 
 
 def test_kronecker_orbits_over_f3():
