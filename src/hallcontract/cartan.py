@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
+from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError
+
 
 @dataclass(frozen=True)
 class CartanDatum:
@@ -447,7 +449,9 @@ def check_psi_identity(datum: CartanDatum, pair: ContractionPair):
 def weyl_word_search(datum: CartanDatum, target: WeylElement, max_depth: int):
     """Breadth-first search for a product of simple reflections equal to the
     target matrix. Returns the word as a label list, or None if no word of
-    length <= max_depth matches (which is not a nonexistence proof).
+    length <= max_depth matches (which is not a nonexistence proof). Raises
+    EnumerationBoundError once more than DEFAULT_MAX_POINTS distinct elements
+    have been seen.
     """
     rd = build_root_datum(datum)
     if target.labels != datum.labels:
@@ -467,6 +471,10 @@ def weyl_word_search(datum: CartanDatum, target: WeylElement, max_depth: int):
                     return word + [lab]
                 if new.matrix not in seen:
                     seen.add(new.matrix)
+                    if len(seen) > DEFAULT_MAX_POINTS:
+                        raise EnumerationBoundError(
+                            f"more than {DEFAULT_MAX_POINTS} Weyl group "
+                            f"elements within depth {max_depth}")
                     nxt.append((new, word + [lab]))
         frontier = nxt
         if not frontier:

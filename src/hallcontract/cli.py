@@ -271,7 +271,7 @@ def weyl_check_psi(file, plus, minus, out, fmt):
 @click.argument("file", type=click.Path())
 @click.option("--target", "target_file", required=True, type=click.Path(),
               help="JSON file with the target element's labels and matrix.")
-@click.option("--depth", type=int, required=True)
+@click.option("--depth", type=click.IntRange(min=0), required=True)
 @_io_options
 def weyl_search(file, target_file, depth, out, fmt):
     """Breadth-first search for the target as a word in simple reflections."""

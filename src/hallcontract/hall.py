@@ -333,8 +333,9 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement,
 
 
 def _group_sum(coeffs: dict, profile: dict):
-    """sum over g in G of f(g.x), from f's coefficients at one grade and the
-    group profile of x; None when no orbit of the profile is in f's support."""
+    """sum of coeffs[o] * n over the (orbit o, count n) of a profile, such as
+    the group profile of x (giving sum over g in G of f(g.x)) or an extension
+    counter; None when no orbit of the profile is in the support."""
     total = None
     for o, n in profile.items():
         if o in coeffs:
@@ -453,11 +454,8 @@ def res(f: HallElement, tau, omega) -> TensorElement:
     table = _ext_table(ctx, tk, wk)
     terms: dict = {}
     for (t, w), counter in table.items():
-        total = SqrtQScalar.zero(ctx.q)
-        for big, count in counter.items():
-            if big in part:
-                total = total + part[big] * count
-        if not total.is_zero():
+        total = _group_sum(part, counter)
+        if total:
             terms[((tk, t), (wk, w))] = total * mult
     return TensorElement(ctx, terms)
 
@@ -647,34 +645,13 @@ def complement_split(hc: HeartContext, f: HallElement) -> tuple[HallElement, Hal
 
 
 def _half_power_exponent(value: SqrtQScalar, q: int):
-    """n with value = q^{n/2} exactly, or None. q^{n/2} is a + 0 sqrt(q) for
-    even n, 0 + b sqrt(q) for odd n, and r^n when q = r^2 (b is then 0)."""
-    r = math.isqrt(q)
-    if r * r == q:
-        return _exact_log(value.a, r)
-    if value.b == 0:
-        k = _exact_log(value.a, q)
-        return None if k is None else 2 * k
-    if value.a == 0:
-        k = _exact_log(value.b, q)
-        return None if k is None else 2 * k + 1
-    return None
-
-
-def _exact_log(x, base: int):
-    """k with x = base^k for a rational x and an integer k, or None."""
-    if x <= 0:
-        return None
-    num, den, sign = x.numerator, x.denominator, 1
-    if den != 1:
-        if num != 1:
-            return None
-        num, sign = den, -1
-    k = 0
-    while num % base == 0:
-        num //= base
-        k += 1
-    return sign * k if num == 1 else None
+    """n with value = q^{n/2} exactly, or None. Since q >= 2, a or b of
+    q^{n/2} has a numerator or denominator of at least 2^{(|n|-1)/2}, so
+    |n| is below twice the bit length of the largest of them."""
+    parts = (value.a, value.b)
+    bound = 2 * max(max(abs(x.numerator), x.denominator) for x in parts).bit_length()
+    return next((n for n in range(-bound, bound + 1)
+                 if SqrtQScalar.half_power(q, n) == value), None)
 
 
 def _check(name: str, check_id: str, passed: bool, witness=None) -> dict:

@@ -176,6 +176,32 @@ def test_weyl_search_cli(tmp_path):
     assert p["word"] is None
 
 
+def test_weyl_search_cli_bounds_the_enumeration(tmp_path, monkeypatch):
+    """An unreachable target exits 3 once the search passes the element
+    bound (lowered here so the test stays small); a negative depth is a
+    usage error."""
+    datum = mixed_orbit_datum()
+    datum_file = write_json(tmp_path, "mixed.json", datum.to_dict())
+    # determinant 2: no product of reflections (determinant +-1) reaches it
+    target = ct.WeylElement(datum.labels, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    target_file = write_json(tmp_path, "target.json", target.to_dict())
+    argv = ["weyl", "search", datum_file, "--target", target_file]
+
+    r = runner.invoke(main, argv + ["--depth", "6"])
+    assert r.exit_code == 0
+    assert payload_of(r)["found"] is False
+
+    monkeypatch.setattr(ct, "DEFAULT_MAX_POINTS", 1000)
+    r = runner.invoke(main, argv + ["--depth", "20"])
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert "more than 1000 Weyl group elements" in r.stderr
+
+    r = runner.invoke(main, argv + ["--depth", "-1"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # quiver
 

@@ -85,6 +85,15 @@ def test_star_is_bilinear(jordan_ctx):
     assert star(h, f - g) == star(h, f) - star(h, g)
 
 
+def test_scale_refuses_floats(jordan_ctx):
+    f = char_function(jordan_ctx, (1,), 0)
+    assert f.scale(Fraction(1, 2)) == f.scale(sq(jordan_ctx, Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        f.scale(0.5)
+    with pytest.raises(TypeError):
+        jordan_ctx.scalar(0.1)
+
+
 def test_oracle_agrees_on_spot_checks(jordan_ctx, kron_ctx):
     f = char_function(jordan_ctx, (1,), 1) + char_function(jordan_ctx, (1,), 0)
     g = char_function(jordan_ctx, (2,), 2)

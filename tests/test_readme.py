@@ -70,3 +70,22 @@ def test_quiver_example_with_its_automorphism_exits_4(tmp_path):
         r = CliRunner().invoke(main, argv)
         assert r.exit_code == 4
         assert r.stdout == ""
+
+
+def test_verify_table_example_matches_the_output(tmp_path):
+    (command, expected) = re.findall(
+        r"```\n\$ (hallc hall verify embedding kron\.json[^\n]*)\n(.*?)```",
+        readme_text(), re.DOTALL)[0]
+    payload = {k: v for k, v in quiver_example().items() if k != "automorphism"}
+    (tmp_path / "kron.json").write_text(json.dumps(payload))
+    argv = shlex.split(command)[1:]
+    argv[argv.index("kron.json")] = str(tmp_path / "kron.json")
+    r = CliRunner().invoke(main, argv)
+    assert r.exit_code == 0
+    actual = r.stdout.splitlines()
+    shown = [line for line in expected.splitlines() if line != "..."]
+    # the shown lines appear in the output in the same order, and the
+    # closing total is the output's last line
+    rest = iter(actual)
+    assert all(line in rest for line in shown), shown
+    assert shown[-1] == actual[-1] == "0 failed / 36 checks"
