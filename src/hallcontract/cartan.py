@@ -460,22 +460,29 @@ def weyl_word_search(datum: CartanDatum, target: WeylElement, max_depth: int):
     ident = WeylElement.identity(datum.labels)
     if target.matrix == ident.matrix:
         return []
-    seen = {ident.matrix}
-    frontier = [(ident, [])]
+    # matrix -> (parent matrix, label); the word is rebuilt only on success
+    parent = {ident.matrix: None}
+    frontier = [ident.matrix]
     for _ in range(max_depth):
         nxt = []
-        for elem, word in frontier:
+        for matrix in frontier:
+            elem = WeylElement(datum.labels, matrix)
             for lab, g in gens.items():
                 new = elem @ g
                 if new.matrix == target.matrix:
-                    return word + [lab]
-                if new.matrix not in seen:
-                    seen.add(new.matrix)
-                    if len(seen) > DEFAULT_MAX_POINTS:
+                    word = [lab]
+                    step = parent[matrix]
+                    while step is not None:
+                        word.append(step[1])
+                        step = parent[step[0]]
+                    return word[::-1]
+                if new.matrix not in parent:
+                    parent[new.matrix] = (matrix, lab)
+                    if len(parent) > DEFAULT_MAX_POINTS:
                         raise EnumerationBoundError(
                             f"more than {DEFAULT_MAX_POINTS} Weyl group "
                             f"elements within depth {max_depth}")
-                    nxt.append((new, word + [lab]))
+                    nxt.append(new.matrix)
         frontier = nxt
         if not frontier:
             break

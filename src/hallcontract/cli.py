@@ -78,18 +78,26 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_datum(path) -> ct.CartanDatum:
+def _parse(path, build, what: str):
+    """build() applied to the file's JSON; a KeyError, TypeError or
+    ValueError from it means the file is not `what`."""
+    payload = _load_json(path)
     try:
-        return ct.CartanDatum.from_dict(_load_json(path))
+        return build(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not a Cartan datum: {exc}") from None
+        raise InputError(f"{path} is not {what}: {exc}") from None
+
+
+def _load_datum(path) -> ct.CartanDatum:
+    return _parse(path, ct.CartanDatum.from_dict, "a Cartan datum")
 
 
 def _load_quiver(path):
-    try:
-        return qv.Quiver.from_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not a quiver: {exc}") from None
+    return _parse(path, qv.Quiver.from_dict, "a quiver")
+
+
+def _violations(command: str, problems: list[str]):
+    return {"command": command, "violations": problems, "status": "fail"}, 1
 
 
 def _parse_dims(spec: str, quiver: qv.Quiver) -> dict:
@@ -117,17 +125,16 @@ def _parse_dims(spec: str, quiver: qv.Quiver) -> dict:
     return dims
 
 
-def _parse_bounds(spec: str | None) -> tuple[int, int]:
+def _parse_bounds(spec: str | None) -> int:
     if spec is None:
-        return DEFAULT_MAX_POINTS, 10_000
+        return DEFAULT_MAX_POINTS
     try:
-        parts = [int(p) for p in spec.split(",")]
+        max_points = int(spec)
     except ValueError as exc:
         raise InputError(f"cannot parse --bounds {spec!r}: {exc}") from None
-    if len(parts) != 2 or any(p <= 0 for p in parts):
-        raise InputError("--bounds must be two positive integers: "
-                         "max_points,max_group")
-    return parts[0], parts[1]
+    if max_points <= 0:
+        raise InputError("--bounds must be one positive integer: max_points")
+    return max_points
 
 
 def _context(quiver_path: str, q: int, bounds: str | None) -> hall.HallContext:
@@ -136,9 +143,8 @@ def _context(quiver_path: str, q: int, bounds: str | None) -> hall.HallContext:
         raise rs.UnsupportedAutomorphismError(
             "representation spaces are only defined over the identity "
             "automorphism; contract the graph level first")
-    max_points, group_bound = _parse_bounds(bounds)
     return hall.HallContext(quiver, q, cache=OrbitCache(),
-                            max_points=max_points, oracle_bound=group_bound)
+                            max_points=_parse_bounds(bounds))
 
 
 def _heart(ctx: hall.HallContext, plus: str | None, minus: str | None,
@@ -153,11 +159,8 @@ def _heart(ctx: hall.HallContext, plus: str | None, minus: str | None,
 
 
 def _load_element(ctx: hall.HallContext, path: str) -> hall.HallElement:
-    payload = _load_json(path)
-    try:
-        return hall.HallElement.from_json(ctx, payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not an element over this context: {exc}") from None
+    return _parse(path, lambda payload: hall.HallElement.from_json(ctx, payload),
+                  "an element over this context")
 
 
 def _io_options(f):
@@ -170,7 +173,7 @@ def _io_options(f):
 
 def _run_options(f):
     f = click.option("--bounds", default=None,
-                     help="Enumeration bounds as max_points,max_group.")(f)
+                     help="Enumeration bound: max_points, a positive integer.")(f)
     f = click.option("--seed", type=int, default=0, show_default=True,
                      help="Recorded in the report for replay.")(f)
     return f
@@ -216,8 +219,7 @@ def cartan_contract(file, plus, minus, out, fmt):
         pair = ct.ContractionPair(plus, minus)
         problems = ct.validate_cartan(datum) + ct.validate_pair(datum, pair)
         if problems:
-            return ({"command": "cartan contract", "violations": problems,
-                     "status": "fail"}, 1)
+            return _violations("cartan contract", problems)
         return ct.contract_cartan(datum, pair).to_dict(), 0
     _dispatch(body, out, fmt)
 
@@ -277,10 +279,7 @@ def weyl_search(file, target_file, depth, out, fmt):
     """Breadth-first search for the target as a word in simple reflections."""
     def body():
         datum = _load_datum(file)
-        try:
-            target = ct.WeylElement.from_dict(_load_json(target_file))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{target_file} is not a Weyl element: {exc}") from None
+        target = _parse(target_file, ct.WeylElement.from_dict, "a Weyl element")
         try:
             word = ct.weyl_word_search(datum, target, depth)
         except ValueError as exc:
@@ -309,17 +308,24 @@ def quiver_cartan(file, out, fmt):
         quiver, autom = _load_quiver(file)
         problems = qv.check_admissible(quiver, autom)
         if problems:
-            return ({"command": "quiver cartan", "violations": problems,
-                     "status": "fail"}, 1)
+            return _violations("quiver cartan", problems)
         return qv.cartan_of(quiver, autom).to_dict(), 0
     _dispatch(body, out, fmt)
 
 
-def _orbit_pair(quiver, autom, plus, minus, edge):
+def _contraction_site(file, plus, minus, edge):
+    """(quiver, autom, pair, problems): problems lists the violations of
+    admissibility (pair is then None) or of the contraction assumptions."""
+    quiver, autom = _load_quiver(file)
+    problems = qv.check_admissible(quiver, autom)
+    if problems:
+        return quiver, autom, None, problems
     try:
-        return qv.make_orbit_pair(quiver, autom, plus, minus, edge)
+        pair = qv.make_orbit_pair(quiver, autom, plus, minus, edge)
     except (KeyError, ValueError) as exc:
         raise InputError(exc.args[0] if exc.args else str(exc)) from None
+    return (quiver, autom, pair,
+            qv.check_contraction_assumptions(quiver, autom, pair))
 
 
 @quiver_group.command("contract")
@@ -334,16 +340,9 @@ def _orbit_pair(quiver, autom, plus, minus, edge):
 def quiver_contract(file, plus, minus, edge, out, fmt):
     """Contract an orbit pair along an edge orbit and print the new graph."""
     def body():
-        quiver, autom = _load_quiver(file)
-        problems = qv.check_admissible(quiver, autom)
+        quiver, autom, pair, problems = _contraction_site(file, plus, minus, edge)
         if problems:
-            return ({"command": "quiver contract", "violations": problems,
-                     "status": "fail"}, 1)
-        pair = _orbit_pair(quiver, autom, plus, minus, edge)
-        problems = qv.check_contraction_assumptions(quiver, autom, pair)
-        if problems:
-            return ({"command": "quiver contract", "violations": problems,
-                     "status": "fail"}, 1)
+            return _violations("quiver contract", problems)
         con = qv.contract_quiver(quiver, autom, pair)
         payload = con.quiver.to_dict(con.autom)
         payload["provenance"] = {k: list(v) for k, v in sorted(con.provenance.items())}
@@ -362,16 +361,9 @@ def quiver_contract(file, plus, minus, edge, out, fmt):
 def quiver_verify_l14(file, plus, minus, edge, out, fmt):
     """Check contraction commutes with taking the Cartan datum."""
     def body():
-        quiver, autom = _load_quiver(file)
-        problems = qv.check_admissible(quiver, autom)
+        quiver, autom, pair, problems = _contraction_site(file, plus, minus, edge)
         if problems:
-            return ({"command": "quiver verify-l14", "violations": problems,
-                     "status": "fail"}, 1)
-        pair = _orbit_pair(quiver, autom, plus, minus, edge)
-        problems = qv.check_contraction_assumptions(quiver, autom, pair)
-        if problems:
-            return ({"command": "quiver verify-l14", "violations": problems,
-                     "status": "fail"}, 1)
+            return _violations("quiver verify-l14", problems)
         try:
             agree, mapping, via_graph, via_cartan = qv.cartan_contraction_commutes(
                 quiver, autom, pair)
@@ -523,10 +515,8 @@ def hall_verify(check, quiver_file, q, max_dim, plus, minus, edge, seed,
             report = fn(_heart(ctx, plus, minus, edge), max_dim=max_dim)
         else:
             report = fn(ctx, max_dim=max_dim)
-        max_points, group_bound = _parse_bounds(bounds)
         report["config"].update({
-            "seed": seed,
-            "bounds": {"max_points": max_points, "max_group": group_bound}})
+            "seed": seed, "bounds": {"max_points": ctx.max_points}})
         return report, 0 if report["status"] in ("pass", "observed") else 1
     _dispatch(body, out, fmt)
 

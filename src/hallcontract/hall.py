@@ -21,8 +21,8 @@ import math
 
 from .cache import OrbitCache
 from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, Field
-from .quiver import (Quiver, cartan_of, check_contraction_assumptions,
-                     contract_quiver, identity_automorphism, make_orbit_pair)
+from .quiver import (Quiver, cartan_of, contract_quiver, identity_automorphism,
+                     make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
                        group_order, is_heart, orbits, quotient_point,
                        stable_subspaces, sub_point)
@@ -34,12 +34,11 @@ class HallContext:
     orbit tables, and memoized structure constants."""
 
     def __init__(self, quiver: Quiver, q: int, cache: OrbitCache | None = None,
-                 max_points: int = DEFAULT_MAX_POINTS, oracle_bound: int = 10_000):
+                 max_points: int = DEFAULT_MAX_POINTS):
         self.quiver = quiver
         self.field = Field(q)
         self.cache = cache
         self.max_points = max_points
-        self.oracle_bound = oracle_bound
         self.cartan = cartan_of(quiver, identity_automorphism(quiver))
         self._spaces: dict = {}
         self._tables: dict = {}
@@ -113,6 +112,11 @@ def _accum(terms: dict, key, value) -> None:
         terms[key] = value
 
 
+def _accum_all(terms: dict, element) -> None:
+    for key, value in element.terms.items():
+        _accum(terms, key, value)
+
+
 def _prune(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if not v.is_zero()}
 
@@ -135,8 +139,7 @@ class _Terms:
     def __add__(self, other):
         _same_ctx(self, other)
         terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _accum(terms, k, v)
+        _accum_all(terms, other)
         return type(self)(self.ctx, terms)
 
     def __sub__(self, other):
@@ -285,7 +288,7 @@ def circ(f1: HallElement, f2: HallElement) -> HallElement:
 
 
 def diagram_star_oracle(f1: HallElement, f2: HallElement,
-                        max_flags: int | None = None) -> HallElement:
+                        max_flags: int = 10_000) -> HallElement:
     """The convolution computed the long way round: every stable graded
     subspace together with every pair of graded isomorphisms onto the
     standard quotient and sub spaces, divided by the two group orders.
@@ -302,8 +305,6 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement,
     """
     _same_ctx(f1, f2)
     ctx = f1.ctx
-    if max_flags is None:
-        max_flags = ctx.oracle_bound
     pairs = [(tk, wk) for tk in sorted({k for k, _ in f1.terms})
              for wk in sorted({k for k, _ in f2.terms})]
     orders = {}
@@ -462,13 +463,12 @@ def res(f: HallElement, tau, omega) -> TensorElement:
 
 def coproduct(f: HallElement) -> TensorElement:
     """Sum of res over every splitting of every grade of f."""
-    ctx = f.ctx
-    out = TensorElement(ctx, {})
+    terms: dict = {}
     for nk, part in f.homogeneous().items():
         for tk in itertools.product(*(range(n + 1) for n in nk)):
             wk = tuple(n - t for n, t in zip(nk, tk))
-            out = out + res(part, tk, wk)
-    return out
+            _accum_all(terms, res(part, tk, wk))
+    return TensorElement(f.ctx, terms)
 
 
 def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
@@ -477,7 +477,7 @@ def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
     element's left factor, paired by the symmetric Cartan form."""
     _same_ctx(t1, t2)
     ctx = t1.ctx
-    out = TensorElement(ctx, {})
+    terms: dict = {}
     products: dict = {}
 
     def _char_circ(k1, o1, k2, o2):
@@ -490,15 +490,9 @@ def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
     for ((ak, ao), (bk, bo)), c1 in t1.terms.items():
         for ((ck, co), (dk, do)), c2 in t2.terms.items():
             twist = SqrtQScalar.half_power(ctx.q, ctx.sym_pairing(bk, ck))
-            left = _char_circ(ak, ao, ck, co)
-            right = _char_circ(bk, bo, dk, do)
-            coeff = c1 * c2 * twist
-            terms: dict = {}
-            for lk, lc in left.terms.items():
-                for rk, rc in right.terms.items():
-                    _accum(terms, (lk, rk), coeff * lc * rc)
-            out = out + TensorElement(ctx, terms)
-    return out
+            left = _char_circ(ak, ao, ck, co).scale(c1 * c2 * twist)
+            _accum_all(terms, tensor(left, _char_circ(bk, bo, dk, do)))
+    return TensorElement(ctx, terms)
 
 
 class HeartContext:
@@ -511,17 +505,13 @@ class HeartContext:
         self.ctx = ctx
         autom = identity_automorphism(ctx.quiver)
         pair = make_orbit_pair(ctx.quiver, autom, plus, minus, edge)
-        problems = check_contraction_assumptions(ctx.quiver, autom, pair)
-        if problems:
-            raise ValueError("contraction assumptions fail: " + "; ".join(problems))
         self.pair = pair
         self.con = contract_quiver(ctx.quiver, autom, pair)
         self.plus_vertex = pair.plus_orbit[0]
         self.minus_vertex = pair.minus_orbit[0]
         self.orbit_size = len(pair.minus_orbit)
         self.hat = HallContext(self.con.quiver, ctx.q, cache=ctx.cache,
-                               max_points=ctx.max_points,
-                               oracle_bound=ctx.oracle_bound)
+                               max_points=ctx.max_points)
         self._maps: dict = {}
 
     def is_balanced(self, big_key: tuple) -> bool:
@@ -899,14 +889,11 @@ def comult_compat(hc: HeartContext, max_dim: int = 1) -> dict:
         for o in range(hat.table(nk).count):
             f = char_function(hat, nk, o)
             big_side = coproduct(psi(hc, f))
-            hat_side = coproduct(f)
             transported: dict = {}
-            for ((ak, ao), (bk, bo)), c in hat_side.terms.items():
-                fa = psi(hc, char_function(hat, ak, ao))
+            for ((ak, ao), (bk, bo)), c in coproduct(f).terms.items():
+                fa = psi(hc, char_function(hat, ak, ao)).scale(c)
                 fb = psi(hc, char_function(hat, bk, bo))
-                for ka, ca in fa.terms.items():
-                    for kb, cb in fb.terms.items():
-                        _accum(transported, (ka, kb), c * ca * cb)
+                _accum_all(transported, tensor(fa, fb))
             transported = _prune(transported)
             exponents = set()
             mismatches = []

@@ -11,7 +11,8 @@ too, as an independent cross-check of the structure constants the Hall
 layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
-are indexed by vertices, not vertex orbits.
+are indexed by vertices, not vertex orbits. A RepSpace takes no automorphism:
+the command line refuses a quiver file whose automorphism is not the identity.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ class UnsupportedAutomorphismError(ValueError):
 class RepSpace:
     """E_{V,Omega}: the matrices attached to each edge for a fixed grading."""
 
-    def __init__(self, quiver: Quiver, field: Field, dims: dict, autom=None):
-        if autom is not None and not autom.is_identity(quiver):
-            raise UnsupportedAutomorphismError(
-                "representation spaces are only computed for the identity "
-                "automorphism; contract the graph first")
+    def __init__(self, quiver: Quiver, field: Field, dims: dict):
         if set(dims) != set(quiver.vertices):
             raise ValueError("dimension vector must cover exactly the vertices")
         for v, n in dims.items():
@@ -54,7 +51,19 @@ class RepSpace:
             (dims[e.target], dims[e.source]) for e in quiver.edges)
         self.edge_index = {e.id: k for k, e in enumerate(quiver.edges)}
         self.point_entries = sum(r * c for r, c in self.edge_shapes)
-        self.total_points = field.q ** self.point_entries
+
+    @property
+    def total_points(self) -> int:
+        return self.field.q ** self.point_entries
+
+    def check_bound(self, max_points: int) -> None:
+        """Raise EnumerationBoundError if the space has more than max_points
+        points. Exponents are compared first (q >= 2), so a huge space is
+        refused without computing its size."""
+        q, n = self.field.q, self.point_entries
+        if q ** min(n, max_points.bit_length()) > max_points:
+            raise EnumerationBoundError(
+                f"{q}^{n} points exceed the bound {max_points}")
 
     def __repr__(self):
         return (f"RepSpace(q={self.field.q}, "
@@ -103,9 +112,7 @@ def _mats_from_digits(field: Field, shapes, digits) -> tuple:
 
 def enumerate_points(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS):
     """All points in rank order (entries vary fastest at the last edge)."""
-    if space.total_points > max_points:
-        raise EnumerationBoundError(
-            f"{space.total_points} points exceed the bound {max_points}")
+    space.check_bound(max_points)
     field, shapes = space.field, space.edge_shapes
     for digits in itertools.product(range(field.q), repeat=space.point_entries):
         yield _mats_from_digits(field, shapes, digits)
@@ -294,6 +301,9 @@ def _generator_images(space: RepSpace):
 
 
 def _close_orbits(space: RepSpace):
+    if space.point_entries == 0:
+        # the one point is its own orbit; no generator need be built
+        return [0], [1], [0]
     # close each fresh representative under generator applications
     images = _generator_images(space)
     index = [-1] * space.total_points
@@ -345,9 +355,7 @@ def orbits(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS,
     """Orbit table of the group action, read from the cache when its entry
     fits the space (see _fits_space); any other entry is recomputed and
     overwritten."""
-    if space.total_points > max_points:
-        raise EnumerationBoundError(
-            f"{space.total_points} points exceed the bound {max_points}")
+    space.check_bound(max_points)
     key = space.cache_key() if cache is not None else None
     if cache is not None:
         payload = cache.load(key)

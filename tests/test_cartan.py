@@ -208,6 +208,8 @@ def test_word_search_finds_short_words():
     assert weyl_word_search(datum, sx, 3) == ["x"]
     word = weyl_word_search(datum, sx @ sy, 3)
     assert word == ["x", "y"]
+    # the longest element; its word is rebuilt through two parent links
+    assert weyl_word_search(datum, sx @ sy @ sx, 3) == ["x", "y", "x"]
 
 
 def test_word_search_misses_the_merged_middle_factor():

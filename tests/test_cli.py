@@ -309,13 +309,14 @@ def test_hall_orbits_failure_modes(tmp_path):
         "vertices": ["z"],
         "edges": [{"id": "zz", "source": "z", "target": "z"}]})
     r = runner.invoke(main, ["hall", "orbits", loop, "--dim", "2", "--q", "2",
-                             "--bounds", "1,10000"])
+                             "--bounds", "1"])
     assert r.exit_code == 3
     assert "error:" in r.stderr
 
-    r = runner.invoke(main, ["hall", "orbits", loop, "--dim", "2", "--q", "2",
-                             "--bounds", "0,5"])
-    assert r.exit_code == 4
+    for bounds in ("0", "1,10000"):
+        r = runner.invoke(main, ["hall", "orbits", loop, "--dim", "2",
+                                 "--q", "2", "--bounds", bounds])
+        assert r.exit_code == 4, bounds
 
     jordan = write_json(tmp_path, "jordan.json", JORDAN)
     r = runner.invoke(main, ["hall", "orbits", jordan,
@@ -395,6 +396,26 @@ def test_hall_mult_cli(tmp_path):
     r = runner.invoke(main, ["hall", "mult", quiver_file, theta1, wrong_q,
                              "--q", "2"])
     assert r.exit_code == 4
+
+
+def test_huge_dims_exit_3_without_counting_points(tmp_path):
+    """3^9800 points cannot even be printed as an int, and 3^72000000 takes
+    minutes to compute; the bound refuses both from the exponent."""
+    quiver_file = write_json(tmp_path, "kron.json", KRON)
+    for dims in ("70,70", "6000,6000"):
+        r = runner.invoke(main, ["hall", "orbits", quiver_file, "--dim", dims,
+                                 "--q", "3"])
+        assert r.exit_code == 3, (dims, r.exception)
+        assert f"3^{2 * int(dims.split(',')[0]) ** 2} points" in r.stderr
+        assert "Traceback" not in r.stderr
+    element = write_json(tmp_path, "big.json", {
+        "q": 3, "quiver": qv.Quiver.from_dict(KRON)[0].content_hash(),
+        "terms": [{"dim": {"p": 70, "m": 70}, "orbit": "o0",
+                   "coeff": {"a": "1", "b": "0"}}]})
+    r = runner.invoke(main, ["hall", "mult", quiver_file, element, element,
+                             "--q", "3"])
+    assert r.exit_code == 3, r.exception
+    assert "Traceback" not in r.stderr
 
 
 def test_malformed_element_json_exits_4(tmp_path):
@@ -491,7 +512,7 @@ def test_hall_verify_cli(tmp_path):
     assert p["status"] == "pass"
     assert p["failures"] == 0
     assert p["config"]["seed"] == 7
-    assert set(p["config"]["bounds"]) == {"max_points", "max_group"}
+    assert p["config"]["bounds"] == {"max_points": 1 << 20}
     assert "embedding-multiplicative" in {c["check_id"] for c in p["checks"]}
 
     r = runner.invoke(main, ["hall", "verify", "comult-compat", quiver_file,
@@ -671,12 +692,14 @@ def fuzz_files(tmp_path_factory):
 
 # (usual values, unusual ones): malformed, or valid but rare like q = 4.
 # Dims stay <= 2 and verify depths <= 1, so that no command builds a space of
-# more than 65,536 points (the Jordan square at (4,), Kronecker (2,2) at q=4).
+# more than 65,536 points (the Jordan square at (4,), Kronecker (2,2) at q=4);
+# the unusual 70 and 70,70 must be refused by the point bound before any
+# point is counted, or give the edgeless A1 its single point.
 DIMS = (["0", "1", "2", "1,1", "2,0", "0,2", "1=2", "p=1,m=1"],
-        ["-1", "1,2,3", "p=1", "", "a", "1,,1", "p=x", "1=1,1=2"])
+        ["-1", "1,2,3", "p=1", "", "a", "1,,1", "p=x", "1=1,1=2", "70", "70,70"])
 QS = (["2", "3"], ["0", "1", "4", "6", "-2", "x"])
 MAX_DIMS = (["0", "1"], ["-1", "x"])
-BOUNDS = ([None, "4096,10000"], ["1,1", "0,5", "5", "a,b", "100,2", "1,2,3"])
+BOUNDS = ([None, "4096"], ["1", "0", "-5", "a", "100", "4096,10000", "1,2,3"])
 SITES = ([("p", "m"), ("m", "p")], [None, ("p", "p"), ("1", "m"), ("zz", "m")])
 EDGES = ([None, "e", "f"], ["zz"])
 CHECKS = ["embedding", "pbw", "ideal", "ses", "bialgebra", "comult-compat"]

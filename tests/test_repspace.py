@@ -9,7 +9,6 @@ from hallcontract.ffalg import EnumerationBoundError, Field, Mat, gl_order
 from hallcontract.quiver import contract_quiver, identity_automorphism, make_orbit_pair
 from hallcontract.repspace import (
     RepSpace,
-    UnsupportedAutomorphismError,
     _generator_images,
     act,
     contract_point,
@@ -31,10 +30,8 @@ from hallcontract.repspace import (
     sub_dims_of,
 )
 from hallcontract.ffalg import Subspace
-from hallcontract.cartan import realize_graph
 
-from conftest import (a1_quiver, double_orbit_datum, jordan_quiver,
-                      kronecker_quiver)
+from conftest import a1_quiver, jordan_quiver, kronecker_quiver
 
 
 def jordan_space(n, q=2):
@@ -295,14 +292,14 @@ def test_entries_that_do_not_fit_the_space_are_recomputed(tmp_path):
         assert cache.load(space.cache_key()) == good
 
 
-def test_nontrivial_automorphism_is_refused():
-    quiver, autom = realize_graph(double_orbit_datum())
-    dims = {v: 1 for v in quiver.vertices}
-    with pytest.raises(UnsupportedAutomorphismError):
-        RepSpace(quiver, Field(2), dims, autom=autom)
-    # the identity is fine when passed explicitly
-    RepSpace(kronecker_quiver(), Field(2), {"p": 1, "m": 1},
-             autom=identity_automorphism(kronecker_quiver()))
+def test_edgeless_space_has_one_orbit_without_generators(monkeypatch):
+    """The one point of an edgeless space is its own orbit, at any dim,
+    without building (or inverting) a single GL generator."""
+    def no_generators(*args):
+        raise AssertionError("gl_generators called")
+    monkeypatch.setattr("hallcontract.repspace.gl_generators", no_generators)
+    table = orbits(RepSpace(a1_quiver(), Field(2), {"1": 5000}))
+    assert (table.index, table.sizes, table.rep_ranks) == ([0], [1], [0])
 
 
 def test_enumeration_bounds():
