@@ -22,11 +22,10 @@ from .quiver import (Automorphism, ContractedQuiver, Edge, OrbitPair, Quiver,
                      cartan_contraction_commutes, cartan_of, check_admissible,
                      check_contraction_assumptions, contract_quiver,
                      identity_automorphism, make_orbit_pair, vertex_orbits)
-from .repspace import (OrbitTable, RepSpace, UnsupportedAutomorphismError,
-                       contract_point, enumerate_points, extension_count,
-                       extensions_over, fiber_of_contraction, is_heart,
-                       is_stable, orbits, quotient_point, stable_subspaces,
-                       sub_point)
+from .repspace import (OrbitTable, RepSpace, contract_point, enumerate_points,
+                       extension_count, extensions_over, fiber_of_contraction,
+                       is_heart, is_stable, orbits, quotient_point,
+                       stable_subspaces, sub_point)
 from .scalars import SqrtQScalar
 
 __version__ = "0.1.0"

@@ -227,6 +227,8 @@ def realize_graph(datum: CartanDatum):
     and -i.j cross edges in aligned a-orbits of size lcm(phi1(i), phi1(j)).
 
     Returns (Quiver, Automorphism). Requires lcm(phi1(i), phi1(j)) | i.j.
+    Raises EnumerationBoundError, before building anything, if the graph
+    would have more than DEFAULT_MAX_POINTS vertices plus edges.
     """
     from . import quiver as qv
 
@@ -241,6 +243,12 @@ def realize_graph(datum: CartanDatum):
                 raise ValueError(
                     f"{datum.labels[i]}.{datum.labels[j]} = {datum.form[i][j]} is not a "
                     f"multiple of lcm(phi1) = {step}; no orbit pattern realizes it")
+    size = sum(datum.phi1) + sum(a * b for a, b in zip(datum.phi1, datum.phi2))
+    size -= sum(datum.form[i][j] for i in range(n) for j in range(i + 1, n))
+    if size > DEFAULT_MAX_POINTS:
+        raise EnumerationBoundError(
+            f"the realized graph's {size} vertices plus edges exceed the "
+            f"bound {DEFAULT_MAX_POINTS}")
 
     vertices = []
     vperm = {}

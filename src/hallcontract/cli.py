@@ -5,20 +5,24 @@ no check, 2 unknown command or bad usage, 3 an enumeration bound was
 exceeded, 4 unreadable or invalid input.
 Reports are deterministic; wall time goes to stderr so stdout stays
 byte-for-byte reproducible.
+
+Each command returns (payload, exit code); `_command` applies the contract,
+and any error not named by an `_invalid_input` block stays a traceback.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import click
 
 from . import cartan as ct
 from . import hall
 from . import quiver as qv
-from . import repspace as rs
 from .cache import OrbitCache
 from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, UnsupportedFieldError
 
@@ -27,22 +31,40 @@ class InputError(Exception):
     """Unreadable file, malformed JSON, or a value outside the contract."""
 
 
-def _dispatch(body, out, fmt):
-    t0 = time.perf_counter()
-    try:
-        payload, code = body()
-    except EnumerationBoundError as exc:
-        click.echo(f"error: {exc}", err=True)
-        code = 3
-    except (InputError, rs.UnsupportedAutomorphismError,
-            UnsupportedFieldError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        code = 4
-    else:
-        if payload is not None:
+def _command(fn):
+    """Run fn(**params) -> (payload, exit code) under the command-line
+    contract: add --format/--out, emit the payload, map an exceeded bound to
+    exit 3 and invalid input to exit 4, and write the wall time to stderr."""
+    @click.option("--out", type=click.Path(), default=None,
+                  help="Write the report here instead of stdout.")
+    @click.option("--format", "fmt", type=click.Choice(["json", "table"]),
+                  default="json", help="Output format.")
+    @functools.wraps(fn)
+    def run(out, fmt, **params):
+        t0 = time.perf_counter()
+        try:
+            payload, code = fn(**params)
+        except EnumerationBoundError as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = 3
+        except (InputError, UnsupportedFieldError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = 4
+        else:
             _emit(payload, out, fmt)
-    click.echo(f"wall time: {time.perf_counter() - t0:.3f}s", err=True)
-    sys.exit(code)
+        click.echo(f"wall time: {time.perf_counter() - t0:.3f}s", err=True)
+        sys.exit(code)
+    return run
+
+
+@contextmanager
+def _invalid_input(*kinds):
+    """Re-raise an exception of one of `kinds` as InputError, keeping its
+    message; anything else (a program bug) propagates unchanged."""
+    try:
+        yield
+    except kinds as exc:
+        raise InputError(exc.args[0] if exc.args else str(exc)) from None
 
 
 def _emit(payload, out, fmt):
@@ -97,7 +119,9 @@ def _load_quiver(path):
 
 
 def _violations(command: str, problems: list[str]):
-    return {"command": command, "violations": problems, "status": "fail"}, 1
+    payload = {"command": command, "violations": problems,
+               "status": "fail" if problems else "pass"}
+    return payload, 1 if problems else 0
 
 
 def _parse_dims(spec: str, quiver: qv.Quiver) -> dict:
@@ -140,7 +164,7 @@ def _parse_bounds(spec: str | None) -> int:
 def _context(quiver_path: str, q: int, bounds: str | None) -> hall.HallContext:
     quiver, autom = _load_quiver(quiver_path)
     if not autom.is_identity(quiver):
-        raise rs.UnsupportedAutomorphismError(
+        raise InputError(
             "representation spaces are only defined over the identity "
             "automorphism; contract the graph level first")
     return hall.HallContext(quiver, q, cache=OrbitCache(),
@@ -151,11 +175,9 @@ def _heart(ctx: hall.HallContext, plus: str | None, minus: str | None,
            edge: str | None) -> hall.HeartContext:
     if plus is None or minus is None:
         raise InputError("--plus and --minus are required for this command")
-    try:
+    # unknown vertex or edge names surface as KeyError
+    with _invalid_input(KeyError, ValueError):
         return hall.HeartContext(ctx, plus, minus, edge)
-    except (KeyError, ValueError) as exc:
-        # unknown vertex or edge names surface as KeyError
-        raise InputError(exc.args[0] if exc.args else str(exc)) from None
 
 
 def _load_element(ctx: hall.HallContext, path: str) -> hall.HallElement:
@@ -163,20 +185,9 @@ def _load_element(ctx: hall.HallContext, path: str) -> hall.HallElement:
                   "an element over this context")
 
 
-def _io_options(f):
-    f = click.option("--format", "fmt", type=click.Choice(["json", "table"]),
-                     default="json", help="Output format.")(f)
-    f = click.option("--out", type=click.Path(), default=None,
-                     help="Write the report here instead of stdout.")(f)
-    return f
-
-
-def _run_options(f):
-    f = click.option("--bounds", default=None,
-                     help="Enumeration bound: max_points, a positive integer.")(f)
-    f = click.option("--seed", type=int, default=0, show_default=True,
-                     help="Recorded in the report for replay.")(f)
-    return f
+_bounds_option = click.option(
+    "--bounds", default=None,
+    help="Enumeration bound: max_points, a positive integer.")
 
 
 @click.group()
@@ -195,48 +206,36 @@ def cartan_group():
 
 @cartan_group.command("validate")
 @click.argument("file", type=click.Path())
-@_io_options
-def cartan_validate(file, out, fmt):
+@_command
+def cartan_validate(file):
     """Check the two datum conditions; list every violation."""
-    def body():
-        datum = _load_datum(file)
-        problems = ct.validate_cartan(datum)
-        payload = {"command": "cartan validate", "violations": problems,
-                   "status": "pass" if not problems else "fail"}
-        return payload, 0 if not problems else 1
-    _dispatch(body, out, fmt)
+    return _violations("cartan validate", ct.validate_cartan(_load_datum(file)))
 
 
 @cartan_group.command("contract")
 @click.argument("file", type=click.Path())
 @click.option("--plus", required=True)
 @click.option("--minus", required=True)
-@_io_options
-def cartan_contract(file, plus, minus, out, fmt):
+@_command
+def cartan_contract(file, plus, minus):
     """Contract one label pair and print the new datum."""
-    def body():
-        datum = _load_datum(file)
-        pair = ct.ContractionPair(plus, minus)
-        problems = ct.validate_cartan(datum) + ct.validate_pair(datum, pair)
-        if problems:
-            return _violations("cartan contract", problems)
-        return ct.contract_cartan(datum, pair).to_dict(), 0
-    _dispatch(body, out, fmt)
+    datum = _load_datum(file)
+    pair = ct.ContractionPair(plus, minus)
+    problems = ct.validate_cartan(datum) + ct.validate_pair(datum, pair)
+    if problems:
+        return _violations("cartan contract", problems)
+    return ct.contract_cartan(datum, pair).to_dict(), 0
 
 
 @cartan_group.command("realize")
 @click.argument("file", type=click.Path())
-@_io_options
-def cartan_realize(file, out, fmt):
+@_command
+def cartan_realize(file):
     """Build a graph with automorphism whose orbit data match the datum."""
-    def body():
-        datum = _load_datum(file)
-        try:
-            quiver, autom = ct.realize_graph(datum)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        return quiver.to_dict(autom), 0
-    _dispatch(body, out, fmt)
+    datum = _load_datum(file)
+    with _invalid_input(ValueError):
+        quiver, autom = ct.realize_graph(datum)
+    return quiver.to_dict(autom), 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +251,17 @@ def weyl_group():
 @click.argument("file", type=click.Path())
 @click.option("--plus", required=True)
 @click.option("--minus", required=True)
-@_io_options
-def weyl_check_psi(file, plus, minus, out, fmt):
+@_command
+def weyl_check_psi(file, plus, minus):
     """Verify the contracted reflection factors through the original group."""
-    def body():
-        datum = _load_datum(file)
-        try:
-            holds, lhs, rhs = ct.check_psi_identity(
-                datum, ct.ContractionPair(plus, minus))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        payload = {"command": "weyl check-psi", "holds": holds,
-                   "lhs": lhs.to_dict(), "rhs": rhs.to_dict(),
-                   "status": "pass" if holds else "fail"}
-        return payload, 0 if holds else 1
-    _dispatch(body, out, fmt)
+    datum = _load_datum(file)
+    with _invalid_input(ValueError):
+        holds, lhs, rhs = ct.check_psi_identity(
+            datum, ct.ContractionPair(plus, minus))
+    payload = {"command": "weyl check-psi", "holds": holds,
+               "lhs": lhs.to_dict(), "rhs": rhs.to_dict(),
+               "status": "pass" if holds else "fail"}
+    return payload, 0 if holds else 1
 
 
 @weyl_group.command("search")
@@ -274,20 +269,16 @@ def weyl_check_psi(file, plus, minus, out, fmt):
 @click.option("--target", "target_file", required=True, type=click.Path(),
               help="JSON file with the target element's labels and matrix.")
 @click.option("--depth", type=click.IntRange(min=0), required=True)
-@_io_options
-def weyl_search(file, target_file, depth, out, fmt):
+@_command
+def weyl_search(file, target_file, depth):
     """Breadth-first search for the target as a word in simple reflections."""
-    def body():
-        datum = _load_datum(file)
-        target = _parse(target_file, ct.WeylElement.from_dict, "a Weyl element")
-        try:
-            word = ct.weyl_word_search(datum, target, depth)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        payload = {"command": "weyl search", "depth": depth,
-                   "found": word is not None, "word": word}
-        return payload, 0
-    _dispatch(body, out, fmt)
+    datum = _load_datum(file)
+    target = _parse(target_file, ct.WeylElement.from_dict, "a Weyl element")
+    with _invalid_input(ValueError):
+        word = ct.weyl_word_search(datum, target, depth)
+    payload = {"command": "weyl search", "depth": depth,
+               "found": word is not None, "word": word}
+    return payload, 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +292,14 @@ def quiver_group():
 
 @quiver_group.command("cartan")
 @click.argument("file", type=click.Path())
-@_io_options
-def quiver_cartan(file, out, fmt):
+@_command
+def quiver_cartan(file):
     """Print the Cartan datum attached to the orbit data."""
-    def body():
-        quiver, autom = _load_quiver(file)
-        problems = qv.check_admissible(quiver, autom)
-        if problems:
-            return _violations("quiver cartan", problems)
-        return qv.cartan_of(quiver, autom).to_dict(), 0
-    _dispatch(body, out, fmt)
+    quiver, autom = _load_quiver(file)
+    problems = qv.check_admissible(quiver, autom)
+    if problems:
+        return _violations("quiver cartan", problems)
+    return qv.cartan_of(quiver, autom).to_dict(), 0
 
 
 def _contraction_site(file, plus, minus, edge):
@@ -320,10 +309,8 @@ def _contraction_site(file, plus, minus, edge):
     problems = qv.check_admissible(quiver, autom)
     if problems:
         return quiver, autom, None, problems
-    try:
+    with _invalid_input(KeyError, ValueError):
         pair = qv.make_orbit_pair(quiver, autom, plus, minus, edge)
-    except (KeyError, ValueError) as exc:
-        raise InputError(exc.args[0] if exc.args else str(exc)) from None
     return (quiver, autom, pair,
             qv.check_contraction_assumptions(quiver, autom, pair))
 
@@ -336,20 +323,18 @@ def _contraction_site(file, plus, minus, edge):
               help="Any vertex of the minus orbit.")
 @click.option("--edge", default=None,
               help="Contraction edge; defaults to the unique candidate.")
-@_io_options
-def quiver_contract(file, plus, minus, edge, out, fmt):
+@_command
+def quiver_contract(file, plus, minus, edge):
     """Contract an orbit pair along an edge orbit and print the new graph."""
-    def body():
-        quiver, autom, pair, problems = _contraction_site(file, plus, minus, edge)
-        if problems:
-            return _violations("quiver contract", problems)
-        con = qv.contract_quiver(quiver, autom, pair)
-        payload = con.quiver.to_dict(con.autom)
-        payload["provenance"] = {k: list(v) for k, v in sorted(con.provenance.items())}
-        payload["contraction_edges"] = list(con.contraction_edges)
-        payload["role_swapped"] = pair.swapped
-        return payload, 0
-    _dispatch(body, out, fmt)
+    quiver, autom, pair, problems = _contraction_site(file, plus, minus, edge)
+    if problems:
+        return _violations("quiver contract", problems)
+    con = qv.contract_quiver(quiver, autom, pair)
+    payload = con.quiver.to_dict(con.autom)
+    payload["provenance"] = {k: list(v) for k, v in sorted(con.provenance.items())}
+    payload["contraction_edges"] = list(con.contraction_edges)
+    payload["role_swapped"] = pair.swapped
+    return payload, 0
 
 
 @quiver_group.command("verify-l14")
@@ -357,25 +342,21 @@ def quiver_contract(file, plus, minus, edge, out, fmt):
 @click.option("--plus-orbit", "plus", required=True)
 @click.option("--minus-orbit", "minus", required=True)
 @click.option("--edge", default=None)
-@_io_options
-def quiver_verify_l14(file, plus, minus, edge, out, fmt):
+@_command
+def quiver_verify_l14(file, plus, minus, edge):
     """Check contraction commutes with taking the Cartan datum."""
-    def body():
-        quiver, autom, pair, problems = _contraction_site(file, plus, minus, edge)
-        if problems:
-            return _violations("quiver verify-l14", problems)
-        try:
-            agree, mapping, via_graph, via_cartan = qv.cartan_contraction_commutes(
-                quiver, autom, pair)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        payload = {"command": "quiver verify-l14", "agree": agree,
-                   "label_mapping": mapping,
-                   "contract_then_cartan": via_graph.to_dict(),
-                   "cartan_then_contract": via_cartan.to_dict(),
-                   "status": "pass" if agree else "fail"}
-        return payload, 0 if agree else 1
-    _dispatch(body, out, fmt)
+    quiver, autom, pair, problems = _contraction_site(file, plus, minus, edge)
+    if problems:
+        return _violations("quiver verify-l14", problems)
+    with _invalid_input(ValueError):
+        agree, mapping, via_graph, via_cartan = qv.cartan_contraction_commutes(
+            quiver, autom, pair)
+    payload = {"command": "quiver verify-l14", "agree": agree,
+               "label_mapping": mapping,
+               "contract_then_cartan": via_graph.to_dict(),
+               "cartan_then_contract": via_cartan.to_dict(),
+               "status": "pass" if agree else "fail"}
+    return payload, 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------
@@ -393,26 +374,24 @@ def hall_group():
               help="Dimension vector: one int per vertex, comma separated, "
                    "or name=value pairs.")
 @click.option("--q", "q", type=int, required=True)
-@_run_options
-@_io_options
-def hall_orbits(quiver_file, dim_spec, q, seed, bounds, out, fmt):
+@_bounds_option
+@_command
+def hall_orbits(quiver_file, dim_spec, q, bounds):
     """List the orbits of the group action on a representation space."""
-    def body():
-        ctx = _context(quiver_file, q, bounds)
-        dims = _parse_dims(dim_spec, ctx.quiver)
-        table = ctx.table(dims)
-        space = ctx.space(dims)
-        orbits_out = []
-        for k in range(table.count):
-            orbits_out.append({
-                "id": f"o{k}", "size": table.sizes[k],
-                "representative": space.point_to_dict(table.representative(k))})
-        payload = {"command": "hall orbits", "q": q,
-                   "quiver": ctx.quiver.content_hash(), "dims": dims,
-                   "total_points": space.total_points,
-                   "count": table.count, "orbits": orbits_out, "seed": seed}
-        return payload, 0
-    _dispatch(body, out, fmt)
+    ctx = _context(quiver_file, q, bounds)
+    dims = _parse_dims(dim_spec, ctx.quiver)
+    table = ctx.table(dims)
+    space = ctx.space(dims)
+    orbits_out = []
+    for k in range(table.count):
+        orbits_out.append({
+            "id": f"o{k}", "size": table.sizes[k],
+            "representative": space.point_to_dict(table.representative(k))})
+    payload = {"command": "hall orbits", "q": q,
+               "quiver": ctx.quiver.content_hash(), "dims": dims,
+               "total_points": space.total_points,
+               "count": table.count, "orbits": orbits_out}
+    return payload, 0
 
 
 @hall_group.command("mult")
@@ -420,16 +399,14 @@ def hall_orbits(quiver_file, dim_spec, q, seed, bounds, out, fmt):
 @click.argument("f_file", type=click.Path())
 @click.argument("g_file", type=click.Path())
 @click.option("--q", "q", type=int, required=True)
-@_run_options
-@_io_options
-def hall_mult(quiver_file, f_file, g_file, q, seed, bounds, out, fmt):
+@_bounds_option
+@_command
+def hall_mult(quiver_file, f_file, g_file, q, bounds):
     """Hall product of two elements (the twisted convolution)."""
-    def body():
-        ctx = _context(quiver_file, q, bounds)
-        f = _load_element(ctx, f_file)
-        g = _load_element(ctx, g_file)
-        return hall.circ(f, g).to_json(), 0
-    _dispatch(body, out, fmt)
+    ctx = _context(quiver_file, q, bounds)
+    f = _load_element(ctx, f_file)
+    g = _load_element(ctx, g_file)
+    return hall.circ(f, g).to_json(), 0
 
 
 @hall_group.command("res")
@@ -441,24 +418,20 @@ def hall_mult(quiver_file, f_file, g_file, q, seed, bounds, out, fmt):
                    "one split instead of the full coproduct.")
 @click.option("--omega", "omega_spec", default=None,
               help="Sub grade of the split.")
-@_run_options
-@_io_options
-def hall_res(quiver_file, f_file, q, tau_spec, omega_spec, seed, bounds, out, fmt):
+@_bounds_option
+@_command
+def hall_res(quiver_file, f_file, q, tau_spec, omega_spec, bounds):
     """Restriction to one split of the grade, or the full coproduct."""
-    def body():
-        ctx = _context(quiver_file, q, bounds)
-        f = _load_element(ctx, f_file)
-        if (tau_spec is None) != (omega_spec is None):
-            raise InputError("--tau and --omega must be given together")
-        if tau_spec is None:
-            return hall.coproduct(f).to_json(), 0
-        tau = _parse_dims(tau_spec, ctx.quiver)
-        omega = _parse_dims(omega_spec, ctx.quiver)
-        try:
-            return hall.res(f, tau, omega).to_json(), 0
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    _dispatch(body, out, fmt)
+    ctx = _context(quiver_file, q, bounds)
+    f = _load_element(ctx, f_file)
+    if (tau_spec is None) != (omega_spec is None):
+        raise InputError("--tau and --omega must be given together")
+    if tau_spec is None:
+        return hall.coproduct(f).to_json(), 0
+    tau = _parse_dims(tau_spec, ctx.quiver)
+    omega = _parse_dims(omega_spec, ctx.quiver)
+    with _invalid_input(ValueError):
+        return hall.res(f, tau, omega).to_json(), 0
 
 
 @hall_group.command("psi")
@@ -468,20 +441,18 @@ def hall_res(quiver_file, f_file, q, tau_spec, omega_spec, seed, bounds, out, fm
 @click.option("--plus", default=None, help="Plus vertex of the contraction.")
 @click.option("--minus", default=None, help="Minus vertex of the contraction.")
 @click.option("--edge", default=None)
-@_run_options
-@_io_options
-def hall_psi(quiver_file, f_file, q, plus, minus, edge, seed, bounds, out, fmt):
+@_bounds_option
+@_command
+def hall_psi(quiver_file, f_file, q, plus, minus, edge, bounds):
     """Embed an element of the contracted quiver's algebra into the original.
 
     QUIVER_FILE is the original (uncontracted) quiver; F_FILE holds an
     element over the contracted quiver, which the contraction site determines.
     """
-    def body():
-        ctx = _context(quiver_file, q, bounds)
-        hc = _heart(ctx, plus, minus, edge)
-        f = _load_element(hc.hat, f_file)
-        return hall.psi(hc, f).to_json(), 0
-    _dispatch(body, out, fmt)
+    ctx = _context(quiver_file, q, bounds)
+    hc = _heart(ctx, plus, minus, edge)
+    f = _load_element(hc.hat, f_file)
+    return hall.psi(hc, f).to_json(), 0
 
 
 _VERIFY_DISPATCH = {
@@ -503,22 +474,18 @@ _VERIFY_DISPATCH = {
 @click.option("--plus", default=None)
 @click.option("--minus", default=None)
 @click.option("--edge", default=None)
-@_run_options
-@_io_options
-def hall_verify(check, quiver_file, q, max_dim, plus, minus, edge, seed,
-                bounds, out, fmt):
+@_bounds_option
+@_command
+def hall_verify(check, quiver_file, q, max_dim, plus, minus, edge, bounds):
     """Run one verification suite and report each check."""
-    def body():
-        ctx = _context(quiver_file, q, bounds)
-        fn, needs_site = _VERIFY_DISPATCH[check]
-        if needs_site:
-            report = fn(_heart(ctx, plus, minus, edge), max_dim=max_dim)
-        else:
-            report = fn(ctx, max_dim=max_dim)
-        report["config"].update({
-            "seed": seed, "bounds": {"max_points": ctx.max_points}})
-        return report, 0 if report["status"] in ("pass", "observed") else 1
-    _dispatch(body, out, fmt)
+    ctx = _context(quiver_file, q, bounds)
+    fn, needs_site = _VERIFY_DISPATCH[check]
+    if needs_site:
+        report = fn(_heart(ctx, plus, minus, edge), max_dim=max_dim)
+    else:
+        report = fn(ctx, max_dim=max_dim)
+    report["config"]["bounds"] = {"max_points": ctx.max_points}
+    return report, 0 if report["status"] in ("pass", "observed") else 1
 
 
 # ---------------------------------------------------------------------------
@@ -531,30 +498,26 @@ def cache_group():
 
 
 @cache_group.command("info")
-@_io_options
-def cache_info(out, fmt):
+@_command
+def cache_info():
     """Show the cache directory and its contents."""
-    def body():
-        cache = OrbitCache()
-        entries = cache.entries()
-        payload = {"command": "cache info", "directory": str(cache.directory),
-                   "entries": len(entries),
-                   "bytes": sum(e["bytes"] for e in entries)}
-        return payload, 0
-    _dispatch(body, out, fmt)
+    cache = OrbitCache()
+    entries = cache.entries()
+    payload = {"command": "cache info", "directory": str(cache.directory),
+               "entries": len(entries),
+               "bytes": sum(e["bytes"] for e in entries)}
+    return payload, 0
 
 
 @cache_group.command("purge")
-@_io_options
-def cache_purge(out, fmt):
+@_command
+def cache_purge():
     """Delete every cached table."""
-    def body():
-        cache = OrbitCache()
-        removed = cache.purge()
-        payload = {"command": "cache purge",
-                   "directory": str(cache.directory), "removed": removed}
-        return payload, 0
-    _dispatch(body, out, fmt)
+    cache = OrbitCache()
+    removed = cache.purge()
+    payload = {"command": "cache purge",
+               "directory": str(cache.directory), "removed": removed}
+    return payload, 0
 
 
 if __name__ == "__main__":

@@ -101,6 +101,10 @@ class Quiver:
         return quiver, autom
 
     def content_hash(self) -> str:
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -34,6 +34,12 @@ KRON = {"vertices": ["p", "m"],
                   {"id": "f", "source": "p", "target": "m"}]}
 
 
+# a valid datum whose realized graph has 2 * 10^9 vertices and as many edges
+HUGE_DATUM = {"labels": ["a", "b"],
+              "form": [[2 * 10**9, -2 * 10**9], [-2 * 10**9, 2 * 10**9]],
+              "phi1": [10**9, 10**9], "phi2": [0, 0]}
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -126,6 +132,26 @@ def test_cartan_realize_out_file_roundtrips(tmp_path):
     assert p["labels"] == ["i+@0", "i-@0"]
     assert p["form"] == [[2, -2], [-2, 2]]
     assert p["phi2"] == {"i+@0": 0, "i-@0": 0}
+
+
+def test_cartan_realize_is_bounded(tmp_path, monkeypatch):
+    # refused before any vertex or edge is built
+    huge = write_json(tmp_path, "huge.json", HUGE_DATUM)
+    r = runner.invoke(main, ["cartan", "realize", huge])
+    assert r.exit_code == 3
+    assert r.stdout == "" and "error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+    # two vertices plus 8 or 9 edges against a bound of 10
+    monkeypatch.setattr(ct, "DEFAULT_MAX_POINTS", 10)
+    for edges, code in ((8, 0), (9, 3)):
+        datum = write_json(tmp_path, f"d{edges}.json", {
+            "labels": ["a", "b"], "form": [[2, -edges], [-edges, 2]],
+            "phi1": [1, 1], "phi2": [0, 0]})
+        r = runner.invoke(main, ["cartan", "realize", datum])
+        assert r.exit_code == code, edges
+        if code == 0:
+            assert len(payload_of(r)["edges"]) == edges
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +309,17 @@ def test_hall_orbits_cli(tmp_path):
     assert p["count"] == 6
     assert p["total_points"] == 16
     assert p["dims"] == {"1": 2}
-    assert p["seed"] == 0
+    assert "seed" not in p
     assert p["quiver"] == qv.Quiver.from_dict(JORDAN)[0].content_hash()
     assert [o["id"] for o in p["orbits"]] == [f"o{k}" for k in range(6)]
     assert [o["size"] for o in p["orbits"]] == [1, 6, 3, 3, 2, 1]
     assert p["orbits"][0]["representative"] == {"l": [[0, 0], [0, 0]]}
     assert p["orbits"][2]["representative"] == {"l": [[0, 0], [1, 0]]}
+
+    # the orbit table is exhaustive, so there is no seed to accept
+    r = runner.invoke(main, ["hall", "orbits", quiver_file,
+                             "--dim", "2", "--q", "2", "--seed", "7"])
+    assert r.exit_code == 2
 
 
 def test_hall_orbits_named_dims_and_determinism(tmp_path):
@@ -506,14 +537,20 @@ def test_hall_verify_cli(tmp_path):
     quiver_file = write_json(tmp_path, "kron.json", KRON)
     r = runner.invoke(main, ["hall", "verify", "embedding", quiver_file,
                              "--q", "2", "--max-dim", "1",
-                             "--plus", "p", "--minus", "m", "--seed", "7"])
+                             "--plus", "p", "--minus", "m"])
     assert r.exit_code == 0
     p = payload_of(r)
     assert p["status"] == "pass"
     assert p["failures"] == 0
-    assert p["config"]["seed"] == 7
+    assert "seed" not in p["config"]
     assert p["config"]["bounds"] == {"max_points": 1 << 20}
     assert "embedding-multiplicative" in {c["check_id"] for c in p["checks"]}
+
+    # the suites are exhaustive, so there is no seed to accept
+    r = runner.invoke(main, ["hall", "verify", "embedding", quiver_file,
+                             "--q", "2", "--max-dim", "1",
+                             "--plus", "p", "--minus", "m", "--seed", "7"])
+    assert r.exit_code == 2
 
     r = runner.invoke(main, ["hall", "verify", "comult-compat", quiver_file,
                              "--q", "2", "--max-dim", "1",
@@ -599,6 +636,76 @@ def test_cache_commands_honor_cache_dir(tmp_path):
 
     r = runner.invoke(main, ["cache", "info"], env=env)
     assert payload_of(r)["entries"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the contract every command shares
+
+
+COMMANDS = [
+    ["cartan", "validate", "{datum}"],
+    ["cartan", "contract", "{datum}", "--plus", "i+", "--minus", "i-"],
+    ["cartan", "realize", "{datum}"],
+    ["weyl", "check-psi", "{datum}", "--plus", "i+", "--minus", "i-"],
+    ["weyl", "search", "{datum}", "--target", "{target}", "--depth", "2"],
+    ["quiver", "cartan", "{kron}"],
+    ["quiver", "contract", "{kron}", "--plus-orbit", "p", "--minus-orbit", "m"],
+    ["quiver", "verify-l14", "{kron}", "--plus-orbit", "p", "--minus-orbit", "m"],
+    ["hall", "orbits", "{kron}", "--dim", "1,1", "--q", "2"],
+    ["hall", "mult", "{kron}", "{element}", "{element}", "--q", "2"],
+    ["hall", "res", "{kron}", "{element}", "--q", "2"],
+    ["hall", "psi", "{kron}", "{hat_element}", "--q", "2",
+     "--plus", "p", "--minus", "m"],
+    ["hall", "verify", "comult-compat", "{kron}", "--q", "2", "--max-dim", "1",
+     "--plus", "p", "--minus", "m"],
+    ["cache", "info"],
+    ["cache", "purge"],
+]
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """One minimal valid input of each kind the commands in COMMANDS read."""
+    root = tmp_path_factory.mktemp("commands")
+    kron2 = HallContext(qv.Quiver.from_dict(KRON)[0], 2, cache=OrbitCache())
+    hat2 = HeartContext(kron2, "p", "m", "e").hat
+    rd = ct.build_root_datum(kronecker_datum())
+    return {"datum": write_json(root, "datum.json", kronecker_datum().to_dict()),
+            "target": write_json(root, "target.json", ct.reflection(rd, "i+").to_dict()),
+            "kron": write_json(root, "kron.json", KRON),
+            "element": write_json(root, "f.json",
+                                  char_function(kron2, (1, 0), 0).to_json()),
+            "hat_element": write_json(root, "fhat.json",
+                                      char_function(hat2, (1,), 0).to_json())}
+
+
+def test_commands_cover_the_command_line():
+    leaves = {(name, sub) for name, group in main.commands.items()
+              for sub in group.commands}
+    assert leaves == {tuple(argv[:2]) for argv in COMMANDS}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_every_command_keeps_the_output_contract(command_files, tmp_path, argv):
+    """--out writes the bytes stdout would show, the wall time is stderr's
+    last line, and --format table prints a report without checks as JSON."""
+    argv = [a.format(**command_files) for a in argv]
+    env = {"HALL_CACHE_DIR": str(tmp_path / "cache")}
+    r = runner.invoke(main, argv, env=env)
+    assert r.exit_code == 0, r.stderr
+    assert r.stderr.splitlines()[-1].startswith("wall time:")
+    assert "checks" not in payload_of(r)
+
+    out = tmp_path / "report.json"
+    r_out = runner.invoke(main, argv + ["--out", str(out)], env=env)
+    assert r_out.exit_code == 0
+    assert r_out.stdout == ""
+    assert out.read_bytes() == r.stdout_bytes
+    assert r_out.stderr.splitlines()[-1].startswith("wall time:")
+
+    r_table = runner.invoke(main, argv + ["--format", "table"], env=env)
+    assert r_table.exit_code == 0
+    assert r_table.stdout == r.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +935,8 @@ def datum_files(tmp_path_factory):
                    for t, e in enumerate(elements)]
         families.append((put(f"datum{k}.json", datum.to_dict()),
                          list(datum.labels), targets))
-    data = [f for f, _, _ in families] + [str(root / "absent.json")]
+    data = [f for f, _, _ in families] + [str(root / "absent.json"),
+                                          put("huge-datum.json", HUGE_DATUM)]
     data += [put(f"bad-datum{k}.json", p) for k, p in enumerate(BAD_DATA)]
     targets = [t for _, _, ts in families for t in ts]
     targets += [put(f"bad-target{k}.json", p) for k, p in enumerate(BAD_TARGETS)]

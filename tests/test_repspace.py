@@ -9,6 +9,7 @@ from hallcontract.ffalg import EnumerationBoundError, Field, Mat, gl_order
 from hallcontract.quiver import contract_quiver, identity_automorphism, make_orbit_pair
 from hallcontract.repspace import (
     RepSpace,
+    _divides_group_order,
     _generator_images,
     act,
     contract_point,
@@ -290,6 +291,28 @@ def test_entries_that_do_not_fit_the_space_are_recomputed(tmp_path):
         cache.store(space.cache_key(), payload)
         assert orbits(space, cache=cache).to_payload() == good, payload
         assert cache.load(space.cache_key()) == good
+
+
+def test_warm_entries_are_checked_without_forming_the_group_order(tmp_path,
+                                                                 monkeypatch):
+    """|GL_1500(F_2)| has about 2.25 million bits; a warm entry's orbit sizes
+    are checked against it factor by factor, mod each size."""
+    for space in (jordan_space(0), jordan_space(2), jordan_space(2, q=3),
+                  kron_space((2, 1), q=3)):
+        order = group_order(space)
+        for s in range(1, 200):
+            assert _divides_group_order(space, s) == (order % s == 0), (space, s)
+
+    space = RepSpace(a1_quiver(), Field(2), {"1": 1500})
+    cache = OrbitCache(str(tmp_path))
+    orbits(space, cache=cache)
+
+    def forbidden(*args):
+        raise AssertionError("called on a warm cache entry")
+    monkeypatch.setattr("hallcontract.repspace.group_order", forbidden)
+    monkeypatch.setattr("hallcontract.repspace._close_orbits", forbidden)
+    table = orbits(space, cache=cache)
+    assert (table.index, table.sizes, table.rep_ranks) == ([0], [1], [0])
 
 
 def test_edgeless_space_has_one_orbit_without_generators(monkeypatch):
