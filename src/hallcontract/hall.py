@@ -5,13 +5,16 @@ Elements are G-invariant functions on representation points, stored as
 finitely supported coefficient maps over (dimension vector, orbit id);
 HallElement and TensorElement (its tensor square) share one sparse-vector
 base for their linear operations. The product is the push-pull convolution
-evaluated through stable graded subspaces, twisted by q^{-m/2}; restriction
-sums over block-triangular extensions, twisted by q^{-m*/2}, whose counts
-follow from the same flag counts by Riedtmann's formula. A contraction site
-equips the algebra with the heart subspace (contraction edges invertible),
-the transport maps to and from the contracted quiver's Hall algebra, and the
-verification routines for the embedding, the PBW transport, and the split
-short exact sequence, whose reports share one site config.
+evaluated through stable graded subspaces, twisted by q^{-m/2}; the flags
+are counted on integer point codes by the repspace flag kernel, never on
+matrices. Restriction sums over block-triangular extensions, twisted by
+q^{-m*/2}, whose counts follow from the same flag counts by Riedtmann's
+formula. diagram_star_oracle recomputes the product on Mat points. A
+contraction site equips the algebra with the heart subspace (contraction
+edges invertible), the transport maps to and from the contracted quiver's
+Hall algebra, and the verification routines for the embedding, the PBW
+transport, and the split short exact sequence, whose reports share one site
+config.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .quiver import (Quiver, cartan_of, contract_quiver, identity_automorphism,
                      make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
                        group_order, is_heart, orbits, quotient_point,
-                       stable_subspaces, sub_point)
+                       stable_flag_codes, stable_subspaces, sub_point)
 from .scalars import SqrtQScalar
 
 
@@ -43,6 +46,7 @@ class HallContext:
         self._spaces: dict = {}
         self._tables: dict = {}
         self._flag_tables: dict = {}
+        self._product_grades: dict = {}
         self._ext_tables: dict = {}
         self._oracle_flags: dict = {}
         self._group_profiles: dict = {}
@@ -235,24 +239,33 @@ def unit(ctx: HallContext) -> HallElement:
 
 def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of stable graded U in its representative
-    with dim U = wkey, quotient in orbit t, restriction in orbit w}."""
+    with dim U = wkey, quotient in orbit t, restriction in orbit w}, counted
+    by the flag kernel on the representatives' codes."""
     memo_key = (tkey, wkey)
     if memo_key in ctx._flag_tables:
         return ctx._flag_tables[memo_key]
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     big_space, big_table = ctx.space(nkey), ctx.table(nkey)
     ttable, wtable = ctx.table(tkey), ctx.table(wkey)
-    omega = ctx.dims_dict(wkey)
+    flags = stable_flag_codes(big_space, ctx.dims_dict(wkey), ctx.max_points)
     out: dict = {}
-    for big in range(big_table.count):
-        y = big_table.representative(big)
-        for U in stable_subspaces(big_space, y, omega, ctx.max_points):
-            t = ttable.ordinal_of(quotient_point(big_space, y, U))
-            w = wtable.ordinal_of(sub_point(big_space, y, U))
-            bucket = out.setdefault((t, w), {})
+    for big, rank in enumerate(big_table.rep_ranks):
+        for qcode, scode in flags(rank):
+            bucket = out.setdefault((ttable.index[qcode], wtable.index[scode]), {})
             bucket[big] = bucket.get(big, 0) + 1
     ctx._flag_tables[memo_key] = out
     return out
+
+
+def _product_grade(ctx: HallContext, tkey: tuple, wkey: tuple) -> tuple:
+    """(tkey + wkey, q^{-m/2}) for a homogeneous pair, memoized on the
+    context: both depend on the grades only."""
+    memo_key = (tkey, wkey)
+    if memo_key not in ctx._product_grades:
+        m = m_omega(ctx.quiver, ctx.dims_dict(tkey), ctx.dims_dict(wkey))
+        ctx._product_grades[memo_key] = (tuple(a + b for a, b in zip(tkey, wkey)),
+                                         SqrtQScalar.half_power(ctx.q, -m))
+    return ctx._product_grades[memo_key]
 
 
 def _convolve(f1: HallElement, f2: HallElement, twisted: bool) -> HallElement:
@@ -266,11 +279,8 @@ def _convolve(f1: HallElement, f2: HallElement, twisted: bool) -> HallElement:
             bucket = _flag_table(ctx, tk, wk).get((t, w))
             if not bucket:
                 continue
-            c = c1 * c2
-            if twisted:
-                m = m_omega(ctx.quiver, ctx.dims_dict(tk), ctx.dims_dict(wk))
-                c = c * SqrtQScalar.half_power(ctx.q, -m)
-            nk = tuple(a + b for a, b in zip(tk, wk))
+            nk, twist = _product_grade(ctx, tk, wk)
+            c = c1 * c2 * twist if twisted else c1 * c2
             for big, count in bucket.items():
                 _accum(terms, (nk, big), c * count)
     return HallElement(ctx, terms)
@@ -293,12 +303,14 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement,
     subspace together with every pair of graded isomorphisms onto the
     standard quotient and sub spaces, divided by the two group orders.
 
-    Shared with star(): the orbit tables, and the flag geometry of
-    stable_subspaces, quotient_point and sub_point. Independent of it: no
-    flag is counted by orbit pair (the flag table is never read), no
-    Riedtmann factor is used, and each quotient and sub point is summed
-    over its whole group by Mat act() rather than assumed to stay in its
-    orbit, so exact agreement with star() is a real consistency check.
+    Shared with star(): the orbit tables and the enumeration of candidate
+    graded subspaces (enumerate_subspaces, under one bound check), nothing
+    else. star() counts flags on point codes through the flag kernel; this
+    route finds them on Mat points through stable_subspaces, quotient_point
+    and sub_point, never reads the flag table, uses no Riedtmann factor,
+    and sums each quotient and sub point over its whole group by Mat act()
+    rather than assuming it stays in its orbit, so exact agreement with
+    star() is a real consistency check.
     Memoized on the context: the flags of each grade pair with their
     points' group profiles, and each point's group profile. The bound on
     |G_t| |G_w| is checked on every call, before any enumeration.

@@ -6,9 +6,15 @@ are enumerated exactly, and each orbit is found by closing its rank-least
 point under the group generators. The closure runs on integer point codes
 (ranks), never on matrices: each generator acts F_p-linearly on a code's
 base-p digits, so act() is applied to the basis codes only and the closure
-applies generators by chunked table lookup. Extensions are enumerated here
-too, as an independent cross-check of the structure constants the Hall
-layer derives.
+applies generators by chunked table lookup. The stable flags the Hall
+product counts are found the same way, by the flag kernel
+stable_flag_codes: for a fixed graded subspace the stability residue, the
+quotient point and the sub point are linear in the point, so one packed
+lookup per batch of candidate subspaces takes a code to the codes of its
+quotient and sub points. The Mat flag geometry (stable_subspaces,
+quotient_point, sub_point) stays as the route of the Hall layer's oracle.
+Extensions are enumerated here too, as an independent cross-check of the
+structure constants the Hall layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
 are indexed by vertices, not vertex orbits. A RepSpace takes no automorphism
@@ -21,6 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ffalg import (DEFAULT_MAX_POINTS, EnumerationBoundError, Field, Mat,
                     Subspace, block2x2, enumerate_gl, enumerate_subspaces,
@@ -136,10 +143,17 @@ def group_order(space: RepSpace) -> int:
 
 
 def group_generators(space: RepSpace) -> list[tuple]:
-    """Generators of prod_v GL(dims(v)): each GL generator placed at one vertex."""
+    """Generators of the action of prod_v GL(dims(v)): each GL generator
+    placed at one vertex. A vertex whose incident edges all have no entries
+    (an isolated vertex, say) is skipped: its generators act trivially."""
     identity = group_identity(space)
+    acting = {i for (ti, si), (rows, cols)
+              in zip(space.edge_vertex_indices, space.edge_shapes)
+              if rows * cols for i in (ti, si)}
     gens = []
     for vi, v in enumerate(space.quiver.vertices):
+        if vi not in acting:
+            continue
         for gamma in gl_generators(space.field, space.dims[v]):
             g = list(identity)
             g[vi] = gamma
@@ -214,6 +228,10 @@ class OrbitTable:
 #: base-p digits as fit in that many bits.
 _CHUNK_BITS = 8
 
+#: Output digits of the candidate subspaces one flag-kernel lookup packs
+#: together; a candidate wider than this is a batch of its own.
+_BATCH_DIGITS = 1024
+
 
 def _code_digits(code: int, p: int, n: int) -> list[int]:
     """The n base-p digits of a point code, least significant first."""
@@ -224,32 +242,41 @@ def _code_digits(code: int, p: int, n: int) -> list[int]:
     return digits
 
 
-def _generator_images(space: RepSpace):
-    """A function taking a point code (its rank) to the codes of its images
-    under every group generator, in generator order.
+def _pack(digits: list[int], bits: int) -> int:
+    """The int holding digit k in the bits-wide field from k*bits."""
+    packed = 0
+    for d in reversed(digits):
+        packed = packed << bits | d
+    return packed
 
-    A code is a base-p number with n = e*N digits, and each generator acts
-    F_p-linearly on those digits, so act() is called on the n basis codes
-    p**j only. The images under all G generators are packed side by side in
-    one int: generator g owns the bits from g*n*B, one B-bit field per digit
-    (B = 1 for p = 2). For each chunk of input digits a table maps the
-    chunk's value to the packed, mod-p reduced images of that chunk; a code's
-    packed images are the XOR (p = 2) or the sum (odd p) of its chunks'
-    entries. For odd p, reduction tables then read B-bit fields a few at a
-    time and return their digits mod p at their place in a code."""
-    p = space.field.p
-    n = space.field.e * space.point_entries
-    gens = [(g, tuple(m.inverse() for m in g)) for g in group_generators(space)]
+
+@lru_cache(maxsize=None)
+def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
+    """Maps width packed bits-wide fields to the sum of their values mod p,
+    each at its place p**(start + i) in a code."""
+    mask = (1 << bits) - 1
+    return tuple(sum((f >> (i * bits) & mask) % p * p ** (start + i)
+                     for i in range(width))
+                 for f in range(1 << (width * bits)))
+
+
+def _packed_images(p: int, columns: list[list[int]], widths: list[int],
+                   chunk_digits: int):
+    """A function taking a code with n = len(columns) base-p digits to its
+    images under an F_p-linear map, one code per output slot.
+
+    columns[j] lists the output digits of the basis code p**j: the slots of
+    the given widths end to end, each least significant digit first. The
+    images are packed side by side in one int, one B-bit field per output
+    digit (B = 1 for p = 2). For each chunk of chunk_digits input digits a
+    table maps the chunk's value to the packed, mod-p reduced images of that
+    chunk; a code's packed images are the XOR (p = 2) or the sum (odd p) of
+    its chunks' entries, so no field overflows. For odd p, reduction tables
+    then read B-bit fields a few at a time and return their digits mod p at
+    their place in a slot's code."""
+    n = len(columns)
     if n == 0:
-        return lambda code: [0] * len(gens)
-    # columns[j]: the digits of every generator's image of p**j, generator-major
-    columns = [[d for g, ginv in gens
-                for d in _code_digits(space.point_rank(
-                    act(space, g, space.point_from_rank(p ** j), ginv)), p, n)]
-               for j in range(n)]
-    chunk_digits = 1
-    while p ** (chunk_digits + 1) <= 1 << _CHUNK_BITS:
-        chunk_digits += 1
+        return lambda code: [0] * len(widths)
     radix = p ** chunk_digits
     chunks = -(-n // chunk_digits)
     bits = 1 if p == 2 else (chunks * (p - 1)).bit_length()
@@ -259,41 +286,62 @@ def _generator_images(space: RepSpace):
         for col in columns[start:start + chunk_digits]:
             vecs = [[(a + d * b) % p for a, b in zip(vec, col)]
                     for d in range(p) for vec in vecs]
-        tables.append([sum(d << (k * bits) for k, d in enumerate(vec))
-                       for vec in vecs])
-    slots = range(0, len(gens) * n * bits, n * bits)
+        tables.append([_pack(vec, bits) for vec in vecs])
+    offsets = itertools.accumulate(widths, initial=0)
+    slots = [(offset * bits, width) for offset, width in zip(offsets, widths)]
 
     if p == 2:
-        code_mask = (1 << n) - 1
+        masks = [(s, (1 << width) - 1) for s, width in slots]
 
         def images(code):
             packed = 0
             for table in tables:
                 code, c = divmod(code, radix)
                 packed ^= table[c]
-            return [(packed >> s) & code_mask for s in slots]
+            return [(packed >> s) & m for s, m in masks]
         return images
 
     per_lookup = max(1, _CHUNK_BITS // bits)
-    field_mask = (1 << bits) - 1
-    reducers = []
-    for start in range(0, n, per_lookup):
-        width = min(per_lookup, n - start)
-        table = [sum((f >> (i * bits) & field_mask) % p * p ** (start + i)
-                     for i in range(width))
-                 for f in range(1 << (width * bits))]
-        reducers.append((table, start * bits, (1 << (width * bits)) - 1))
-    lookups = [(t, s + offset, m) for s in slots for t, offset, m in reducers]
+    # every slot reads the same number of lookups, padded with a zero table
+    reads = max([1] + [-(-width // per_lookup) for _, width in slots])
+    lookups = []
+    for s, width in slots:
+        for start in range(0, reads * per_lookup, per_lookup):
+            w = max(0, min(per_lookup, width - start))
+            lookups.append((_reducer(p, bits, start, w), s + start * bits,
+                            (1 << (w * bits)) - 1))
 
     def images(code):
         packed = 0
         for table in tables:
             code, c = divmod(code, radix)
             packed += table[c]
-        # one slot's code is the sum of its len(reducers) consecutive parts
+        # one slot's code is the sum of its `reads` consecutive parts
         parts = iter([t[(packed >> s) & m] for t, s, m in lookups])
-        return list(map(sum, zip(*[parts] * len(reducers))))
+        return list(map(sum, zip(*[parts] * reads)))
     return images
+
+
+def _generator_images(space: RepSpace):
+    """A function taking a point code (its rank) to the codes of its images
+    under every group generator, in generator order.
+
+    A code is a base-p number with n = e*N digits, and each generator acts
+    F_p-linearly on those digits, so act() is called on the n basis codes
+    p**j only; _packed_images applies all generators at once, reading as
+    many digits per lookup as fit in _CHUNK_BITS bits."""
+    p = space.field.p
+    n = space.field.e * space.point_entries
+    gens = [(g, tuple(m.inverse() for m in g)) for g in group_generators(space)]
+    # columns[j]: the digits of every generator's image of p**j, generator-major
+    columns = [[d for g, ginv in gens
+                for d in _code_digits(space.point_rank(
+                    act(space, g, space.point_from_rank(p ** j), ginv)), p, n)]
+               for j in range(n)]
+    chunk_digits = 1
+    while p ** (chunk_digits + 1) <= 1 << _CHUNK_BITS:
+        chunk_digits += 1
+    return _packed_images(p, columns, [n] * len(gens), chunk_digits)
 
 
 def _close_orbits(space: RepSpace):
@@ -478,29 +526,128 @@ def is_stable(space: RepSpace, x: tuple, U: dict) -> bool:
     return True
 
 
-def stable_subspaces(space: RepSpace, x: tuple, sub_dims: dict,
-                     max_count: int = DEFAULT_MAX_POINTS) -> list[dict]:
-    """All x-stable graded subspaces with the given dimension vector."""
-    per_vertex = []
+def _graded_subspaces(space: RepSpace, sub_dims: dict,
+                      max_count: int = DEFAULT_MAX_POINTS):
+    """Every graded subspace (vertex -> Subspace) with the given dimension
+    vector, in product order over the vertices; none when a dimension is out
+    of range. The bound is checked on the call, before any enumeration."""
     total = 1
     for v in space.quiver.vertices:
         n = space.dims[v]
         k = sub_dims.get(v, 0)
         if k < 0 or k > n:
-            return []
+            return iter(())
         total *= gaussian_binomial(n, k, space.field.q)
     if total > max_count:
         raise EnumerationBoundError(
             f"{total} graded subspaces exceed the bound {max_count}")
-    for v in space.quiver.vertices:
-        per_vertex.append(enumerate_subspaces(space.field, space.dims[v],
-                                              sub_dims.get(v, 0), max_count))
-    out = []
-    for combo in itertools.product(*per_vertex):
-        U = dict(zip(space.quiver.vertices, combo))
-        if is_stable(space, x, U):
-            out.append(U)
-    return out
+    per_vertex = [enumerate_subspaces(space.field, space.dims[v],
+                                      sub_dims.get(v, 0), max_count)
+                  for v in space.quiver.vertices]
+    return (dict(zip(space.quiver.vertices, combo))
+            for combo in itertools.product(*per_vertex))
+
+
+def stable_subspaces(space: RepSpace, x: tuple, sub_dims: dict,
+                     max_count: int = DEFAULT_MAX_POINTS) -> list[dict]:
+    """All x-stable graded subspaces with the given dimension vector."""
+    return [U for U in _graded_subspaces(space, sub_dims, max_count)
+            if is_stable(space, x, U)]
+
+
+def stable_flag_codes(space: RepSpace, sub_dims: dict,
+                      max_count: int = DEFAULT_MAX_POINTS):
+    """The flag kernel: a function taking a point code of the space to
+    [(quotient code, sub code)] over the point's stable graded subspaces U
+    with the given dimension vector, in the order of stable_subspaces. The
+    codes are the ranks of quotient_point and sub_point in their spaces.
+
+    For a fixed U three maps of a point x are F_q-linear, hence F_p-linear
+    on its code's digits: the residues of x_h(U_{h'}) modulo U_{h''}, all
+    zero iff U is stable, the quotient point and the sub point. Their images
+    of each basis code are read off U's echelon bases, and the candidates
+    are applied _BATCH_DIGITS output digits at a time, one _packed_images
+    lookup per batch. A chunk is one input digit: only the few orbit
+    representatives are looked up, so larger tables would not pay."""
+    field = space.field
+    p, e = field.p, field.e
+    mul, neg = field._mul, field._neg
+    vertices = space.quiver.vertices
+    candidates = _graded_subspaces(space, sub_dims, max_count)
+    # per edge: its shape and U's dims at its ends; then the first residue,
+    # quotient and sub entry of each edge
+    shapes = [(nt, ns, sub_dims.get(vertices[ti], 0), sub_dims.get(vertices[si], 0))
+              for (nt, ns), (ti, si) in zip(space.edge_shapes,
+                                            space.edge_vertex_indices)]
+    res0, quo0, sub0 = [0], [0], [0]
+    for nt, ns, wt, ws in shapes:
+        res0.append(res0[-1] + ws * (nt - wt))
+        quo0.append(quo0[-1] + (nt - wt) * (ns - ws))
+        sub0.append(sub0[-1] + wt * ws)
+    # a candidate's output: residue, quotient code, sub code, in e digits
+    # per entry; a code's first entry is its most significant
+    widths = [e * res0[-1], e * quo0[-1], e * sub0[-1]]
+    nquo, nsub = widths[0] + widths[1], sum(widths)
+
+    def columns_of(U):
+        """The output digits of every basis code p**j, by j."""
+        blocks = []
+        for h, (ti, si) in enumerate(space.edge_vertex_indices):
+            Ut, Us = U[vertices[ti]], U[vertices[si]]
+            nt, ns, wt, ws = shapes[h]
+            pivot_of = {r: l for l, r in enumerate(Ut.pivots)}
+            free_t = {r: i for i, r in enumerate(Ut.free_rows)}
+            free_s = {c: i for i, c in enumerate(Us.free_rows)}
+            res = [[e * (res0[h] + j * (nt - wt) + i) for i in range(nt - wt)]
+                   for j in range(ws)]
+            quo = [[nquo - e * (quo0[h] + i * (ns - ws) + jq + 1)
+                    for jq in range(ns - ws)] for i in range(nt - wt)]
+            sub = [[nsub - e * (sub0[h] + l * ws + j + 1) for j in range(ws)]
+                   for l in range(wt)]
+            for r in range(nt):
+                l = pivot_of.get(r)
+                # e_r modulo U_t, on U_t's free rows
+                residue = [(free_t[r], 1)] if l is None else [
+                    (i, neg[Ut.basis.data[fr][l]])
+                    for i, fr in enumerate(Ut.free_rows) if Ut.basis.data[fr][l]]
+                for c in range(ns):
+                    jq = free_s.get(c)
+                    block = []
+                    for alpha in (p ** i for i in range(e)):
+                        # x_h = alpha E_rc takes u_j to beta e_r, and the
+                        # free basis vector jq of U_s to alpha e_r
+                        writes = []
+                        for j in range(ws):
+                            beta = mul[alpha][Us.basis.data[c][j]]
+                            if beta and l is not None:
+                                writes.append((sub[l][j], beta))
+                            writes += [(res[j][i], mul[beta][g]) for i, g in residue]
+                        if jq is not None:
+                            writes += [(quo[i][jq], mul[alpha][g]) for i, g in residue]
+                        col = [0] * nsub
+                        for pos, value in writes:
+                            for k in range(e):
+                                value, col[pos + k] = divmod(value, p)
+                        block.append(col)
+                    blocks.append(block)
+        # the first entry of a point is its code's most significant
+        return [col for block in reversed(blocks) for col in block]
+
+    n = e * space.point_entries
+    per_batch = max(1, _BATCH_DIGITS // max(1, nsub))
+    batches = []
+    while batch := [columns_of(U) for U in itertools.islice(candidates, per_batch)]:
+        columns = [[d for cols in batch for d in cols[j]] for j in range(n)]
+        batches.append(_packed_images(p, columns, widths * len(batch), 1))
+
+    def flags(code):
+        out = []
+        for images in batches:
+            slots = iter(images(code))
+            out += [(quo, sub) for res, quo, sub in zip(slots, slots, slots)
+                    if not res]
+        return out
+    return flags
 
 
 def sub_point(space: RepSpace, x: tuple, U: dict) -> tuple:

@@ -140,6 +140,46 @@ def test_oracle_shares_no_state_with_the_flag_table():
     assert diagram_star_oracle(f, f) == before
 
 
+def test_star_and_the_oracle_share_no_flag_code(monkeypatch):
+    """star, circ and coproduct count flags on codes only, never through
+    the Mat flag geometry; the oracle uses that geometry only, never the
+    flag kernel. Each route, with the other's code made to raise, gives the
+    products the other gave."""
+    quiver = kronecker_quiver()
+    basis_keys = [(0, 1), (1, 0), (1, 1)]
+
+    def basis(ctx):
+        return [char_function(ctx, k, o) for k in basis_keys
+                for o in range(ctx.table(k).count)]
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refused
+
+    ctx = HallContext(quiver, 3, cache=OrbitCache())
+    oracle = [diagram_star_oracle(f, g).terms
+              for f, g in itertools.product(basis(ctx), repeat=2)]
+    with monkeypatch.context() as patch:
+        for module in ("hall", "repspace"):
+            for name in ("stable_subspaces", "quotient_point", "sub_point"):
+                patch.setattr(f"hallcontract.{module}.{name}", refuse(name))
+        patch.setattr("hallcontract.repspace.is_stable", refuse("is_stable"))
+        ctx = HallContext(quiver, 3, cache=OrbitCache())
+        products = [star(f, g).terms
+                    for f, g in itertools.product(basis(ctx), repeat=2)]
+        assert products == oracle
+        for f, g in itertools.product(basis(ctx), repeat=2):
+            circ(f, g)
+            coproduct(f + g)
+    for module in ("hall", "repspace"):
+        monkeypatch.setattr(f"hallcontract.{module}.stable_flag_codes",
+                            refuse("stable_flag_codes"))
+    ctx = HallContext(quiver, 3, cache=OrbitCache())
+    assert [diagram_star_oracle(f, g).terms
+            for f, g in itertools.product(basis(ctx), repeat=2)] == products
+
+
 def test_exponent_bookkeeping():
     jq, kq = jordan_quiver(), kronecker_quiver()
     assert m_omega(jq, {"1": 1}, {"1": 1}) == 2

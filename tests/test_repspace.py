@@ -1,12 +1,16 @@
 """Representation spaces over F_q: points, orbits, hearts, extensions."""
 
+import itertools
 import json
 
 import pytest
 
 from hallcontract.cache import OrbitCache
-from hallcontract.ffalg import EnumerationBoundError, Field, Mat, gl_order
-from hallcontract.quiver import contract_quiver, identity_automorphism, make_orbit_pair
+from hallcontract import repspace
+from hallcontract.ffalg import (EnumerationBoundError, Field, Mat, gl_generators,
+                                gl_order)
+from hallcontract.quiver import (Edge, Quiver, contract_quiver,
+                                 identity_automorphism, make_orbit_pair)
 from hallcontract.repspace import (
     RepSpace,
     _divides_group_order,
@@ -26,6 +30,7 @@ from hallcontract.repspace import (
     is_stable,
     orbits,
     quotient_point,
+    stable_flag_codes,
     stable_subspaces,
     sub_point,
     sub_dims_of,
@@ -325,6 +330,24 @@ def test_edgeless_space_has_one_orbit_without_generators(monkeypatch):
     assert (table.index, table.sizes, table.rep_ranks) == ([0], [1], [0])
 
 
+def test_isolated_vertex_builds_no_generators(monkeypatch):
+    """A vertex that no edge with entries touches acts trivially: no GL
+    generator is built at it, and the table is that of the space without
+    it."""
+    def generators(field, n):
+        if n == 100:
+            raise AssertionError("gl_generators called at the isolated vertex")
+        return gl_generators(field, n)
+    monkeypatch.setattr("hallcontract.repspace.gl_generators", generators)
+    edge = (Edge("e", "a", "b"),)
+    for q in (2, 3):
+        table = orbits(RepSpace(Quiver(("a", "b", "c"), edge), Field(q),
+                                {"a": 1, "b": 1, "c": 100}))
+        alone = orbits(RepSpace(Quiver(("a", "b"), edge), Field(q),
+                                {"a": 1, "b": 1}))
+        assert table.to_payload() == alone.to_payload()
+
+
 def test_enumeration_bounds():
     with pytest.raises(EnumerationBoundError):
         list(enumerate_points(jordan_space(2), max_points=8))
@@ -420,6 +443,68 @@ def test_stable_line_counts():
     for U in stable_subspaces(space, nilpotent, {"1": 1}):
         assert is_stable(space, nilpotent, U)
         assert sub_dims_of(U) == {"1": 1}
+
+
+def _flags_by_mat(space, x, sub_dims):
+    """(quotient code, sub code) of every stable U, through the Mat geometry."""
+    sub_space = RepSpace(space.quiver, space.field, sub_dims)
+    quotient_space = RepSpace(space.quiver, space.field,
+                              {v: n - sub_dims[v] for v, n in space.dims.items()})
+    return [(quotient_space.point_rank(quotient_point(space, x, U)),
+             sub_space.point_rank(sub_point(space, x, U)))
+            for U in stable_subspaces(space, x, sub_dims)]
+
+
+@pytest.mark.parametrize("batch_digits", [repspace._BATCH_DIGITS, 5])
+def test_flag_kernel_matches_the_mat_geometry(monkeypatch, batch_digits):
+    """On every orbit representative of every space, for every sub dimension
+    vector (zero and full ones included), the kernel lists the quotient and
+    sub codes of stable_subspaces + quotient_point + sub_point, in order.
+    The spaces cover q = 2, 3, 4, 5, 9, codes of one and three digits (one
+    and three lookup chunks), and spaces without entries; a batch of five
+    digits splits the candidates into many lookups."""
+    one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
+    spaces = (jordan_space(1), jordan_space(3), kron_space((2, 2)),
+              kron_space((1, 2), q=3), jordan_space(2, q=3),
+              RepSpace(one_edge, Field(3), {"a": 3, "b": 1}),
+              jordan_space(2, q=4), kron_space((1, 1), q=4),
+              jordan_space(2, q=5), kron_space((1, 1), q=9),
+              jordan_space(0, q=5), kron_space((0, 2)),
+              RepSpace(a1_quiver(), Field(3), {"1": 2}))
+    tables = [orbits(space) for space in spaces]
+    monkeypatch.setattr(repspace, "_BATCH_DIGITS", batch_digits)
+    lookups = []
+    packed_images = repspace._packed_images
+    monkeypatch.setattr(repspace, "_packed_images",
+                        lambda *args: lookups.append(args) or packed_images(*args))
+    for space, table in zip(spaces, tables):
+        vertices = space.quiver.vertices
+        for split in itertools.product(*(range(space.dims[v] + 1) for v in vertices)):
+            sub_dims = dict(zip(vertices, split))
+            flags = stable_flag_codes(space, sub_dims)
+            for rank in table.rep_ranks:
+                x = space.point_from_rank(rank)
+                assert flags(rank) == _flags_by_mat(space, x, sub_dims), (
+                    space, sub_dims, rank)
+    assert {len(columns) for _, columns, *_ in lookups} >= {0, 1, 3}
+    # the three lines of F_2^2, three output digits each
+    lookups.clear()
+    stable_flag_codes(jordan_space(2), {"1": 1})
+    assert len(lookups) == (3 if batch_digits == 5 else 1)
+
+
+def test_flag_kernel_bound_is_the_stable_subspace_bound():
+    space = jordan_space(4)
+    x = space.zero_point()
+    for sub_dims, bound in (({"1": 2}, 34), ({"1": 2}, 35), ({"1": 1}, 14),
+                            ({"1": 5}, 0)):
+        try:
+            expected = len(stable_subspaces(space, x, sub_dims, bound))
+        except EnumerationBoundError:
+            with pytest.raises(EnumerationBoundError):
+                stable_flag_codes(space, sub_dims, bound)
+        else:
+            assert len(stable_flag_codes(space, sub_dims, bound)(0)) == expected
 
 
 def test_extensions_recover_sub_and_quotient():
