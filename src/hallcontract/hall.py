@@ -656,11 +656,14 @@ def _half_power_exponent(value: SqrtQScalar, q: int):
                  if SqrtQScalar.half_power(q, n) == value), None)
 
 
-def _check(name: str, check_id: str, passed: bool, witness=None) -> dict:
+def _check(name: str, check_id: str, passed: bool, **witness) -> dict:
+    """One report entry. A failed check carries its witness, with each
+    element serialized by to_json(); a passing one serializes nothing."""
     entry = {"name": name, "check_id": check_id,
              "status": "pass" if passed else "fail"}
-    if not passed and witness is not None:
-        entry["witness"] = witness
+    if not passed and witness:
+        entry["witness"] = {k: v.to_json() if isinstance(v, _Terms) else v
+                            for k, v in witness.items()}
     return entry
 
 
@@ -709,8 +712,8 @@ def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
         checks.append(_check(
             f"twist identity at {tk}+{wk}", "contraction-twist-exponent",
             lhs_m - rhs_m == predicted,
-            witness={"m_contracted": lhs_m, "m_original": rhs_m,
-                     "predicted_difference": predicted}))
+            m_contracted=lhs_m, m_original=rhs_m,
+            predicted_difference=predicted))
         for o1 in range(hat.table(tk).count):
             f = char_function(hat, tk, o1)
             for o2 in range(hat.table(wk).count):
@@ -720,9 +723,7 @@ def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
                 checks.append(_check(
                     f"psi multiplicative on P[{tk},o{o1}]*P[{wk},o{o2}]",
                     "embedding-multiplicative", lhs == rhs,
-                    witness={"f": f.to_json(), "g": g.to_json(),
-                             "psi_of_product": lhs.to_json(),
-                             "product_of_psi": rhs.to_json()}))
+                    f=f, g=g, psi_of_product=lhs, product_of_psi=rhs))
     for nk in _keys_upto(nhat, max_dim):
         for o in range(hat.table(nk).count):
             f = char_function(hat, nk, o)
@@ -730,7 +731,7 @@ def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
             checks.append(_check(
                 f"round trip on P[{nk},o{o}]", "embedding-injective-roundtrip",
                 back == f,
-                witness={"f": f.to_json(), "back": back.to_json()}))
+                f=f, back=back))
     config = _site_config(hc, max_dim,
                           contracted_quiver=hat.quiver.content_hash())
     return _finish_report("verify embedding", config, checks)
@@ -752,14 +753,12 @@ def verify_pbw(hc: HeartContext, max_dim: int = 2) -> dict:
             expected = char_function(ctx, bk, from_hat[o])
             checks.append(_check(
                 f"untwisted transport of P[{nk},o{o}]", "pbw-transport-untwisted",
-                plain == expected,
-                witness={"transported": plain.to_json(),
-                         "expected": expected.to_json()}))
+                plain == expected, transported=plain, expected=expected))
             twisted = psi(hc, f)
             checks.append(_check(
                 f"twisted transport of P[{nk},o{o}]", "pbw-transport-twisted",
                 twisted == expected.scale(twist),
-                witness={"transported": twisted.to_json()}))
+                transported=twisted))
     return _finish_report("verify pbw", _site_config(hc, max_dim), checks)
 
 
@@ -783,8 +782,7 @@ def verify_ideal(hc: HeartContext, max_dim: int = 2) -> dict:
                         f"{tag} product of non-heart P[{tk},o{o1}] "
                         f"with P[{wk},o{o2}] avoids the heart",
                         "complement-two-sided-ideal", heart_part.is_zero(),
-                        witness={"product": prod.to_json(),
-                                 "heart_component": heart_part.to_json()}))
+                        product=prod, heart_component=heart_part))
     return _finish_report("verify ideal", _site_config(hc, max_dim), checks)
 
 
@@ -804,17 +802,14 @@ def verify_ses(hc: HeartContext, max_dim: int = 2) -> dict:
             if o in heart:
                 checks.append(_check(
                     f"j* after j_! fixes P[{bk},o{o}]", "restrict-after-extend",
-                    j_star(hc, j_shriek(hc, f)) == f,
-                    witness={"f": f.to_json()}))
+                    j_star(hc, j_shriek(hc, f)) == f, f=f))
                 checks.append(_check(
                     f"j* keeps heart P[{bk},o{o}]", "restriction-kernel",
-                    not j_star(hc, f).is_zero(), witness={"f": f.to_json()}))
+                    not j_star(hc, f).is_zero(), f=f))
             else:
                 checks.append(_check(
                     f"j* kills non-heart P[{bk},o{o}]", "restriction-kernel",
-                    j_star(hc, f).is_zero(),
-                    witness={"f": f.to_json(),
-                             "restriction": j_star(hc, f).to_json()}))
+                    j_star(hc, f).is_zero(), f=f, restriction=j_star(hc, f)))
 
     def project(f):
         return mu_lower_star(hc, j_star(hc, f))
@@ -832,15 +827,13 @@ def verify_ses(hc: HeartContext, max_dim: int = 2) -> dict:
                 checks.append(_check(
                     f"projection multiplicative on P[{tk},o{o1}]*P[{wk},o{o2}]",
                     "quotient-algebra-map", lhs == rhs,
-                    witness={"projected_product": lhs.to_json(),
-                             "product_of_projections": rhs.to_json()}))
+                    projected_product=lhs, product_of_projections=rhs))
                 if o1 in t_heart and o2 in w_heart:
                     _, leak = complement_split(hc, prod)
                     checks.append(_check(
                         f"heart product P[{tk},o{o1}]*P[{wk},o{o2}] stays in "
                         f"the heart", "heart-subalgebra-split", leak.is_zero(),
-                        witness={"product": prod.to_json(),
-                                 "complement_component": leak.to_json()}))
+                        product=prod, complement_component=leak))
     return _finish_report("verify ses", _site_config(hc, max_dim), checks)
 
 
@@ -860,15 +853,14 @@ def verify_bialgebra(ctx: HallContext, max_dim: int = 2) -> dict:
                     checks.append(_check(
                         f"coproduct multiplicative on P[{tk},o{o1}]*P[{wk},o{o2}]",
                         "coproduct-algebra-map", lhs == rhs,
-                        witness={"coproduct_of_product": lhs.to_json(),
-                                 "product_of_coproducts": rhs.to_json()}))
+                        coproduct_of_product=lhs, product_of_coproducts=rhs))
     for nk in _keys_upto(nvert, max_dim):
         for o in range(ctx.table(nk).count):
             f = char_function(ctx, nk, o)
             left, right = _coassociativity_sides(ctx, f)
             checks.append(_check(
                 f"coassociativity on P[{nk},o{o}]", "coproduct-coassociative",
-                left == right, witness={"f": f.to_json()}))
+                left == right, f=f))
     config = {"q": ctx.q, "quiver": ctx.quiver.content_hash(),
               "max_dim": max_dim}
     return _finish_report("verify bialgebra", config, checks)

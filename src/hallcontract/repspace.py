@@ -4,17 +4,18 @@ A point assigns to each edge h a matrix of shape dims(target) x dims(source);
 the group prod_v GL(dims(v)) acts by (g.x)_h = g_{h''} x_h g_{h'}^{-1}. Points
 are enumerated exactly, and each orbit is found by closing its rank-least
 point under the group generators. The closure runs on integer point codes
-(ranks), never on matrices: each generator acts F_p-linearly on a code's
-base-p digits, so act() is applied to the basis codes only and the closure
-applies generators by chunked table lookup. The stable flags the Hall
-product counts are found the same way, by the flag kernel
-stable_flag_codes: for a fixed graded subspace the stability residue, the
-quotient point and the sub point are linear in the point, so one packed
-lookup per batch of candidate subspaces takes a code to the codes of its
-quotient and sub points. The Mat flag geometry (stable_subspaces,
-quotient_point, sub_point) stays as the route of the Hall layer's oracle.
-Extensions are enumerated here too, as an independent cross-check of the
-structure constants the Hall layer derives.
+(ranks), never on matrices. One kernel, _packed_images, applies maps of the
+form x_h -> L_h x_h R_h to codes by chunked table lookup, since each is
+F_p-linear on a code's base-p digits; its tables are built from the L and R
+matrices alone. A generator gamma at one vertex is such a map, and so is
+each part of the flag kernel stable_flag_codes: for a fixed graded subspace
+the stability residue, the quotient point and the sub point are linear in
+the point, so one lookup per batch of candidate subspaces takes a code to
+the codes of its quotient and sub points. act() and the Mat flag geometry
+(stable_subspaces, quotient_point, sub_point) are not on these paths; they
+stay as the route of the tests and of the Hall layer's oracle. Extensions
+are enumerated here too, as an independent cross-check of the structure
+constants the Hall layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
 are indexed by vertices, not vertex orbits. A RepSpace takes no automorphism
@@ -142,23 +143,16 @@ def group_order(space: RepSpace) -> int:
     return order
 
 
-def group_generators(space: RepSpace) -> list[tuple]:
-    """Generators of the action of prod_v GL(dims(v)): each GL generator
-    placed at one vertex. A vertex whose incident edges all have no entries
-    (an isolated vertex, say) is skipped: its generators act trivially."""
-    identity = group_identity(space)
-    acting = {i for (ti, si), (rows, cols)
-              in zip(space.edge_vertex_indices, space.edge_shapes)
-              if rows * cols for i in (ti, si)}
-    gens = []
-    for vi, v in enumerate(space.quiver.vertices):
-        if vi not in acting:
-            continue
-        for gamma in gl_generators(space.field, space.dims[v]):
-            g = list(identity)
-            g[vi] = gamma
-            gens.append(tuple(g))
-    return gens
+def group_generators(space: RepSpace) -> list[tuple[int, Mat]]:
+    """Generators of the action of prod_v GL(dims(v)), as (vertex index,
+    gamma): the GL generator gamma at that vertex, the identity elsewhere.
+    A vertex whose incident edges all have no entries (an isolated vertex,
+    say) is skipped: its generators act trivially."""
+    acting = sorted({i for (ti, si), (rows, cols)
+                     in zip(space.edge_vertex_indices, space.edge_shapes)
+                     if rows * cols for i in (ti, si)})
+    return [(vi, gamma) for vi in acting for gamma in
+            gl_generators(space.field, space.dims[space.quiver.vertices[vi]])]
 
 
 def enumerate_group(space: RepSpace, max_count: int = DEFAULT_MAX_POINTS):
@@ -233,15 +227,6 @@ _CHUNK_BITS = 8
 _BATCH_DIGITS = 1024
 
 
-def _code_digits(code: int, p: int, n: int) -> list[int]:
-    """The n base-p digits of a point code, least significant first."""
-    digits = []
-    for _ in range(n):
-        code, d = divmod(code, p)
-        digits.append(d)
-    return digits
-
-
 def _pack(digits: list[int], bits: int) -> int:
     """The int holding digit k in the bits-wide field from k*bits."""
     packed = 0
@@ -260,23 +245,48 @@ def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
                  for f in range(1 << (width * bits)))
 
 
-def _packed_images(p: int, columns: list[list[int]], widths: list[int],
-                   chunk_digits: int):
-    """A function taking a code with n = len(columns) base-p digits to its
-    images under an F_p-linear map, one code per output slot.
+def _packed_images(space: RepSpace, slots: list, chunk_digits: int):
+    """A function taking a point code of the space to its images under
+    F_q-linear maps, one code per output slot.
 
-    columns[j] lists the output digits of the basis code p**j: the slots of
-    the given widths end to end, each least significant digit first. The
-    images are packed side by side in one int, one B-bit field per output
-    digit (B = 1 for p = 2). For each chunk of chunk_digits input digits a
-    table maps the chunk's value to the packed, mod-p reduced images of that
-    chunk; a code's packed images are the XOR (p = 2) or the sum (odd p) of
-    its chunks' entries, so no field overflows. For odd p, reduction tables
-    then read B-bit fields a few at a time and return their digits mod p at
-    their place in a slot's code."""
-    n = len(columns)
+    A slot lists one (L_h, R_h) pair of Mats per edge and maps a point x to
+    the point (L_h x_h R_h)_h, coded as a point is: the basis code with
+    digit alpha at entry (r, c) of x_h goes to L_h[:, r] alpha R_h[c, :].
+    The images are packed side by side in one int, one B-bit field per
+    output digit (B = 1 for p = 2). For each chunk of chunk_digits input
+    digits a table maps the chunk's value to the packed, mod-p reduced
+    images of that chunk; a code's packed images are the XOR (p = 2) or the
+    sum (odd p) of its chunks' entries, so no field overflows. For odd p,
+    reduction tables then read B-bit fields a few at a time and return their
+    digits mod p at their place in a slot's code."""
+    field = space.field
+    p, e, mul = field.p, field.e, field._mul
+    n = e * space.point_entries
+    widths = [e * sum(L.rows * R.cols for L, R in slot) for slot in slots]
     if n == 0:
         return lambda code: [0] * len(widths)
+    # columns[j]: the output digits of the basis code p**j, the slots end to
+    # end, each least significant digit first; in a code, input or output,
+    # the first entry is the most significant
+    columns = [[0] * sum(widths) for _ in range(n)]
+    for top, slot in zip(itertools.accumulate(widths), slots):
+        j = n
+        for (L, R), (rows, cols) in zip(slot, space.edge_shapes):
+            lcols = [[(i, a) for i, a in enumerate(L.column(r)) if a]
+                     for r in range(rows)]
+            rrows = [[(k, b) for k, b in enumerate(R.data[c]) if b]
+                     for c in range(cols)]
+            for r, c in itertools.product(range(rows), range(cols)):
+                j -= e
+                for d in range(e):
+                    col, alpha = columns[j + d], p ** d
+                    for i, a in lcols[r]:
+                        for k, b in rrows[c]:
+                            value = mul[mul[a][alpha]][b]
+                            pos = top - e * (i * R.cols + k + 1)
+                            for t in range(e):
+                                value, col[pos + t] = divmod(value, p)
+            top -= e * L.rows * R.cols
     radix = p ** chunk_digits
     chunks = -(-n // chunk_digits)
     bits = 1 if p == 2 else (chunks * (p - 1)).bit_length()
@@ -288,10 +298,10 @@ def _packed_images(p: int, columns: list[list[int]], widths: list[int],
                     for d in range(p) for vec in vecs]
         tables.append([_pack(vec, bits) for vec in vecs])
     offsets = itertools.accumulate(widths, initial=0)
-    slots = [(offset * bits, width) for offset, width in zip(offsets, widths)]
+    places = [(offset * bits, width) for offset, width in zip(offsets, widths)]
 
     if p == 2:
-        masks = [(s, (1 << width) - 1) for s, width in slots]
+        masks = [(s, (1 << width) - 1) for s, width in places]
 
         def images(code):
             packed = 0
@@ -303,9 +313,9 @@ def _packed_images(p: int, columns: list[list[int]], widths: list[int],
 
     per_lookup = max(1, _CHUNK_BITS // bits)
     # every slot reads the same number of lookups, padded with a zero table
-    reads = max([1] + [-(-width // per_lookup) for _, width in slots])
+    reads = max([1] + [-(-width // per_lookup) for _, width in places])
     lookups = []
-    for s, width in slots:
+    for s, width in places:
         for start in range(0, reads * per_lookup, per_lookup):
             w = max(0, min(per_lookup, width - start))
             lookups.append((_reducer(p, bits, start, w), s + start * bits,
@@ -326,22 +336,23 @@ def _generator_images(space: RepSpace):
     """A function taking a point code (its rank) to the codes of its images
     under every group generator, in generator order.
 
-    A code is a base-p number with n = e*N digits, and each generator acts
-    F_p-linearly on those digits, so act() is called on the n basis codes
-    p**j only; _packed_images applies all generators at once, reading as
+    A generator gamma at vertex v maps x_h to L x_h R, with L = gamma where
+    h ends at v, R = gamma^{-1} where h starts at v and identities at the
+    other ends; _packed_images applies all generators at once, reading as
     many digits per lookup as fit in _CHUNK_BITS bits."""
-    p = space.field.p
-    n = space.field.e * space.point_entries
-    gens = [(g, tuple(m.inverse() for m in g)) for g in group_generators(space)]
-    # columns[j]: the digits of every generator's image of p**j, generator-major
-    columns = [[d for g, ginv in gens
-                for d in _code_digits(space.point_rank(
-                    act(space, g, space.point_from_rank(p ** j), ginv)), p, n)]
-               for j in range(n)]
+    identity = {n: Mat.identity(space.field, n)
+                for n in set(itertools.chain(*space.edge_shapes))}
+    slots = []
+    for vi, gamma in group_generators(space):
+        gamma_inv = gamma.inverse()
+        slots.append([(gamma if ti == vi else identity[rows],
+                       gamma_inv if si == vi else identity[cols])
+                      for (ti, si), (rows, cols)
+                      in zip(space.edge_vertex_indices, space.edge_shapes)])
     chunk_digits = 1
-    while p ** (chunk_digits + 1) <= 1 << _CHUNK_BITS:
+    while space.field.p ** (chunk_digits + 1) <= 1 << _CHUNK_BITS:
         chunk_digits += 1
-    return _packed_images(p, columns, [n] * len(gens), chunk_digits)
+    return _packed_images(space, slots, chunk_digits)
 
 
 def _close_orbits(space: RepSpace):
@@ -555,6 +566,24 @@ def stable_subspaces(space: RepSpace, x: tuple, sub_dims: dict,
             if is_stable(space, x, U)]
 
 
+@lru_cache(maxsize=None)
+def _flag_maps(U: Subspace) -> tuple[Mat, Mat, Mat, Mat]:
+    """The matrices the flag kernel reads off a subspace U of F_q^n: the
+    residue map (e_r modulo U, on U's free rows), the inclusion of the free
+    rows, the pivot reader (a member's echelon coordinates) and the echelon
+    basis."""
+    field, n, basis = U.field, U.ambient, U.basis.data
+    pivot_of = {r: l for l, r in enumerate(U.pivots)}
+    residue = Mat(field, [[field._neg[basis[fr][pivot_of[r]]] if r in pivot_of
+                           else int(r == fr) for r in range(n)]
+                          for fr in U.free_rows], cols=n)
+    free = Mat(field, [[int(r == fr) for fr in U.free_rows] for r in range(n)],
+               cols=len(U.free_rows))
+    pivots = Mat(field, [[int(r == pr) for r in range(n)] for pr in U.pivots],
+                 cols=n)
+    return residue, free, pivots, U.basis
+
+
 def stable_flag_codes(space: RepSpace, sub_dims: dict,
                       max_count: int = DEFAULT_MAX_POINTS):
     """The flag kernel: a function taking a point code of the space to
@@ -562,83 +591,37 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     with the given dimension vector, in the order of stable_subspaces. The
     codes are the ranks of quotient_point and sub_point in their spaces.
 
-    For a fixed U three maps of a point x are F_q-linear, hence F_p-linear
-    on its code's digits: the residues of x_h(U_{h'}) modulo U_{h''}, all
-    zero iff U is stable, the quotient point and the sub point. Their images
-    of each basis code are read off U's echelon bases, and the candidates
-    are applied _BATCH_DIGITS output digits at a time, one _packed_images
-    lookup per batch. A chunk is one input digit: only the few orbit
-    representatives are looked up, so larger tables would not pay."""
-    field = space.field
-    p, e = field.p, field.e
-    mul, neg = field._mul, field._neg
+    For a fixed U three maps of a point x have the form x_h -> L x_h R, with
+    L read off U at h's target t and R off U at its source s (_flag_maps):
+    the residues of x_h(U_s) modulo U_t, all zero iff U is stable (L the
+    residue map of U_t, R the basis of U_s), the quotient point (the same
+    L, R the inclusion of U_s's free rows) and the sub point (L the pivot
+    reader of U_t, R the basis of U_s). The candidates are applied
+    _BATCH_DIGITS output digits at a time, one _packed_images lookup per
+    batch. A chunk is one input digit: only the few orbit representatives
+    are looked up, so larger tables would not pay."""
     vertices = space.quiver.vertices
-    candidates = _graded_subspaces(space, sub_dims, max_count)
-    # per edge: its shape and U's dims at its ends; then the first residue,
-    # quotient and sub entry of each edge
-    shapes = [(nt, ns, sub_dims.get(vertices[ti], 0), sub_dims.get(vertices[si], 0))
-              for (nt, ns), (ti, si) in zip(space.edge_shapes,
-                                            space.edge_vertex_indices)]
-    res0, quo0, sub0 = [0], [0], [0]
-    for nt, ns, wt, ws in shapes:
-        res0.append(res0[-1] + ws * (nt - wt))
-        quo0.append(quo0[-1] + (nt - wt) * (ns - ws))
-        sub0.append(sub0[-1] + wt * ws)
-    # a candidate's output: residue, quotient code, sub code, in e digits
-    # per entry; a code's first entry is its most significant
-    widths = [e * res0[-1], e * quo0[-1], e * sub0[-1]]
-    nquo, nsub = widths[0] + widths[1], sum(widths)
+    ends = [(vertices[ti], vertices[si]) for ti, si in space.edge_vertex_indices]
 
-    def columns_of(U):
-        """The output digits of every basis code p**j, by j."""
-        blocks = []
-        for h, (ti, si) in enumerate(space.edge_vertex_indices):
-            Ut, Us = U[vertices[ti]], U[vertices[si]]
-            nt, ns, wt, ws = shapes[h]
-            pivot_of = {r: l for l, r in enumerate(Ut.pivots)}
-            free_t = {r: i for i, r in enumerate(Ut.free_rows)}
-            free_s = {c: i for i, c in enumerate(Us.free_rows)}
-            res = [[e * (res0[h] + j * (nt - wt) + i) for i in range(nt - wt)]
-                   for j in range(ws)]
-            quo = [[nquo - e * (quo0[h] + i * (ns - ws) + jq + 1)
-                    for jq in range(ns - ws)] for i in range(nt - wt)]
-            sub = [[nsub - e * (sub0[h] + l * ws + j + 1) for j in range(ws)]
-                   for l in range(wt)]
-            for r in range(nt):
-                l = pivot_of.get(r)
-                # e_r modulo U_t, on U_t's free rows
-                residue = [(free_t[r], 1)] if l is None else [
-                    (i, neg[Ut.basis.data[fr][l]])
-                    for i, fr in enumerate(Ut.free_rows) if Ut.basis.data[fr][l]]
-                for c in range(ns):
-                    jq = free_s.get(c)
-                    block = []
-                    for alpha in (p ** i for i in range(e)):
-                        # x_h = alpha E_rc takes u_j to beta e_r, and the
-                        # free basis vector jq of U_s to alpha e_r
-                        writes = []
-                        for j in range(ws):
-                            beta = mul[alpha][Us.basis.data[c][j]]
-                            if beta and l is not None:
-                                writes.append((sub[l][j], beta))
-                            writes += [(res[j][i], mul[beta][g]) for i, g in residue]
-                        if jq is not None:
-                            writes += [(quo[i][jq], mul[alpha][g]) for i, g in residue]
-                        col = [0] * nsub
-                        for pos, value in writes:
-                            for k in range(e):
-                                value, col[pos + k] = divmod(value, p)
-                        block.append(col)
-                    blocks.append(block)
-        # the first entry of a point is its code's most significant
-        return [col for block in reversed(blocks) for col in block]
+    def slots_of(U):
+        # per vertex: residue map, free-row inclusion, pivot reader, basis
+        maps = {v: _flag_maps(U[v]) for v in vertices}
+        return [[(maps[t][0], maps[s][3]) for t, s in ends],
+                [(maps[t][0], maps[s][1]) for t, s in ends],
+                [(maps[t][2], maps[s][3]) for t, s in ends]]
 
-    n = e * space.point_entries
-    per_batch = max(1, _BATCH_DIGITS // max(1, nsub))
+    # output entries of one candidate: (n_t - w_t) n_s for the residue and
+    # the quotient together, w_t w_s for the sub point
+    w = {v: sub_dims.get(v, 0) for v in vertices}
+    digits = space.field.e * sum(
+        (nt - w[t]) * ns + w[t] * w[s]
+        for (t, s), (nt, ns) in zip(ends, space.edge_shapes))
+    per_batch = max(1, _BATCH_DIGITS // max(1, digits))
+    candidates = map(slots_of, _graded_subspaces(space, sub_dims, max_count))
     batches = []
-    while batch := [columns_of(U) for U in itertools.islice(candidates, per_batch)]:
-        columns = [[d for cols in batch for d in cols[j]] for j in range(n)]
-        batches.append(_packed_images(p, columns, widths * len(batch), 1))
+    while batch := list(itertools.islice(candidates, per_batch)):
+        slots = [slot for candidate in batch for slot in candidate]
+        batches.append(_packed_images(space, slots, 1))
 
     def flags(code):
         out = []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hallcontract.ffalg import EnumerationBoundError, Mat
+from hallcontract import hall
 from hallcontract.cache import OrbitCache
 from hallcontract.hall import (
     HallContext,
@@ -403,6 +404,53 @@ def test_verification_reports_pass_at_depth_one(kron_heart):
         assert report["failures"] == 0
         assert report["checks"]
         assert all(c["check_id"] for c in report["checks"])
+
+
+def test_failing_checks_carry_their_witnesses(kron_heart, monkeypatch):
+    """With the pushforward doubled, every embedding round trip fails and so
+    does every projection check whose two sides then differ; each failure
+    carries its witness elements as JSON, and no passing check carries one."""
+    real = hall.mu_lower_star
+    monkeypatch.setattr(hall, "mu_lower_star",
+                        lambda hc, f: real(hc, f).scale(2))
+    hat = kron_heart.hat
+
+    def project(f):
+        return real(kron_heart, j_star(kron_heart, f))
+
+    roundtrips, projections = {}, {}
+    keys = [(0,), (1,)]
+    for nk in keys:
+        for o in range(hat.table(nk).count):
+            f = char_function(hat, nk, o)
+            roundtrips[f"round trip on P[{nk},o{o}]"] = {
+                "f": f.to_json(), "back": f.scale(2).to_json()}
+    for tk_hat, wk_hat in itertools.product(keys, repeat=2):
+        tk, wk = kron_heart.lift_key(tk_hat), kron_heart.lift_key(wk_hat)
+        for o1 in range(kron_heart.ctx.table(tk).count):
+            f = char_function(kron_heart.ctx, tk, o1)
+            for o2 in range(kron_heart.ctx.table(wk).count):
+                g = char_function(kron_heart.ctx, wk, o2)
+                lhs = project(circ(f, g)).scale(2)
+                rhs = circ(project(f), project(g)).scale(4)
+                projections[
+                    f"projection multiplicative on P[{tk},o{o1}]*P[{wk},o{o2}]"] = (
+                    None if lhs == rhs else
+                    {"projected_product": lhs.to_json(),
+                     "product_of_projections": rhs.to_json()})
+    for fn, check_id, witnesses in (
+            (verify_embedding, "embedding-injective-roundtrip", roundtrips),
+            (verify_ses, "quotient-algebra-map", projections)):
+        report = fn(kron_heart, max_dim=1)
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert failed and report["failures"] == len(failed)
+        assert {c["check_id"] for c in failed} == {check_id}
+        for c in report["checks"]:
+            if c["status"] == "pass":
+                assert "witness" not in c and witnesses.get(c["name"]) is None
+            else:
+                assert list(c["witness"]) == list(witnesses[c["name"]])
+                assert c["witness"] == witnesses[c["name"]]
 
 
 def test_half_power_exponent_is_exact():

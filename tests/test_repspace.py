@@ -36,6 +36,7 @@ from hallcontract.repspace import (
     sub_dims_of,
 )
 from hallcontract.ffalg import Subspace
+from hallcontract.hall import HallContext, _flag_table
 
 from conftest import a1_quiver, jordan_quiver, kronecker_quiver
 
@@ -162,9 +163,19 @@ def test_jordan_orbits_are_similarity_classes():
         assert sum(table.sizes) == q ** 4
 
 
+def _as_group_element(space, generator):
+    """A generator (vertex index, gamma) as a full tuple for act: gamma at
+    its vertex, group_identity elsewhere."""
+    vi, gamma = generator
+    g = list(group_identity(space))
+    g[vi] = gamma
+    return tuple(g)
+
+
 def _images_by_act(space, code):
     x = space.point_from_rank(code)
-    return [space.point_rank(act(space, g, x)) for g in group_generators(space)]
+    return [space.point_rank(act(space, _as_group_element(space, g), x))
+            for g in group_generators(space)]
 
 
 def test_code_kernel_matches_act():
@@ -332,13 +343,27 @@ def test_edgeless_space_has_one_orbit_without_generators(monkeypatch):
 
 def test_isolated_vertex_builds_no_generators(monkeypatch):
     """A vertex that no edge with entries touches acts trivially: no GL
-    generator is built at it, and the table is that of the space without
-    it."""
+    generator, identity or inverse of its size is built, and the table is
+    that of the space without it."""
     def generators(field, n):
         if n == 100:
             raise AssertionError("gl_generators called at the isolated vertex")
         return gl_generators(field, n)
     monkeypatch.setattr("hallcontract.repspace.gl_generators", generators)
+    build, invert = Mat.__init__, Mat.inverse
+
+    def built(self, field, data, cols=None):
+        data = tuple(data)
+        if 100 in (len(data), cols):
+            raise AssertionError("a Mat of the isolated vertex's size built")
+        build(self, field, data, cols)
+
+    def inverted(self):
+        if self.rows == 100:
+            raise AssertionError("a Mat of the isolated vertex's size inverted")
+        return invert(self)
+    monkeypatch.setattr(Mat, "__init__", built)
+    monkeypatch.setattr(Mat, "inverse", inverted)
     edge = (Edge("e", "a", "b"),)
     for q in (2, 3):
         table = orbits(RepSpace(Quiver(("a", "b", "c"), edge), Field(q),
@@ -371,7 +396,7 @@ def test_heart_membership():
 def test_heart_is_group_stable():
     space = kron_space((2, 2))
     con = kron_contraction()
-    gens = group_generators(space)
+    gens = [_as_group_element(space, g) for g in group_generators(space)]
     for x in enumerate_points(space):
         if not is_heart(space, con, x):
             continue
@@ -486,11 +511,43 @@ def test_flag_kernel_matches_the_mat_geometry(monkeypatch, batch_digits):
                 x = space.point_from_rank(rank)
                 assert flags(rank) == _flags_by_mat(space, x, sub_dims), (
                     space, sub_dims, rank)
-    assert {len(columns) for _, columns, *_ in lookups} >= {0, 1, 3}
+    assert {s.field.e * s.point_entries for s, *_ in lookups} >= {0, 1, 3}
     # the three lines of F_2^2, three output digits each
     lookups.clear()
     stable_flag_codes(jordan_space(2), {"1": 1})
     assert len(lookups) == (3 if batch_digits == 5 else 1)
+
+
+def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
+    """Orbit tables and flag tables are built on codes from L and R matrices
+    alone: with act, point_from_rank and point_rank refused they equal what
+    the Mat route gives. The spaces cover q = 2, 3, 4, 9 and codes of one
+    and of two orbit-closure lookup chunks."""
+    spaces = (kron_space((2, 2)), jordan_space(3), kron_space((1, 3), q=3),
+              jordan_space(2, q=4), jordan_space(2, q=9))
+    tables = [orbits(space).to_payload() for space in spaces]
+    splits = [[dict(zip(space.quiver.vertices, split)) for split in
+               itertools.product(*(range(n + 1) for n in space.dims.values()))]
+              for space in spaces]
+    expected = [[[_flags_by_mat(space, space.point_from_rank(rank), sub_dims)
+                  for rank in table["rep_ranks"]] for sub_dims in space_splits]
+                for space, table, space_splits in zip(spaces, tables, splits)]
+    ctx = HallContext(kronecker_quiver(), 3)
+    flag_table = _flag_table(ctx, (1, 1), (1, 0))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a point was decoded, encoded or acted on")
+    monkeypatch.setattr("hallcontract.repspace.act", refused)
+    monkeypatch.setattr(RepSpace, "point_from_rank", refused)
+    monkeypatch.setattr(RepSpace, "point_rank", refused)
+    for space, table, space_splits, flags in zip(spaces, tables, splits, expected):
+        built = orbits(space)
+        assert built.to_payload() == table
+        assert [[stable_flag_codes(space, sub_dims)(rank)
+                 for rank in built.rep_ranks]
+                for sub_dims in space_splits] == flags
+    ctx = HallContext(kronecker_quiver(), 3)
+    assert _flag_table(ctx, (1, 1), (1, 0)) == flag_table
 
 
 def test_flag_kernel_bound_is_the_stable_subspace_bound():
