@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError
 
@@ -464,33 +465,36 @@ def weyl_word_search(datum: CartanDatum, target: WeylElement, max_depth: int):
     rd = build_root_datum(datum)
     if target.labels != datum.labels:
         raise ValueError("target labels must match the datum")
-    gens = {lab: reflection(rd, lab) for lab in datum.labels}
-    ident = WeylElement.identity(datum.labels)
-    if target.matrix == ident.matrix:
+    # elements are flat row-major tuples, one object each; generators by column
+    n = len(datum.labels)
+    gens = [(lab, tuple(zip(*reflection(rd, lab).matrix))) for lab in datum.labels]
+    ident = sum(WeylElement.identity(datum.labels).matrix, ())
+    goal = sum(target.matrix, ())
+    if goal == ident:
         return []
     # matrix -> (parent matrix, label); the word is rebuilt only on success
-    parent = {ident.matrix: None}
-    frontier = [ident.matrix]
+    parent = {ident: None}
+    frontier = [ident]
     for _ in range(max_depth):
         nxt = []
         for matrix in frontier:
-            elem = WeylElement(datum.labels, matrix)
-            for lab, g in gens.items():
-                new = elem @ g
-                if new.matrix == target.matrix:
+            for lab, g in gens:
+                new = tuple(sum(map(mul, matrix[i:i + n], col))
+                            for i in range(0, n * n, n) for col in g)
+                if new == goal:
                     word = [lab]
                     step = parent[matrix]
                     while step is not None:
                         word.append(step[1])
                         step = parent[step[0]]
                     return word[::-1]
-                if new.matrix not in parent:
-                    parent[new.matrix] = (matrix, lab)
+                if new not in parent:
+                    parent[new] = (matrix, lab)
                     if len(parent) > DEFAULT_MAX_POINTS:
                         raise EnumerationBoundError(
                             f"more than {DEFAULT_MAX_POINTS} Weyl group "
                             f"elements within depth {max_depth}")
-                    nxt.append(new.matrix)
+                    nxt.append(new)
         frontier = nxt
         if not frontier:
             break

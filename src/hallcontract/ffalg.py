@@ -5,7 +5,8 @@ vectors of polynomial coefficients. A Field builds its arithmetic tables
 once, so everything downstream is int indexing; matrices are immutable
 tuples of row tuples and therefore hashable. One row reduction on those
 tables, _rref, is behind Mat.rank, Mat.inverse and the canonical basis of
-Subspace.spanned_by. Nothing here floats.
+Subspace.spanned_by; rank and inverse are memoized by value, and results
+built internally skip the constructor's checks. Nothing here floats.
 """
 
 from __future__ import annotations
@@ -186,28 +187,25 @@ class Mat:
             if cols is None:
                 raise ValueError("empty matrix needs explicit cols")
             ncols = cols
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "data", data)
+        _mat(field, data, ncols, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, tuple((0,) * cols for _ in range(rows)), cols=cols)
+        return _mat(field, ((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        return cls(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), cols=n)
+        return _mat(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def from_flat(cls, field: Field, rows: int, cols: int, flat) -> "Mat":
         flat = tuple(flat)
         if len(flat) != rows * cols:
             raise ValueError("flat length does not match shape")
-        return cls(field, tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)), cols=cols)
+        return _mat(field, tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)), cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -248,7 +246,7 @@ class Mat:
                         if b:
                             row[j] = add[row[j]][mrow[b]]
             out.append(tuple(row))
-        return Mat(self.field, tuple(out), cols=other.cols)
+        return _mat(self.field, tuple(out), other.cols)
 
     def vec(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Apply to a column vector given as a tuple."""
@@ -270,11 +268,11 @@ class Mat:
 
     def transpose(self) -> "Mat":
         if self.rows == 0 or self.cols == 0:
-            return Mat(self.field, ((),) * self.cols if self.cols else (), cols=self.rows)
-        return Mat(self.field, tuple(zip(*self.data)), cols=self.rows)
+            return _mat(self.field, ((),) * self.cols, self.rows)
+        return _mat(self.field, tuple(zip(*self.data)), self.rows)
 
     def rank(self) -> int:
-        return len(_rref(self.field, [list(r) for r in self.data], self.cols))
+        return _rank(self.field, self.data)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -282,14 +280,47 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
-        n = self.rows
-        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.data)]
-        if _rref(self.field, work, n) != list(range(n)):
+        inv = _inverse(self.field, self.data)
+        if inv is None:
             raise ZeroDivisionError("singular matrix")
-        return Mat(self.field, tuple(tuple(row[n:]) for row in work), cols=n)
+        return inv
 
     def __repr__(self):
         return f"Mat({self.field.q}, {self.data!r}, cols={self.cols})"
+
+
+_set_field, _set_rows, _set_cols, _set_data = (Mat.__dict__[name].__set__
+                                               for name in Mat.__slots__)
+
+
+def _mat(field: Field, data: tuple, cols: int, into=None) -> Mat:
+    """A Mat on rows already tuples of cols entries: no copy, no check. Fills
+    `into` (the constructor's instance) or a new one, past the guard."""
+    m = object.__new__(Mat) if into is None else into
+    _set_field(m, field)
+    _set_rows(m, len(data))
+    _set_cols(m, cols)
+    _set_data(m, data)
+    return m
+
+
+#: Matrices each value memo (rank, inverse; keyed by field and rows) keeps.
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _rank(field: Field, data: tuple) -> int:
+    return len(_rref(field, [list(r) for r in data], len(data[0]) if data else 0))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _inverse(field: Field, data: tuple) -> Mat | None:
+    """The inverse of a square matrix, or None when it is singular."""
+    n = len(data)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(data)]
+    if _rref(field, work, n) != list(range(n)):
+        return None
+    return _mat(field, tuple(tuple(row[n:]) for row in work), n)
 
 
 def _rref(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
@@ -325,19 +356,20 @@ def block2x2(field: Field, tl: Mat, tr: Mat, bl: Mat, br: Mat) -> Mat:
         raise ValueError("row mismatch in blocks")
     if tl.cols != bl.cols or tr.cols != br.cols:
         raise ValueError("column mismatch in blocks")
-    top = tuple(a + b for a, b in zip(tl.data, tr.data)) if tl.rows else ()
-    bot = tuple(a + b for a, b in zip(bl.data, br.data)) if bl.rows else ()
-    return Mat(field, top + bot, cols=tl.cols + tr.cols)
+    top = tuple(a + b for a, b in zip(tl.data, tr.data))
+    bot = tuple(a + b for a, b in zip(bl.data, br.data))
+    return _mat(field, top + bot, tl.cols + tr.cols)
 
 
 def split2x2(m: Mat, row_split: int, col_split: int) -> tuple[Mat, Mat, Mat, Mat]:
     """Split into (tl, tr, bl, br) at the given row/column boundary."""
-    f = m.field
-    tl = Mat(f, tuple(r[:col_split] for r in m.data[:row_split]), cols=col_split)
-    tr = Mat(f, tuple(r[col_split:] for r in m.data[:row_split]), cols=m.cols - col_split)
-    bl = Mat(f, tuple(r[:col_split] for r in m.data[row_split:]), cols=col_split)
-    br = Mat(f, tuple(r[col_split:] for r in m.data[row_split:]), cols=m.cols - col_split)
-    return tl, tr, bl, br
+    if not (0 <= row_split <= m.rows and 0 <= col_split <= m.cols):
+        raise ValueError("split outside the matrix")
+    f, top, bot, right = m.field, m.data[:row_split], m.data[row_split:], m.cols - col_split
+    return (_mat(f, tuple(r[:col_split] for r in top), col_split),
+            _mat(f, tuple(r[col_split:] for r in top), right),
+            _mat(f, tuple(r[:col_split] for r in bot), col_split),
+            _mat(f, tuple(r[col_split:] for r in bot), right))
 
 
 class Subspace:

@@ -272,10 +272,11 @@ def _packed_images(space: RepSpace, slots: list, chunk_digits: int):
     for top, slot in zip(itertools.accumulate(widths), slots):
         j = n
         for (L, R), (rows, cols) in zip(slot, space.edge_shapes):
+            # an edge without entries has no basis code: L and R go unread
             lcols = [[(i, a) for i, a in enumerate(L.column(r)) if a]
-                     for r in range(rows)]
+                     for r in range(rows if cols else 0)]
             rrows = [[(k, b) for k, b in enumerate(R.data[c]) if b]
-                     for c in range(cols)]
+                     for c in range(cols if rows else 0)]
             for r, c in itertools.product(range(rows), range(cols)):
                 j -= e
                 for d in range(e):
@@ -339,14 +340,17 @@ def _generator_images(space: RepSpace):
     A generator gamma at vertex v maps x_h to L x_h R, with L = gamma where
     h ends at v, R = gamma^{-1} where h starts at v and identities at the
     other ends; _packed_images applies all generators at once, reading as
-    many digits per lookup as fit in _CHUNK_BITS bits."""
-    identity = {n: Mat.identity(space.field, n)
-                for n in set(itertools.chain(*space.edge_shapes))}
+    many digits per lookup as fit in _CHUNK_BITS bits. An edge without
+    entries has no digit in a code and gets the empty pair, so no identity."""
+    empty = Mat.zeros(space.field, 0, 0)
+    identity = {n: Mat.identity(space.field, n) for rows, cols in space.edge_shapes
+                if rows * cols for n in (rows, cols)}
     slots = []
     for vi, gamma in group_generators(space):
         gamma_inv = gamma.inverse()
         slots.append([(gamma if ti == vi else identity[rows],
                        gamma_inv if si == vi else identity[cols])
+                      if rows * cols else (empty, empty)
                       for (ti, si), (rows, cols)
                       in zip(space.edge_vertex_indices, space.edge_shapes)])
     chunk_digits = 1
@@ -448,12 +452,12 @@ def contract_point(space: RepSpace, con: ContractedQuiver, x: tuple,
                    target_space: RepSpace | None = None) -> tuple:
     """The contracted point: kept edges copy over, an edge out of a collapsed
     vertex composes with the contraction edge into it, an edge into a
-    collapsed vertex transports back through that edge's inverse."""
-    if not is_heart(space, con, x):
-        raise ValueError("point is not in the heart: a contraction edge is singular")
-    if target_space is None:
-        target_space = RepSpace(con.quiver, space.field, contracted_dims(space, con))
-    inv = {h: x[space.edge_index[h]].inverse() for h in con.contraction_edges}
+    collapsed vertex transports back through that edge's inverse (taken once,
+    which also tests the heart). target_space is accepted but not read."""
+    try:
+        inv = {h: x[space.edge_index[h]].inverse() for h in con.contraction_edges}
+    except (ValueError, ZeroDivisionError):  # non-square or singular
+        raise ValueError("point is not in the heart: a contraction edge is singular") from None
     mats = []
     for e in con.quiver.edges:
         kind = con.provenance[e.id]
@@ -500,25 +504,25 @@ def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
     if total > max_count:
         raise EnumerationBoundError(
             f"fiber size {total} exceeds the bound {max_count}")
-    choices = [enumerate_gl(space.field, space.edge_shapes[space.edge_index[h]][0],
-                            max_count)
+    choices = [[(g, g.inverse()) for g in
+                enumerate_gl(space.field, space.edge_shapes[space.edge_index[h]][0],
+                             max_count)]
                for h in con.contraction_edges]
     for combo in itertools.product(*choices):
         assign = dict(zip(con.contraction_edges, combo))
-        assign_inv = {h: m.inverse() for h, m in assign.items()}
         mats = []
         for e in space.quiver.edges:
             if e.id in assign:
-                mats.append(assign[e.id])
+                mats.append(assign[e.id][0])
                 continue
             role, new_id, h = by_source[e.id]
             xh = xhat[target_space.edge_index[new_id]]
             if role == "kept":
                 mats.append(xh)
             elif role == "post":
-                mats.append(xh @ assign_inv[h])
+                mats.append(xh @ assign[h][1])
             else:
-                mats.append(assign[h] @ xh)
+                mats.append(assign[h][0] @ xh)
         yield tuple(mats)
 
 

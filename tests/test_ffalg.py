@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hallcontract import ffalg
 from hallcontract.ffalg import (
     EnumerationBoundError,
     Field,
@@ -231,3 +232,71 @@ def test_enumeration_bound_is_enforced():
         enumerate_gl(Field(2), 4, max_count=100)
     with pytest.raises(EnumerationBoundError):
         enumerate_subspaces(Field(3), 6, 3, max_count=10)
+
+
+def test_memo_keys_on_the_field():
+    # det = 3: singular over F_3, invertible over F_5, whichever comes first
+    data = ((2, 1), (1, 2))
+    for order in ((3, 5), (5, 3)):
+        ffalg._rank.cache_clear()
+        ffalg._inverse.cache_clear()
+        for q in order:
+            m = Mat(Field(q), data)
+            for _ in range(2):  # cold, then a memo hit
+                if q == 3:
+                    assert m.rank() == 1 and not m.is_invertible()
+                    with pytest.raises(ZeroDivisionError):
+                        m.inverse()
+                else:
+                    assert m.rank() == 2 and m.is_invertible()
+                    assert m @ m.inverse() == Mat.identity(m.field, 2)
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (2, 3)])
+def test_inverses_from_a_cold_and_a_warm_memo(q, n):
+    f = Field(q)
+    eye = Mat.identity(f, n)
+    group = enumerate_gl(f, n)
+    assert len(group) == gl_order(n, q)
+    ffalg._inverse.cache_clear()
+    for _ in range(2):
+        assert all(g @ g.inverse() == eye == g.inverse() @ g for g in group)
+    assert ffalg._inverse.cache_info().hits >= len(group)
+
+
+def test_memos_are_bounded():
+    for memo in (ffalg._rank, ffalg._inverse):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 4096
+
+
+def test_internal_results_equal_checked_matrices():
+    f = Field(3)
+    a = Mat(f, ((1, 2, 0), (0, 1, 1)))
+    b = Mat(f, ((2, 1), (1, 0), (0, 2)))
+    g = Mat(f, ((1, 2), (0, 1)))
+
+    def checked(m):
+        return Mat(m.field, m.data, m.cols)
+    built = [a @ b, b @ a, g.inverse(), a.transpose(), Mat.zeros(f, 0, 2).transpose(),
+             Mat.from_flat(f, 2, 3, a.flat), Mat.from_flat(f, 0, 4, ()),
+             Mat.from_flat(f, 2, 0, ()), Mat.zeros(f, 2, 3), Mat.identity(f, 3),
+             block2x2(f, g, a, b, Mat.zeros(f, 3, 3)),
+             *split2x2(block2x2(f, g, a, b, Mat.zeros(f, 3, 3)), 2, 2)]
+    for m in built:
+        assert m == checked(m) and hash(m) == hash(checked(m)), m
+        assert type(m.data) is tuple and all(type(r) is tuple for r in m.data)
+        assert (m.rows, m.cols) == (len(m.data), len(m.data[0]) if m.data else m.cols)
+    with pytest.raises(ValueError):
+        split2x2(g, 3, 0)
+
+
+def test_public_constructor_checks_its_rows():
+    f = Field(2)
+    with pytest.raises(ValueError):
+        Mat(f, ((1, 0), (1,)))
+    with pytest.raises(ValueError):
+        Mat(f, ((1, 0), (0, 1)), cols=3)
+    with pytest.raises(ValueError):
+        Mat(f, ())
+    assert Mat(f, [[1, 0], [0, 1]]) == Mat.identity(f, 2)

@@ -1,5 +1,6 @@
 """Representation spaces over F_q: points, orbits, hearts, extensions."""
 
+import hashlib
 import itertools
 import json
 
@@ -362,8 +363,14 @@ def test_isolated_vertex_builds_no_generators(monkeypatch):
         if self.rows == 100:
             raise AssertionError("a Mat of the isolated vertex's size inverted")
         return invert(self)
+    def identity(field, n):
+        if n == 100:
+            raise AssertionError("an identity of the isolated vertex's size built")
+        return make_identity(field, n)
+    make_identity = Mat.identity
     monkeypatch.setattr(Mat, "__init__", built)
     monkeypatch.setattr(Mat, "inverse", inverted)
+    monkeypatch.setattr(Mat, "identity", identity)
     edge = (Edge("e", "a", "b"),)
     for q in (2, 3):
         table = orbits(RepSpace(Quiver(("a", "b", "c"), edge), Field(q),
@@ -371,6 +378,27 @@ def test_isolated_vertex_builds_no_generators(monkeypatch):
         alone = orbits(RepSpace(Quiver(("a", "b"), edge), Field(q),
                                 {"a": 1, "b": 1}))
         assert table.to_payload() == alone.to_payload()
+
+
+def test_entry_less_edges_build_no_identity(monkeypatch):
+    """An edge without entries adds no digit to a code: no identity of its
+    dims is built, and no column of one is read, even where a vertex of
+    the edge has dim 1000, at either end."""
+    make_identity = Mat.identity
+
+    def identity(field, n):
+        if n == 1000:
+            raise AssertionError("an identity of the entry-less edge built")
+        return make_identity(field, n)
+    monkeypatch.setattr(Mat, "identity", identity)
+    edges = (Edge("e", "a", "b"), Edge("f", "c", "d"))
+    for q, (a, b) in itertools.product((2, 3), ((0, 1000), (1000, 0))):
+        table = orbits(RepSpace(Quiver(("a", "b", "c", "d"), edges), Field(q),
+                                {"a": a, "b": b, "c": 1, "d": 1}))
+        alone = orbits(RepSpace(Quiver(("c", "d"), edges[1:]), Field(q),
+                                {"c": 1, "d": 1}))
+        assert table.to_payload() == alone.to_payload()
+        assert table.count == 2
 
 
 def test_enumeration_bounds():
@@ -428,6 +456,42 @@ def test_contract_point_values():
     xe = Mat.identity(f, 2)
     xf = Mat(f, ((0, 1), (0, 0)))
     assert contract_point(big, con, (xe, xf), bighat) == (xf,)
+
+
+def test_contract_point_refuses_points_outside_the_heart():
+    con = kron_contraction()
+    message = "point is not in the heart: a contraction edge is singular"
+    f = Field(3)
+    singular = Mat(f, ((1, 2), (2, 1)))
+    space = kron_space((2, 2), q=3)
+    hat = RepSpace(con.quiver, f, {"p": 2})
+    for target in (hat, None):
+        with pytest.raises(ValueError) as info:
+            contract_point(space, con, (singular, Mat.identity(f, 2)), target)
+        assert str(info.value) == message
+    # a contraction edge of shape 2 x 1 is not square: the same refusal
+    with pytest.raises(ValueError) as info:
+        contract_point(kron_space((1, 2), q=3), con,
+                       (Mat(f, ((1,), (0,))), Mat(f, ((0,), (1,)))))
+    assert str(info.value) == message
+
+
+def test_fibers_are_unchanged_on_kronecker_q3():
+    """Every fiber over the contracted Kronecker space at q = 3, dims (2, 2),
+    in enumeration order, against a digest recorded from the code that
+    inverted each GL element once per fiber point."""
+    con = kron_contraction()
+    space = kron_space((2, 2), q=3)
+    hat = RepSpace(con.quiver, space.field, {"p": 2})
+    digest = hashlib.sha256()
+    count = 0
+    for xhat in enumerate_points(hat):
+        for y in fiber_of_contraction(space, con, xhat, hat):
+            digest.update(repr(y).encode() + b"\n")
+            count += 1
+    assert count == 81 * gl_order(2, 3)
+    assert digest.hexdigest() == (
+        "0909cbde2d17b8a4f2ce804a64ea86fe0967c7e256f4a7bfd812d033f9552bd0")
 
 
 def test_contract_point_is_equivariant_in_the_kept_part():

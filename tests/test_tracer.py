@@ -42,3 +42,12 @@ def test_tracer_wraps_the_library_and_restores_it():
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert tracer.metrics(checks=0)["repspace.points_classified"] > 0
+
+
+def test_profiled_calls_are_plain_functions():
+    # the tracer counts calls by code object: a memo or other decorator over
+    # one of them would hide its __code__
+    tracer_module = _load_tracer()
+    assert tracer_module.PROFILED_CALLS
+    for name, fn in tracer_module.PROFILED_CALLS.items():
+        assert hasattr(fn, "__code__"), name
