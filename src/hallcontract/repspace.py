@@ -4,18 +4,21 @@ A point assigns to each edge h a matrix of shape dims(target) x dims(source);
 the group prod_v GL(dims(v)) acts by (g.x)_h = g_{h''} x_h g_{h'}^{-1}. Points
 are enumerated exactly, and each orbit is found by closing its rank-least
 point under the group generators. The closure runs on integer point codes
-(ranks), never on matrices. One kernel, _packed_images, applies maps of the
-form x_h -> L_h x_h R_h to codes by chunked table lookup, since each is
-F_p-linear on a code's base-p digits; its tables are built from the L and R
-matrices alone. A generator gamma at one vertex is such a map, and so is
-each part of the flag kernel stable_flag_codes: for a fixed graded subspace
-the stability residue, the quotient point and the sub point are linear in
-the point, so one lookup per batch of candidate subspaces takes a code to
-the codes of its quotient and sub points. act() and the Mat flag geometry
-(stable_subspaces, quotient_point, sub_point) are not on these paths; they
-stay as the route of the tests and of the Hall layer's oracle. Extensions
-are enumerated here too, as an independent cross-check of the structure
-constants the Hall layer derives.
+(ranks), never on matrices. One compiler, _image_tables, turns maps of the
+form x_h -> L_h x_h R_h into lookup tables on chunks of a code's base-p
+digits, since each map is F_p-linear on them; the tables are built from the
+L and R matrices alone. A generator gamma at one vertex is such a map: the
+closure compiles all generators into two tables, on the low and the high
+half of a code's digits, and reads them inline. Each part of the flag kernel
+stable_flag_codes is such a map too: for a fixed graded subspace the
+stability residue, the quotient point and the sub point are linear in the
+point, so one lookup per batch of candidate subspaces takes a code to the
+codes of its quotient and sub points; it looks up only orbit
+representatives, so it keeps one-digit chunks. act() and the Mat flag
+geometry (stable_subspaces, quotient_point, sub_point) are not on these
+paths; they stay as the route of the tests and of the Hall layer's oracle.
+Extensions are enumerated here too, as an independent cross-check of the
+structure constants the Hall layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
 are indexed by vertices, not vertex orbits. A RepSpace takes no automorphism
@@ -183,10 +186,13 @@ class OrbitTable:
     def count(self) -> int:
         return len(self.sizes)
 
-    def orbit_id(self, k: int) -> str:
+    def _checked(self, k: int) -> int:
         if not 0 <= k < self.count:
             raise KeyError(f"no orbit ordinal {k}")
-        return f"o{k}"
+        return k
+
+    def orbit_id(self, k: int) -> str:
+        return f"o{self._checked(k)}"
 
     def ordinal_of_id(self, orbit_id: str) -> int:
         """The ordinal k of the canonical id "o{k}"; any other spelling of
@@ -205,11 +211,10 @@ class OrbitTable:
         return self.index[self.space.point_rank(x)]
 
     def representative(self, k: int) -> tuple:
-        return self.space.point_from_rank(self.rep_ranks[k])
+        return self.space.point_from_rank(self.rep_ranks[self._checked(k)])
 
     def points_of(self, k: int):
-        if not 0 <= k < self.count:
-            raise KeyError(f"no orbit ordinal {k}")
+        self._checked(k)
         for rank, ordinal in enumerate(self.index):
             if ordinal == k:
                 yield self.space.point_from_rank(rank)
@@ -218,8 +223,8 @@ class OrbitTable:
         return {f: list(getattr(self, f)) for f in _PAYLOAD_FIELDS}
 
 
-#: Bits of a point code that one table lookup reads; for odd p, as many
-#: base-p digits as fit in that many bits.
+#: Bits of packed images that one odd-p reduction lookup reads; input chunks
+#: are two half-width tables in the closure, one digit in the flag kernel.
 _CHUNK_BITS = 8
 
 #: Output digits of the candidate subspaces one flag-kernel lookup packs
@@ -245,26 +250,29 @@ def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
                  for f in range(1 << (width * bits)))
 
 
-def _packed_images(space: RepSpace, slots: list, chunk_digits: int):
-    """A function taking a point code of the space to its images under
-    F_q-linear maps, one code per output slot.
+def _image_tables(space: RepSpace, slots: list, chunks: list[int]):
+    """Tables taking a point code of the space to its images under F_q-linear
+    maps, one code per output slot.
 
     A slot lists one (L_h, R_h) pair of Mats per edge and maps a point x to
     the point (L_h x_h R_h)_h, coded as a point is: the basis code with
     digit alpha at entry (r, c) of x_h goes to L_h[:, r] alpha R_h[c, :].
     The images are packed side by side in one int, one B-bit field per
-    output digit (B = 1 for p = 2). For each chunk of chunk_digits input
-    digits a table maps the chunk's value to the packed, mod-p reduced
-    images of that chunk; a code's packed images are the XOR (p = 2) or the
-    sum (odd p) of its chunks' entries, so no field overflows. For odd p,
-    reduction tables then read B-bit fields a few at a time and return their
-    digits mod p at their place in a slot's code."""
+    output digit (B = 1 for p = 2). chunks lists the digit counts of
+    consecutive chunks of a code's base-p digits, least significant first;
+    table i maps chunk i's value to the packed, mod-p reduced images of that
+    chunk. A code's packed images are the XOR (p = 2) or the sum (odd p) of
+    its chunks' entries, so no field overflows.
+
+    Returns the tables and, per slot, how to read its code out of packed
+    images: for p = 2 a (shift, mask) pair, for odd p as many (reducer,
+    shift, mask) lookups for every slot, whose values sum to the code; a
+    reducer reads B-bit fields a few at a time and returns their digits mod
+    p at their place in the code."""
     field = space.field
     p, e, mul = field.p, field.e, field._mul
     n = e * space.point_entries
     widths = [e * sum(L.rows * R.cols for L, R in slot) for slot in slots]
-    if n == 0:
-        return lambda code: [0] * len(widths)
     # columns[j]: the output digits of the basis code p**j, the slots end to
     # end, each least significant digit first; in a code, input or output,
     # the first entry is the most significant
@@ -288,60 +296,67 @@ def _packed_images(space: RepSpace, slots: list, chunk_digits: int):
                             for t in range(e):
                                 value, col[pos + t] = divmod(value, p)
             top -= e * L.rows * R.cols
-    radix = p ** chunk_digits
-    chunks = -(-n // chunk_digits)
-    bits = 1 if p == 2 else (chunks * (p - 1)).bit_length()
+    bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
     tables = []
-    for start in range(0, n, chunk_digits):
-        vecs = [[0] * len(columns[0])]
-        for col in columns[start:start + chunk_digits]:
+    for start, size in zip(itertools.accumulate(chunks, initial=0), chunks):
+        vecs = [[0] * sum(widths)]
+        for col in columns[start:start + size]:
             vecs = [[(a + d * b) % p for a, b in zip(vec, col)]
                     for d in range(p) for vec in vecs]
         tables.append([_pack(vec, bits) for vec in vecs])
     offsets = itertools.accumulate(widths, initial=0)
     places = [(offset * bits, width) for offset, width in zip(offsets, widths)]
-
     if p == 2:
-        masks = [(s, (1 << width) - 1) for s, width in places]
-
-        def images(code):
-            packed = 0
-            for table in tables:
-                code, c = divmod(code, radix)
-                packed ^= table[c]
-            return [(packed >> s) & m for s, m in masks]
-        return images
-
+        return tables, [(s, (1 << width) - 1) for s, width in places]
     per_lookup = max(1, _CHUNK_BITS // bits)
     # every slot reads the same number of lookups, padded with a zero table
     reads = max([1] + [-(-width // per_lookup) for _, width in places])
-    lookups = []
-    for s, width in places:
-        for start in range(0, reads * per_lookup, per_lookup):
-            w = max(0, min(per_lookup, width - start))
-            lookups.append((_reducer(p, bits, start, w), s + start * bits,
-                            (1 << (w * bits)) - 1))
+    starts = range(0, reads * per_lookup, per_lookup)
+    lookups = [[(_reducer(p, bits, i, max(0, min(per_lookup, width - i))), s + i * bits)
+                for i in starts] for s, width in places]
+    return tables, [[(t, s, len(t) - 1) for t, s in parts] for parts in lookups]
+
+
+def _packed_images(space: RepSpace, slots: list):
+    """A function taking a point code of the space to its images under the
+    slots' maps (see _image_tables), one code per slot, read through one
+    table per input digit."""
+    p = space.field.p
+    n = space.field.e * space.point_entries
+    if n == 0:
+        return lambda code: [0] * len(slots)
+    tables, reads = _image_tables(space, slots, [1] * n)
+
+    if p == 2:
+        def images(code):
+            packed = 0
+            for table in tables:
+                packed ^= table[code & 1]
+                code >>= 1
+            return [(packed >> s) & m for s, m in reads]
+        return images
+
+    lookups = [lookup for parts in reads for lookup in parts]
+    per_slot = len(reads[0])
 
     def images(code):
         packed = 0
         for table in tables:
-            code, c = divmod(code, radix)
+            code, c = divmod(code, p)
             packed += table[c]
-        # one slot's code is the sum of its `reads` consecutive parts
+        # one slot's code is the sum of its consecutive parts
         parts = iter([t[(packed >> s) & m] for t, s, m in lookups])
-        return list(map(sum, zip(*[parts] * reads)))
+        return list(map(sum, zip(*[parts] * per_slot)))
     return images
 
 
-def _generator_images(space: RepSpace):
-    """A function taking a point code (its rank) to the codes of its images
-    under every group generator, in generator order.
-
-    A generator gamma at vertex v maps x_h to L x_h R, with L = gamma where
-    h ends at v, R = gamma^{-1} where h starts at v and identities at the
-    other ends; _packed_images applies all generators at once, reading as
-    many digits per lookup as fit in _CHUNK_BITS bits. An edge without
-    entries has no digit in a code and gets the empty pair, so no identity."""
+def _generator_tables(space: RepSpace):
+    """((lo, hi), low, reads): _image_tables of every group generator on two
+    chunks, lo on the low = ceil(n/2) base-p digits of a code and hi on the
+    high floor(n/2), so each has at most p**low entries. A generator gamma
+    at vertex v maps x_h to L x_h R, with L = gamma where h ends at v, R =
+    gamma^{-1} where h starts at v and identities at the other ends; an edge
+    without entries has no digit in a code and gets the empty pair."""
     empty = Mat.zeros(space.field, 0, 0)
     identity = {n: Mat.identity(space.field, n) for rows, cols in space.edge_shapes
                 if rows * cols for n in (rows, cols)}
@@ -353,21 +368,20 @@ def _generator_images(space: RepSpace):
                       if rows * cols else (empty, empty)
                       for (ti, si), (rows, cols)
                       in zip(space.edge_vertex_indices, space.edge_shapes)])
-    chunk_digits = 1
-    while space.field.p ** (chunk_digits + 1) <= 1 << _CHUNK_BITS:
-        chunk_digits += 1
-    return _packed_images(space, slots, chunk_digits)
+    n = space.field.e * space.point_entries
+    low = -(-n // 2)
+    tables, reads = _image_tables(space, slots, [low, n - low])
+    return tables, low, reads
 
 
 def _close_orbits(space: RepSpace):
-    if space.point_entries == 0:
-        # the one point is its own orbit; no generator need be built
-        return [0], [1], [0]
-    # close each fresh representative under generator applications
-    images = _generator_images(space)
+    """Close each fresh representative under the group generators, whose
+    images of a point are packed in the XOR (p = 2) or sum of two entries."""
+    (lo, hi), low, reads = _generator_tables(space)
+    p = space.field.p
+    mask, radix = (1 << low) - 1, p ** low
     index = [-1] * space.total_points
-    sizes: list[int] = []
-    reps: list[int] = []
+    sizes, reps = [], []
     for r in range(space.total_points):
         if index[r] != -1:
             continue
@@ -376,12 +390,28 @@ def _close_orbits(space: RepSpace):
         index[r] = k
         frontier = [r]
         count = 1
-        while frontier:
-            for y in images(frontier.pop()):
-                if index[y] == -1:
-                    index[y] = k
-                    count += 1
-                    frontier.append(y)
+        if p == 2:
+            while frontier:
+                x = frontier.pop()
+                v = hi[x >> low] ^ lo[x & mask]
+                for s, m in reads:
+                    y = v >> s & m
+                    if index[y] == -1:
+                        index[y] = k
+                        count += 1
+                        frontier.append(y)
+        else:
+            while frontier:
+                x = frontier.pop()
+                v = hi[x // radix] + lo[x % radix]
+                for parts in reads:
+                    y = 0
+                    for t, s, m in parts:
+                        y += t[v >> s & m]
+                    if index[y] == -1:
+                        index[y] = k
+                        count += 1
+                        frontier.append(y)
         sizes.append(count)
     return index, sizes, reps
 
@@ -625,7 +655,7 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     batches = []
     while batch := list(itertools.islice(candidates, per_batch)):
         slots = [slot for candidate in batch for slot in candidate]
-        batches.append(_packed_images(space, slots, 1))
+        batches.append(_packed_images(space, slots))
 
     def flags(code):
         out = []

@@ -15,7 +15,7 @@ from hallcontract.quiver import (Edge, Quiver, contract_quiver,
 from hallcontract.repspace import (
     RepSpace,
     _divides_group_order,
-    _generator_images,
+    _generator_tables,
     act,
     contract_point,
     direct_sum_point,
@@ -179,26 +179,74 @@ def _images_by_act(space, code):
             for g in group_generators(space)]
 
 
+def _closure_images(space):
+    """A function taking a code to the codes of its images under every group
+    generator, read off the two tables _close_orbits reads, as it reads them."""
+    (lo, hi), low, reads = _generator_tables(space)
+    p = space.field.p
+    if p == 2:
+        def images(code):
+            v = hi[code >> low] ^ lo[code & (1 << low) - 1]
+            return [v >> s & m for s, m in reads]
+        return images
+
+    def images(code):
+        v = hi[code // p ** low] + lo[code % p ** low]
+        return [sum(t[v >> s & m] for t, s, m in parts) for parts in reads]
+    return images
+
+
 def test_code_kernel_matches_act():
-    # every generator on every code; the spaces cover q = 2, 3, 4, 5, 7, 8, 9,
-    # one and several lookup chunks, and spaces without entries
+    # every generator on every code; the spaces cover q = 2, 3, 4, 5, 7, 8,
+    # 9, 16, 25, 27, codes of one digit (no high digits), of an odd
+    # number of digits (uneven halves) at p = 2 and at odd p, and spaces
+    # without entries
+    one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
     spaces = (RepSpace(a1_quiver(), Field(3), {"1": 2}), jordan_space(0, q=5),
               jordan_space(1), kron_space((1, 1), q=7), jordan_space(2),
               jordan_space(3), kron_space((1, 3), q=3), jordan_space(2, q=3),
               jordan_space(2, q=4), kron_space((1, 2), q=5),
-              kron_space((1, 1), q=8), kron_space((1, 1), q=9))
+              kron_space((1, 1), q=8), kron_space((1, 1), q=9),
+              RepSpace(one_edge, Field(5), {"a": 1, "b": 1}),
+              RepSpace(one_edge, Field(3), {"a": 3, "b": 1}),
+              RepSpace(one_edge, Field(2), {"a": 1, "b": 3}),
+              jordan_space(1, q=8), jordan_space(1, q=16),
+              jordan_space(1, q=25), jordan_space(1, q=27))
+    digit_counts = {(s.field.p, s.field.e * s.point_entries) for s in spaces}
+    assert {(2, 1), (5, 1), (2, 3), (2, 9), (3, 3)} <= digit_counts
     for space in spaces:
-        images = _generator_images(space)
+        images = _closure_images(space)
         for r in range(space.total_points):
             assert images(r) == _images_by_act(space, r), (space, r)
 
 
-def test_code_kernel_with_three_chunks():
-    # 3^12 codes, three chunks of digits: a spread of codes, not all of them
+def test_code_kernel_on_a_large_odd_space():
+    # 3^12 codes, two tables of six digits each: a spread of codes, not all
     space = kron_space((2, 3), q=3)
-    images = _generator_images(space)
+    images = _closure_images(space)
     for r in range(0, space.total_points, 4099):
         assert images(r) == _images_by_act(space, r), r
+
+
+def test_closure_builds_two_half_width_tables(monkeypatch):
+    """Orbit closure compiles its generators into exactly two tables, on
+    the low ceil(n/2) and the high floor(n/2) base-p digits of a code, never
+    a table over the whole space."""
+    built = []
+    image_tables = repspace._image_tables
+    monkeypatch.setattr(repspace, "_image_tables", lambda *args: built.append(
+        image_tables(*args)) or built[-1])
+    for space in (kron_space((2, 2), q=4), jordan_space(3), jordan_space(3, q=3),
+                  kron_space((1, 3), q=3), jordan_space(1, q=27),
+                  RepSpace(Quiver(("a", "b"), (Edge("e", "a", "b"),)), Field(5),
+                           {"a": 1, "b": 1})):
+        built.clear()
+        orbits(space)
+        n = space.field.e * space.point_entries
+        assert len(built) == 1, space
+        tables, _ = built[0]
+        assert [len(t) for t in tables] == [space.field.p ** -(-n // 2),
+                                            space.field.p ** (n // 2)], space
 
 
 def test_orbit_sizes_divide_group_order():
@@ -229,6 +277,37 @@ def test_orbit_tables_agree_with_burnside_and_stabilisers():
             assert table.sizes[k] * stabiliser == order
             assert all(table.ordinal_of(y) == k for y in images)
             assert table.index.count(k) == table.sizes[k]
+
+
+def test_ordinals_out_of_range_are_refused():
+    table = orbits(jordan_space(2))
+    assert table.count == 6
+    for k in (-1, 6, 7, -7):
+        for method in (table.representative, table.orbit_id):
+            with pytest.raises(KeyError, match=f"no orbit ordinal {k}"):
+                method(k)
+        with pytest.raises(KeyError, match=f"no orbit ordinal {k}"):
+            next(table.points_of(k))
+
+
+#: sha256 of json.dumps(orbits(space).to_payload()): orbit ids, sizes and
+#: representatives are cached and named in reports, so a kernel change must
+#: leave them byte-identical, orbit order included
+PINNED_ORBIT_TABLES = {
+    ("jordan", 3, (3,)): "b0af955869bbf0e214a2f80b5cf65dac2ae1f03168dc53c36edbb3719f1ab4e3",
+    ("jordan", 9, (2,)): "eb3cd9d51e785fc368a79241370adea86f5fa5667cf53cdaa930a0b43166ead1",
+    ("kronecker", 4, (2, 2)): "ec969921547173219a19cd21eb2207dfb54c281e1c2db29897f4f3c505a0f6f7",
+    ("kronecker", 3, (1, 3)): "1b33d75f215dd042d349149e960896c20bcda40374869165732d9c89ea0e0592",
+    ("kronecker", 2, (2, 3)): "60d093a587349ff71a62633044df8395ad9bf6fc96301328b1eb8e2fa4da87b1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ORBIT_TABLES))
+def test_orbit_tables_are_pinned(key):
+    name, q, dims = key
+    space = jordan_space(*dims, q=q) if name == "jordan" else kron_space(dims, q=q)
+    payload = json.dumps(orbits(space).to_payload())
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_ORBIT_TABLES[key]
 
 
 def test_representatives_are_rank_least():
