@@ -21,6 +21,16 @@ from operator import mul
 from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, refusing any entry that is not an int (a bool or a
+    float is refused, not truncated)."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} entry {v!r} is not an integer")
+    return values
+
+
 @dataclass(frozen=True)
 class CartanDatum:
     labels: tuple[str, ...]
@@ -35,8 +45,8 @@ class CartanDatum:
             phi1 = tuple(phi1[x] for x in labels)
         if isinstance(phi2, dict):
             phi2 = tuple(phi2[x] for x in labels)
-        return cls(labels, tuple(tuple(int(v) for v in row) for row in form),
-                   tuple(int(v) for v in phi1), tuple(int(v) for v in phi2))
+        return cls(labels, tuple(_ints(row, "form") for row in form),
+                   _ints(phi1, "phi1"), _ints(phi2, "phi2"))
 
     def index(self, label: str) -> int:
         try:
@@ -310,10 +320,6 @@ class RootDatum:
     def rank_y(self) -> int:
         return len(self.embed_y[0]) if self.embed_y else 0
 
-    @property
-    def rank_x(self) -> int:
-        return self.rank_y
-
     def y_of(self, label: str) -> tuple[int, ...]:
         return self.embed_y[self.labels.index(label)]
 
@@ -408,8 +414,12 @@ class WeylElement:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WeylElement":
-        return cls(tuple(payload["labels"]),
-                   tuple(tuple(int(v) for v in row) for row in payload["matrix"]))
+        labels = tuple(payload["labels"])
+        matrix = tuple(_ints(row, "matrix") for row in payload["matrix"])
+        n = len(labels)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"matrix must be {n}x{n} over the labels")
+        return cls(labels, matrix)
 
 
 def generalized_reflection(rd: RootDatum, coeffs) -> WeylElement:

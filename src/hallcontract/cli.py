@@ -385,7 +385,7 @@ def hall_orbits(quiver_file, dim_spec, q, bounds):
     orbits_out = []
     for k in range(table.count):
         orbits_out.append({
-            "id": f"o{k}", "size": table.sizes[k],
+            "id": table.orbit_id(k), "size": table.sizes[k],
             "representative": space.point_to_dict(table.representative(k))})
     payload = {"command": "hall orbits", "q": q,
                "quiver": ctx.quiver.content_hash(), "dims": dims,

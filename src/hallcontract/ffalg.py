@@ -147,9 +147,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def units(self) -> range:
         return range(1, self.q)
 
@@ -222,9 +219,6 @@ class Mat:
 
     def __hash__(self):
         return hash((self.field.q, self.rows, self.cols, self.data))
-
-    def __lt__(self, other):
-        return (self.rows, self.cols, self.data) < (other.rows, other.cols, other.data)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.field is not other.field:

@@ -4,17 +4,16 @@ coefficients.
 Elements are G-invariant functions on representation points, stored as
 finitely supported coefficient maps over (dimension vector, orbit id);
 HallElement and TensorElement (its tensor square) share one sparse-vector
-base for their linear operations. The product is the push-pull convolution
-evaluated through stable graded subspaces, twisted by q^{-m/2}; the flags
-are counted on integer point codes by the repspace flag kernel, never on
-matrices. Restriction sums over block-triangular extensions, twisted by
-q^{-m*/2}, whose counts follow from the same flag counts by Riedtmann's
-formula. diagram_star_oracle recomputes the product on Mat points. A
-contraction site equips the algebra with the heart subspace (contraction
-edges invertible), the transport maps to and from the contracted quiver's
-Hall algebra, and the verification routines for the embedding, the PBW
-transport, and the split short exact sequence, whose reports share one site
-config.
+base for their linear operations, JSON and repr. The product is the
+push-pull convolution evaluated through stable graded subspaces, twisted by
+q^{-m/2}; the flags are counted on integer point codes by the repspace flag
+kernel, never on matrices. Restriction sums over block-triangular
+extensions, twisted by q^{-m*/2}, whose counts follow from the same flag
+counts by Riedtmann's formula. diagram_star_oracle recomputes the product on
+Mat points. A contraction site equips the algebra with the heart subspace
+(contraction edges invertible), the transport maps to and from the
+contracted quiver's Hall algebra, and the verification suites, which walk
+one basis enumeration (_basis, _basis_pairs) and share one site config.
 """
 
 from __future__ import annotations
@@ -127,7 +126,9 @@ def _prune(terms: dict) -> dict:
 
 class _Terms:
     """A finitely supported coefficient map over one context, zero
-    coefficients pruned; the vector-space operations return the same class."""
+    coefficients pruned; the vector-space operations return the same class.
+    A subclass names each key by _label (JSON) and _name (display), from
+    which to_json and repr are built."""
 
     def __init__(self, ctx: HallContext, terms: dict):
         self.ctx = ctx
@@ -157,9 +158,29 @@ class _Terms:
             c = SqrtQScalar(self.ctx.q, c)
         return type(self)(self.ctx, {k: v * c for k, v in self.terms.items()})
 
+    def to_json(self) -> dict:
+        terms = [{**self._label(self.ctx, key), "coeff": c.to_json()}
+                 for key, c in sorted(self.terms.items())]
+        return {"q": self.ctx.q, "quiver": self.ctx.quiver.content_hash(),
+                "terms": terms}
+
+    def __repr__(self):
+        bits = [f"{c}*{self._name(key)}" for key, c in sorted(self.terms.items())]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
 
 class HallElement(_Terms):
     """Finitely supported coefficient map (dims key, orbit ordinal) -> scalar."""
+
+    @staticmethod
+    def _label(ctx: HallContext, key: tuple) -> dict:
+        """The JSON name of the basis vector at key = (dims key, ordinal)."""
+        return {"dim": ctx.dims_dict(key[0]), "orbit": f"o{key[1]}"}
+
+    @staticmethod
+    def _name(key: tuple) -> str:
+        """The display name P[dims key,o{ordinal}] of the same vector."""
+        return f"P[{key[0]},o{key[1]}]"
 
     def homogeneous(self) -> dict:
         """Grade -> sub-element, grouping the terms by dims key."""
@@ -178,18 +199,7 @@ class HallElement(_Terms):
         return self.terms.get((key, ordinal), SqrtQScalar.zero(self.ctx.q))
 
     def support_ids(self) -> list[dict]:
-        out = []
-        for key, o in sorted(self.terms):
-            out.append({"dim": self.ctx.dims_dict(key), "orbit": f"o{o}"})
-        return out
-
-    def to_json(self) -> dict:
-        terms = []
-        for (key, o) in sorted(self.terms):
-            terms.append({"dim": self.ctx.dims_dict(key), "orbit": f"o{o}",
-                          "coeff": self.terms[(key, o)].to_json()})
-        return {"q": self.ctx.q, "quiver": self.ctx.quiver.content_hash(),
-                "terms": terms}
+        return [self._label(self.ctx, key) for key in sorted(self.terms)]
 
     @classmethod
     def from_json(cls, ctx: HallContext, payload: dict) -> "HallElement":
@@ -203,15 +213,11 @@ class HallElement(_Terms):
         terms: dict = {}
         for t in payload["terms"]:
             key = ctx.dims_key(t["dim"])
+            if any(type(n) is not int for n in key):
+                raise ValueError(f"dimensions must be integers: {t['dim']!r}")
             ordinal = ctx.table(key).ordinal_of_id(t["orbit"])
             _accum(terms, (key, ordinal), SqrtQScalar.from_json(ctx.q, t["coeff"]))
         return cls(ctx, terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "HallElement(0)"
-        bits = [f"{c}*P[{key},o{o}]" for (key, o), c in sorted(self.terms.items())]
-        return "HallElement(" + " + ".join(bits) + ")"
 
 
 def _same_ctx(f1, f2) -> None:
@@ -396,22 +402,14 @@ def _group_profile(ctx: HallContext, key: tuple, x: tuple) -> dict:
 class TensorElement(_Terms):
     """Finitely supported map ((dims, orbit), (dims, orbit)) -> scalar."""
 
-    def to_json(self) -> dict:
-        terms = []
-        for ((tk, t), (wk, w)) in sorted(self.terms):
-            terms.append({
-                "left": {"dim": self.ctx.dims_dict(tk), "orbit": f"o{t}"},
-                "right": {"dim": self.ctx.dims_dict(wk), "orbit": f"o{w}"},
-                "coeff": self.terms[((tk, t), (wk, w))].to_json()})
-        return {"q": self.ctx.q, "quiver": self.ctx.quiver.content_hash(),
-                "terms": terms}
+    @staticmethod
+    def _label(ctx: HallContext, key: tuple) -> dict:
+        return {"left": HallElement._label(ctx, key[0]),
+                "right": HallElement._label(ctx, key[1])}
 
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElement(0)"
-        bits = [f"{c}*P[{tk},o{t}]⊗P[{wk},o{w}]"
-                for ((tk, t), (wk, w)), c in sorted(self.terms.items())]
-        return "TensorElement(" + " + ".join(bits) + ")"
+    @staticmethod
+    def _name(key: tuple) -> str:
+        return f"{HallElement._name(key[0])}⊗{HallElement._name(key[1])}"
 
 
 def tensor(f1: HallElement, f2: HallElement) -> TensorElement:
@@ -696,6 +694,23 @@ def _keys_upto(nvertices: int, max_dim: int):
     return list(itertools.product(range(max_dim + 1), repeat=nvertices))
 
 
+def _basis(ctx: HallContext, keys):
+    """(key, P, name) for each basis vector P at each dims key in turn, orbits
+    in ordinal order; key is (dims key, ordinal) and name its display name."""
+    for dims in keys:
+        for o in range(ctx.table(dims).count):
+            yield (dims, o), char_function(ctx, dims, o), HallElement._name((dims, o))
+
+
+def _basis_pairs(ctx: HallContext, key_pairs):
+    """(left, right) for each pair of basis vectors at each (tau, omega) in
+    turn, each side as _basis yields it."""
+    for tk, wk in key_pairs:
+        for left in _basis(ctx, [tk]):
+            for right in _basis(ctx, [wk]):
+                yield left, right
+
+
 def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
     """Multiplicativity and injectivity of the transport into the big algebra,
     plus the twist bookkeeping identity, exhaustively over basis pairs."""
@@ -714,24 +729,18 @@ def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
             lhs_m - rhs_m == predicted,
             m_contracted=lhs_m, m_original=rhs_m,
             predicted_difference=predicted))
-        for o1 in range(hat.table(tk).count):
-            f = char_function(hat, tk, o1)
-            for o2 in range(hat.table(wk).count):
-                g = char_function(hat, wk, o2)
-                lhs = psi(hc, circ(f, g))
-                rhs = circ(psi(hc, f), psi(hc, g))
-                checks.append(_check(
-                    f"psi multiplicative on P[{tk},o{o1}]*P[{wk},o{o2}]",
-                    "embedding-multiplicative", lhs == rhs,
-                    f=f, g=g, psi_of_product=lhs, product_of_psi=rhs))
-    for nk in _keys_upto(nhat, max_dim):
-        for o in range(hat.table(nk).count):
-            f = char_function(hat, nk, o)
-            back = mu_lower_star(hc, j_star(hc, psi(hc, f)))
+        for (_, f, fname), (_, g, gname) in _basis_pairs(hat, [(tk, wk)]):
+            lhs = psi(hc, circ(f, g))
+            rhs = circ(psi(hc, f), psi(hc, g))
             checks.append(_check(
-                f"round trip on P[{nk},o{o}]", "embedding-injective-roundtrip",
-                back == f,
-                f=f, back=back))
+                f"psi multiplicative on {fname}*{gname}",
+                "embedding-multiplicative", lhs == rhs,
+                f=f, g=g, psi_of_product=lhs, product_of_psi=rhs))
+    for _, f, name in _basis(hat, _keys_upto(nhat, max_dim)):
+        back = mu_lower_star(hc, j_star(hc, psi(hc, f)))
+        checks.append(_check(
+            f"round trip on {name}", "embedding-injective-roundtrip",
+            back == f, f=f, back=back))
     config = _site_config(hc, max_dim,
                           contracted_quiver=hat.quiver.content_hash())
     return _finish_report("verify embedding", config, checks)
@@ -742,47 +751,44 @@ def verify_pbw(hc: HeartContext, max_dim: int = 2) -> dict:
     heart basis vector; the twisted transport differs by exactly q^{-n^2/2}."""
     ctx, hat = hc.ctx, hc.hat
     checks = []
-    for nk in _keys_upto(len(hat.quiver.vertices), max_dim):
+    for (nk, o), f, name in _basis(hat, _keys_upto(len(hat.quiver.vertices),
+                                                   max_dim)):
         bk = hc.lift_key(nk)
-        _, from_hat = hc.orbit_maps(bk)
         n = hc.minus_dim(bk)
+        expected = char_function(ctx, bk, hc.orbit_maps(bk)[1][o])
+        plain = j_shriek(hc, mu_star(hc, f, twisted=False))
+        checks.append(_check(
+            f"untwisted transport of {name}", "pbw-transport-untwisted",
+            plain == expected, transported=plain, expected=expected))
+        twisted = psi(hc, f)
         twist = SqrtQScalar.half_power(ctx.q, -n * n * hc.orbit_size)
-        for o in range(hat.table(nk).count):
-            f = char_function(hat, nk, o)
-            plain = j_shriek(hc, mu_star(hc, f, twisted=False))
-            expected = char_function(ctx, bk, from_hat[o])
-            checks.append(_check(
-                f"untwisted transport of P[{nk},o{o}]", "pbw-transport-untwisted",
-                plain == expected, transported=plain, expected=expected))
-            twisted = psi(hc, f)
-            checks.append(_check(
-                f"twisted transport of P[{nk},o{o}]", "pbw-transport-twisted",
-                twisted == expected.scale(twist),
-                transported=twisted))
+        checks.append(_check(
+            f"twisted transport of {name}", "pbw-transport-twisted",
+            twisted == expected.scale(twist), transported=twisted))
     return _finish_report("verify pbw", _site_config(hc, max_dim), checks)
+
+
+def _lifted_key_pairs(hc: HeartContext, max_dim: int) -> list:
+    """The big-quiver (tau, omega) pairs lifted from the contracted ones."""
+    return [(hc.lift_key(tk), hc.lift_key(wk))
+            for tk, wk in _key_pairs_upto(len(hc.hat.quiver.vertices), max_dim)]
 
 
 def verify_ideal(hc: HeartContext, max_dim: int = 2) -> dict:
     """Products of a non-heart basis vector with anything (either side) stay
     outside the heart, over all balanced grades in range."""
-    ctx, hat = hc.ctx, hc.hat
     checks = []
-    for tk_hat, wk_hat in _key_pairs_upto(len(hat.quiver.vertices), max_dim):
-        tk, wk = hc.lift_key(tk_hat), hc.lift_key(wk_hat)
-        t_heart = hc.heart_ordinals(tk)
-        for o1 in range(ctx.table(tk).count):
-            if o1 in t_heart:
-                continue
-            f = char_function(ctx, tk, o1)
-            for o2 in range(ctx.table(wk).count):
-                g = char_function(ctx, wk, o2)
-                for tag, prod in (("left", circ(f, g)), ("right", circ(g, f))):
-                    heart_part, _ = complement_split(hc, prod)
-                    checks.append(_check(
-                        f"{tag} product of non-heart P[{tk},o{o1}] "
-                        f"with P[{wk},o{o2}] avoids the heart",
-                        "complement-two-sided-ideal", heart_part.is_zero(),
-                        product=prod, heart_component=heart_part))
+    for ((tk, o1), f, fname), (_, g, gname) in _basis_pairs(
+            hc.ctx, _lifted_key_pairs(hc, max_dim)):
+        if o1 in hc.heart_ordinals(tk):
+            continue
+        for tag, prod in (("left", circ(f, g)), ("right", circ(g, f))):
+            heart_part, _ = complement_split(hc, prod)
+            checks.append(_check(
+                f"{tag} product of non-heart {fname} with {gname} avoids "
+                f"the heart", "complement-two-sided-ideal",
+                heart_part.is_zero(),
+                product=prod, heart_component=heart_part))
     return _finish_report("verify ideal", _site_config(hc, max_dim), checks)
 
 
@@ -793,47 +799,38 @@ def verify_ses(hc: HeartContext, max_dim: int = 2) -> dict:
     leak into the complement (so the sequence splits)."""
     ctx, hat = hc.ctx, hc.hat
     checks = []
-    nhat = len(hat.quiver.vertices)
-    for nk_hat in _keys_upto(nhat, max_dim):
-        bk = hc.lift_key(nk_hat)
-        heart = hc.heart_ordinals(bk)
-        for o in range(ctx.table(bk).count):
-            f = char_function(ctx, bk, o)
-            if o in heart:
-                checks.append(_check(
-                    f"j* after j_! fixes P[{bk},o{o}]", "restrict-after-extend",
-                    j_star(hc, j_shriek(hc, f)) == f, f=f))
-                checks.append(_check(
-                    f"j* keeps heart P[{bk},o{o}]", "restriction-kernel",
-                    not j_star(hc, f).is_zero(), f=f))
-            else:
-                checks.append(_check(
-                    f"j* kills non-heart P[{bk},o{o}]", "restriction-kernel",
-                    j_star(hc, f).is_zero(), f=f, restriction=j_star(hc, f)))
+    keys = [hc.lift_key(k) for k in _keys_upto(len(hat.quiver.vertices), max_dim)]
+    for (bk, o), f, name in _basis(ctx, keys):
+        if o in hc.heart_ordinals(bk):
+            checks.append(_check(
+                f"j* after j_! fixes {name}", "restrict-after-extend",
+                j_star(hc, j_shriek(hc, f)) == f, f=f))
+            checks.append(_check(
+                f"j* keeps heart {name}", "restriction-kernel",
+                not j_star(hc, f).is_zero(), f=f))
+        else:
+            checks.append(_check(
+                f"j* kills non-heart {name}", "restriction-kernel",
+                j_star(hc, f).is_zero(), f=f, restriction=j_star(hc, f)))
 
     def project(f):
         return mu_lower_star(hc, j_star(hc, f))
 
-    for tk_hat, wk_hat in _key_pairs_upto(nhat, max_dim):
-        tk, wk = hc.lift_key(tk_hat), hc.lift_key(wk_hat)
-        t_heart, w_heart = hc.heart_ordinals(tk), hc.heart_ordinals(wk)
-        for o1 in range(ctx.table(tk).count):
-            f = char_function(ctx, tk, o1)
-            for o2 in range(ctx.table(wk).count):
-                g = char_function(ctx, wk, o2)
-                prod = circ(f, g)
-                lhs = project(prod)
-                rhs = circ(project(f), project(g))
-                checks.append(_check(
-                    f"projection multiplicative on P[{tk},o{o1}]*P[{wk},o{o2}]",
-                    "quotient-algebra-map", lhs == rhs,
-                    projected_product=lhs, product_of_projections=rhs))
-                if o1 in t_heart and o2 in w_heart:
-                    _, leak = complement_split(hc, prod)
-                    checks.append(_check(
-                        f"heart product P[{tk},o{o1}]*P[{wk},o{o2}] stays in "
-                        f"the heart", "heart-subalgebra-split", leak.is_zero(),
-                        product=prod, complement_component=leak))
+    for ((tk, o1), f, fname), ((wk, o2), g, gname) in _basis_pairs(
+            ctx, _lifted_key_pairs(hc, max_dim)):
+        prod = circ(f, g)
+        lhs = project(prod)
+        rhs = circ(project(f), project(g))
+        checks.append(_check(
+            f"projection multiplicative on {fname}*{gname}",
+            "quotient-algebra-map", lhs == rhs,
+            projected_product=lhs, product_of_projections=rhs))
+        if o1 in hc.heart_ordinals(tk) and o2 in hc.heart_ordinals(wk):
+            _, leak = complement_split(hc, prod)
+            checks.append(_check(
+                f"heart product {fname}*{gname} stays in the heart",
+                "heart-subalgebra-split", leak.is_zero(),
+                product=prod, complement_component=leak))
     return _finish_report("verify ses", _site_config(hc, max_dim), checks)
 
 
@@ -841,26 +838,20 @@ def verify_bialgebra(ctx: HallContext, max_dim: int = 2) -> dict:
     """Coproduct is an algebra map for the twisted tensor product, and is
     coassociative, over all basis pairs in range."""
     checks = []
-    nvert = len(ctx.quiver.vertices)
-    for tk in _keys_upto(nvert, max_dim):
-        for wk in _keys_upto(nvert, max_dim):
-            for o1 in range(ctx.table(tk).count):
-                f = char_function(ctx, tk, o1)
-                for o2 in range(ctx.table(wk).count):
-                    g = char_function(ctx, wk, o2)
-                    lhs = coproduct(circ(f, g))
-                    rhs = tensor_mult(coproduct(f), coproduct(g))
-                    checks.append(_check(
-                        f"coproduct multiplicative on P[{tk},o{o1}]*P[{wk},o{o2}]",
-                        "coproduct-algebra-map", lhs == rhs,
-                        coproduct_of_product=lhs, product_of_coproducts=rhs))
-    for nk in _keys_upto(nvert, max_dim):
-        for o in range(ctx.table(nk).count):
-            f = char_function(ctx, nk, o)
-            left, right = _coassociativity_sides(ctx, f)
-            checks.append(_check(
-                f"coassociativity on P[{nk},o{o}]", "coproduct-coassociative",
-                left == right, f=f))
+    keys = _keys_upto(len(ctx.quiver.vertices), max_dim)
+    for (_, f, fname), (_, g, gname) in _basis_pairs(
+            ctx, itertools.product(keys, keys)):
+        lhs = coproduct(circ(f, g))
+        rhs = tensor_mult(coproduct(f), coproduct(g))
+        checks.append(_check(
+            f"coproduct multiplicative on {fname}*{gname}",
+            "coproduct-algebra-map", lhs == rhs,
+            coproduct_of_product=lhs, product_of_coproducts=rhs))
+    for _, f, name in _basis(ctx, keys):
+        left, right = _coassociativity_sides(ctx, f)
+        checks.append(_check(
+            f"coassociativity on {name}", "coproduct-coassociative",
+            left == right, f=f))
     config = {"q": ctx.q, "quiver": ctx.quiver.content_hash(),
               "max_dim": max_dim}
     return _finish_report("verify bialgebra", config, checks)
@@ -869,16 +860,13 @@ def verify_bialgebra(ctx: HallContext, max_dim: int = 2) -> dict:
 def _coassociativity_sides(ctx: HallContext, f: HallElement) -> tuple[dict, dict]:
     """Triple-tensor expansions of (coproduct x id) and (id x coproduct)
     applied to coproduct(f), as pruned coefficient dicts."""
-    d = coproduct(f)
     left: dict = {}
     right: dict = {}
-    for ((ak, ao), (bk, bo)), c in d.terms.items():
-        for ((xk, xo), (yk, yo)), c2 in coproduct(
-                char_function(ctx, ak, ao)).terms.items():
-            _accum(left, ((xk, xo), (yk, yo), (bk, bo)), c * c2)
-        for ((xk, xo), (yk, yo)), c2 in coproduct(
-                char_function(ctx, bk, bo)).terms.items():
-            _accum(right, ((ak, ao), (xk, xo), (yk, yo)), c * c2)
+    for (a, b), c in coproduct(f).terms.items():
+        for (x, y), c2 in coproduct(char_function(ctx, *a)).terms.items():
+            _accum(left, (x, y, b), c * c2)
+        for (x, y), c2 in coproduct(char_function(ctx, *b)).terms.items():
+            _accum(right, (a, x, y), c * c2)
     return _prune(left), _prune(right)
 
 
@@ -889,46 +877,40 @@ def comult_compat(hc: HeartContext, max_dim: int = 1) -> dict:
     are nonzero, and the components only one side has."""
     ctx, hat = hc.ctx, hc.hat
     cases = []
-    for nk in _keys_upto(len(hat.quiver.vertices), max_dim):
-        for o in range(hat.table(nk).count):
-            f = char_function(hat, nk, o)
-            big_side = coproduct(psi(hc, f))
-            transported: dict = {}
-            for ((ak, ao), (bk, bo)), c in coproduct(f).terms.items():
-                fa = psi(hc, char_function(hat, ak, ao)).scale(c)
-                fb = psi(hc, char_function(hat, bk, bo))
-                _accum_all(transported, tensor(fa, fb))
-            transported = _prune(transported)
-            exponents = set()
-            mismatches = []
-            only_big = []
-            only_hat = []
-            for key in sorted(set(big_side.terms) | set(transported)):
-                (ak, ao), (bk, bo) = key
-                label = {"left": {"dim": ctx.dims_dict(ak), "orbit": f"o{ao}"},
-                         "right": {"dim": ctx.dims_dict(bk), "orbit": f"o{bo}"}}
-                in_big = key in big_side.terms
-                in_hat = key in transported
-                if in_big and in_hat:
-                    ratio = big_side.terms[key] / transported[key]
-                    n = _half_power_exponent(ratio, ctx.q)
-                    if n is None:
-                        mismatches.append({"component": label,
-                                           "ratio": str(ratio)})
-                    else:
-                        exponents.add(n)
-                elif in_big:
-                    only_big.append({"component": label,
-                                     "value": big_side.terms[key].to_json()})
+    for _, f, _ in _basis(hat, _keys_upto(len(hat.quiver.vertices), max_dim)):
+        big_side = coproduct(psi(hc, f))
+        transported: dict = {}
+        for (a, b), c in coproduct(f).terms.items():
+            fa = psi(hc, char_function(hat, *a)).scale(c)
+            _accum_all(transported, tensor(fa, psi(hc, char_function(hat, *b))))
+        transported = _prune(transported)
+        exponents = set()
+        mismatches = []
+        only_big = []
+        only_hat = []
+        for key in sorted(set(big_side.terms) | set(transported)):
+            label = TensorElement._label(ctx, key)
+            in_big = key in big_side.terms
+            in_hat = key in transported
+            if in_big and in_hat:
+                ratio = big_side.terms[key] / transported[key]
+                n = _half_power_exponent(ratio, ctx.q)
+                if n is None:
+                    mismatches.append({"component": label, "ratio": str(ratio)})
                 else:
-                    only_hat.append({"component": label,
-                                     "value": transported[key].to_json()})
-            cases.append({
-                "element": f.to_json(),
-                "shared_component_exponents": sorted(exponents),
-                "non_power_ratios": mismatches,
-                "components_only_in_big_coproduct": only_big,
-                "components_only_in_transported_coproduct": only_hat,
-            })
+                    exponents.add(n)
+            elif in_big:
+                only_big.append({"component": label,
+                                 "value": big_side.terms[key].to_json()})
+            else:
+                only_hat.append({"component": label,
+                                 "value": transported[key].to_json()})
+        cases.append({
+            "element": f.to_json(),
+            "shared_component_exponents": sorted(exponents),
+            "non_power_ratios": mismatches,
+            "components_only_in_big_coproduct": only_big,
+            "components_only_in_transported_coproduct": only_hat,
+        })
     return {"command": "verify comult-compat", "config": _site_config(hc, max_dim),
             "status": "observed", "cases": cases}

@@ -46,7 +46,7 @@ class RepSpace:
         if set(dims) != set(quiver.vertices):
             raise ValueError("dimension vector must cover exactly the vertices")
         for v, n in dims.items():
-            if not isinstance(n, int) or n < 0:
+            if type(n) is not int or n < 0:
                 raise ValueError(f"dimension at {v!r} must be a nonnegative integer")
         self.quiver = quiver
         self.field = field

@@ -115,6 +115,41 @@ def test_cartan_contract_cli(tmp_path):
     assert payload_of(r)["violations"]
 
 
+def assert_refused(argv):
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 4, (argv, r.stdout, r.exception)
+    assert r.stdout == "" and "error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_non_integer_datum_entries_exit_4(tmp_path):
+    """A form or weight entry that is a float or a bool is refused, not
+    truncated to an integer datum that then validates or contracts."""
+    good = kronecker_datum().to_dict()
+    bad = [dict(good, form=[[2, -1.9], [-1.9, 2]]),
+           dict(good, form=[[2.0, -2], [-2, 2]]),
+           dict(good, phi1={"i+": True, "i-": 1}),
+           dict(good, phi2={"i+": 0, "i-": 0.0})]
+    for k, payload in enumerate(bad):
+        path = write_json(tmp_path, f"bad{k}.json", payload)
+        assert_refused(["cartan", "validate", path])
+        assert_refused(["cartan", "contract", path,
+                        "--plus", "i+", "--minus", "i-"])
+
+
+def test_weyl_search_refuses_malformed_targets(tmp_path):
+    datum = kronecker_datum()
+    datum_file = write_json(tmp_path, "kron.json", datum.to_dict())
+    labels = list(datum.labels)
+    targets = [[[-1, 1.9], [0, 1]], [[True, 0], [0, 1]],
+               [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1], [0]]]
+    for k, matrix in enumerate(targets):
+        target = write_json(tmp_path, f"target{k}.json",
+                            {"labels": labels, "matrix": matrix})
+        assert_refused(["weyl", "search", datum_file, "--target", target,
+                        "--depth", "2"])
+
+
 def test_cartan_realize_out_file_roundtrips(tmp_path):
     datum = write_json(tmp_path, "kron.json", kronecker_datum().to_dict())
     out = tmp_path / "realized.json"
@@ -531,6 +566,29 @@ def test_hall_psi_cli(tmp_path):
                              "--plus", "p", "--minus", "m", "--edge", "zz"])
     assert r.exit_code == 4
     assert "unknown edge" in r.stderr
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_non_integer_element_dims_exit_4(tmp_path, bad, bad_first):
+    """A bool or float dimension is refused whether or not its grade's
+    orbit table is already memoized by an earlier term."""
+    quiver_file = write_json(tmp_path, "kron.json", KRON)
+    quiver, _ = qv.Quiver.from_dict(KRON)
+    heart = HeartContext(HallContext(quiver, 2, cache=OrbitCache()), "p", "m", "e")
+    good = char_function(heart.hat, (1,), 0).to_json()
+    (term,) = good["terms"]
+    odd = dict(term, dim={v: bad for v in term["dim"]})
+    terms = [odd, term] if bad_first else [term, odd]
+    f = write_json(tmp_path, "f.json", dict(good, terms=terms))
+    assert_refused(["hall", "psi", quiver_file, f, "--q", "2",
+                    "--plus", "p", "--minus", "m"])
+
+
+def test_rep_space_refuses_bool_dims():
+    quiver, _ = qv.Quiver.from_dict(KRON)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        RepSpace(quiver, Field(2), {"p": True, "m": 1})
 
 
 def test_hall_verify_cli(tmp_path):
