@@ -231,8 +231,8 @@ def zero_element(ctx: HallContext) -> HallElement:
 
 def char_function(ctx: HallContext, dims, orbit) -> HallElement:
     """The basis vector P_O: coefficient 1 on one orbit."""
-    key = ctx.dims_key(dims)
-    table = ctx.table(key)
+    table = ctx.table(dims)
+    key = table.space.key
     ordinal = table.ordinal_of_id(orbit) if isinstance(orbit, str) else orbit
     if not 0 <= ordinal < table.count:
         raise KeyError(f"no orbit {orbit!r} at dims {key}")
@@ -453,7 +453,7 @@ def res(f: HallElement, tau, omega) -> TensorElement:
     """Restriction to a split of the grade: coefficient at (t, w) is
     q^{-m*/2} times the sum of f over all extensions of the representatives."""
     ctx = f.ctx
-    tk, wk = ctx.dims_key(tau), ctx.dims_key(omega)
+    tk, wk = ctx.space(tau).key, ctx.space(omega).key
     nk = tuple(a + b for a, b in zip(tk, wk))
     part = {o: c for (key, o), c in f.terms.items() if key == nk}
     if not part:

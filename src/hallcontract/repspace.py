@@ -9,7 +9,12 @@ form x_h -> L_h x_h R_h into lookup tables on chunks of a code's base-p
 digits, since each map is F_p-linear on them; the tables are built from the
 L and R matrices alone. A generator gamma at one vertex is such a map: the
 closure compiles all generators into two tables, on the low and the high
-half of a code's digits, and reads them inline. Each part of the flag kernel
+half of a code's digits, and reads them inline. A generator is clean when
+each of its output digits draws on one half only (every monomial generator,
+and every generator when the cut falls between edges); its image code is
+then stored whole and read with one shift and mask, at odd p as at p = 2.
+Only a mixed generator at odd p is read through reducer lookups that bring
+its digits back mod p. Each part of the flag kernel
 stable_flag_codes is such a map too: for a fixed graded subspace the
 stability residue, the quotient point and the sub point are linear in the
 point, so one lookup per batch of candidate subspaces takes a code to the
@@ -51,6 +56,8 @@ class RepSpace:
         self.quiver = quiver
         self.field = field
         self.dims = {v: dims[v] for v in quiver.vertices}
+        #: the dimension vector in vertex order, each entry a checked int
+        self.key = tuple(self.dims.values())
         vindex = quiver.vertex_index
         self.edge_vertex_indices = tuple(
             (vindex[e.target], vindex[e.source]) for e in quiver.edges)
@@ -223,21 +230,14 @@ class OrbitTable:
         return {f: list(getattr(self, f)) for f in _PAYLOAD_FIELDS}
 
 
-#: Bits of packed images that one odd-p reduction lookup reads; input chunks
-#: are two half-width tables in the closure, one digit in the flag kernel.
+#: Bits of a mixed slot's packed images that one odd-p reduction lookup
+#: reads; input chunks are two half-width tables in the closure, one digit in
+#: the flag kernel.
 _CHUNK_BITS = 8
 
 #: Output digits of the candidate subspaces one flag-kernel lookup packs
 #: together; a candidate wider than this is a batch of its own.
 _BATCH_DIGITS = 1024
-
-
-def _pack(digits: list[int], bits: int) -> int:
-    """The int holding digit k in the bits-wide field from k*bits."""
-    packed = 0
-    for d in reversed(digits):
-        packed = packed << bits | d
-    return packed
 
 
 @lru_cache(maxsize=None)
@@ -250,25 +250,53 @@ def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
                  for f in range(1 << (width * bits)))
 
 
-def _image_tables(space: RepSpace, slots: list, chunks: list[int]):
+def _pack(digits: list[int], layout: list) -> int:
+    """The int holding the digits side by side, least significant first, in
+    runs (width, bits, radix): a run of bits-wide digit fields (radix None),
+    or one bits-wide field holding the run's base-radix code."""
+    packed, top = 0, len(digits)
+    for width, bits, radix in reversed(layout):
+        run = reversed(digits[top - width:top])
+        top -= width
+        if radix is None:
+            for d in run:
+                packed = packed << bits | d
+        else:
+            code = 0
+            for d in run:
+                code = code * radix + d
+            packed = packed << bits | code
+    return packed
+
+
+def _image_tables(space: RepSpace, slots: list, chunks: list[int],
+                  codes: bool = False):
     """Tables taking a point code of the space to its images under F_q-linear
     maps, one code per output slot.
 
     A slot lists one (L_h, R_h) pair of Mats per edge and maps a point x to
     the point (L_h x_h R_h)_h, coded as a point is: the basis code with
     digit alpha at entry (r, c) of x_h goes to L_h[:, r] alpha R_h[c, :].
-    The images are packed side by side in one int, one B-bit field per
-    output digit (B = 1 for p = 2). chunks lists the digit counts of
-    consecutive chunks of a code's base-p digits, least significant first;
-    table i maps chunk i's value to the packed, mod-p reduced images of that
-    chunk. A code's packed images are the XOR (p = 2) or the sum (odd p) of
-    its chunks' entries, so no field overflows.
+    chunks lists the digit counts of consecutive chunks of a code's base-p
+    digits, least significant first; table i maps chunk i's value to the
+    images of that chunk, each output digit reduced mod p and the slots
+    packed side by side in one int. A code's packed images are the XOR
+    (p = 2) or the sum (odd p) of its chunks' entries.
 
-    Returns the tables and, per slot, how to read its code out of packed
-    images: for p = 2 a (shift, mask) pair, for odd p as many (reducer,
-    shift, mask) lookups for every slot, whose values sum to the code; a
-    reducer reads B-bit fields a few at a time and returns their digits mod
-    p at their place in the code."""
+    A slot of w output digits is packed in one of two ways:
+    - As its code, in a field of (p**w - 1).bit_length() bits, read with
+      one (shift, mask) pair. This holds at p = 2, where XOR cannot carry,
+      and, when codes is set, for a clean slot at odd p: one whose every
+      output digit draws on the digits of one chunk only, so that a single
+      entry holds each digit and the sum of the entries is the code.
+    - Otherwise (a mixed slot) as one B-bit field per output digit, B wide
+      enough for the sum of every chunk's digit there, read with a list of
+      (reducer, shift, mask) lookups whose values sum to the code; a reducer
+      reads a few fields and returns their digits mod p at their place in
+      the code. Every mixed slot reads the same number of lookups.
+
+    Returns the tables and, per slot in order, its (shift, mask) pair or its
+    list of lookups."""
     field = space.field
     p, e, mul = field.p, field.e, field._mul
     n = e * space.point_entries
@@ -296,25 +324,47 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int]):
                             for t in range(e):
                                 value, col[pos + t] = divmod(value, p)
             top -= e * L.rows * R.cols
+    starts = list(itertools.accumulate(chunks, initial=0))
+    offsets = list(itertools.accumulate(widths, initial=0))
+    clean = [False] * len(slots)
+    if codes and p != 2:
+        # drawn[pos]: the number of chunks output digit pos draws on
+        drawn = Counter(pos for a, b in zip(starts, starts[1:])
+                        for pos in {pos for col in columns[a:b]
+                                    for pos, d in enumerate(col) if d})
+        clean = [all(drawn[pos] < 2 for pos in range(a, b))
+                 for a, b in zip(offsets, offsets[1:])]
     bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
+    sizes = [(p ** w - 1).bit_length() if c else w * bits
+             for w, c in zip(widths, clean)]
+    # _pack's runs: each clean slot, and each run of other slots' fields
+    layout = []
+    for w, size, c in zip(widths, sizes, clean):
+        if not c and layout and layout[-1][2] is None:
+            w += layout.pop()[0]
+        layout.append((w, size, p) if c else (w, bits, None))
     tables = []
-    for start, size in zip(itertools.accumulate(chunks, initial=0), chunks):
+    for start, size in zip(starts, chunks):
         vecs = [[0] * sum(widths)]
         for col in columns[start:start + size]:
             vecs = [[(a + d * b) % p for a, b in zip(vec, col)]
                     for d in range(p) for vec in vecs]
-        tables.append([_pack(vec, bits) for vec in vecs])
-    offsets = itertools.accumulate(widths, initial=0)
-    places = [(offset * bits, width) for offset, width in zip(offsets, widths)]
-    if p == 2:
-        return tables, [(s, (1 << width) - 1) for s, width in places]
+        tables.append([_pack(vec, layout) for vec in vecs])
+    shifts = itertools.accumulate(sizes, initial=0)
     per_lookup = max(1, _CHUNK_BITS // bits)
-    # every slot reads the same number of lookups, padded with a zero table
-    reads = max([1] + [-(-width // per_lookup) for _, width in places])
-    starts = range(0, reads * per_lookup, per_lookup)
-    lookups = [[(_reducer(p, bits, i, max(0, min(per_lookup, width - i))), s + i * bits)
-                for i in starts] for s, width in places]
-    return tables, [[(t, s, len(t) - 1) for t, s in parts] for parts in lookups]
+    lookups = max([1] + [-(-w // per_lookup) for w, c in zip(widths, clean) if not c])
+    places = range(0, lookups * per_lookup, per_lookup)
+    reads = []
+    for s, w, size, c in zip(shifts, widths, sizes, clean):
+        if c or p == 2:
+            # at p = 2 a one-bit field per digit is the code itself
+            reads.append((s, (1 << size) - 1))
+        else:
+            # padded with zero tables up to the common number of lookups
+            parts = [(i, _reducer(p, bits, i, max(0, min(per_lookup, w - i))))
+                     for i in places]
+            reads.append([(t, s + i * bits, len(t) - 1) for i, t in parts])
+    return tables, reads
 
 
 def _packed_images(space: RepSpace, slots: list):
@@ -353,10 +403,12 @@ def _packed_images(space: RepSpace, slots: list):
 def _generator_tables(space: RepSpace):
     """((lo, hi), low, reads): _image_tables of every group generator on two
     chunks, lo on the low = ceil(n/2) base-p digits of a code and hi on the
-    high floor(n/2), so each has at most p**low entries. A generator gamma
-    at vertex v maps x_h to L x_h R, with L = gamma where h ends at v, R =
-    gamma^{-1} where h starts at v and identities at the other ends; an edge
-    without entries has no digit in a code and gets the empty pair."""
+    high floor(n/2), so each has at most p**low entries; a clean generator
+    is read as its code, a mixed one (odd p only) through reducers. A
+    generator gamma at vertex v maps x_h to L x_h R, with L = gamma where h
+    ends at v, R = gamma^{-1} where h starts at v and identities at the
+    other ends; an edge without entries has no digit in a code and gets the
+    empty pair."""
     empty = Mat.zeros(space.field, 0, 0)
     identity = {n: Mat.identity(space.field, n) for rows, cols in space.edge_shapes
                 if rows * cols for n in (rows, cols)}
@@ -370,14 +422,20 @@ def _generator_tables(space: RepSpace):
                       in zip(space.edge_vertex_indices, space.edge_shapes)])
     n = space.field.e * space.point_entries
     low = -(-n // 2)
-    tables, reads = _image_tables(space, slots, [low, n - low])
+    # clean slots are stored as their codes (see _image_tables)
+    tables, reads = _image_tables(space, slots, [low, n - low], True)
     return tables, low, reads
 
 
 def _close_orbits(space: RepSpace):
-    """Close each fresh representative under the group generators, whose
-    images of a point are packed in the XOR (p = 2) or sum of two entries."""
+    """Close each fresh representative under the group generators. A point's
+    images are packed in the XOR (p = 2) or the sum (odd p) of two table
+    entries (see _image_tables): the code of each clean slot, every slot at
+    p = 2, is read with one shift and mask, and that of each mixed slot
+    through its reducer lookups."""
     (lo, hi), low, reads = _generator_tables(space)
+    codes = [read for read in reads if type(read) is tuple]
+    mixed = [read for read in reads if type(read) is list]
     p = space.field.p
     mask, radix = (1 << low) - 1, p ** low
     index = [-1] * space.total_points
@@ -394,7 +452,7 @@ def _close_orbits(space: RepSpace):
             while frontier:
                 x = frontier.pop()
                 v = hi[x >> low] ^ lo[x & mask]
-                for s, m in reads:
+                for s, m in codes:
                     y = v >> s & m
                     if index[y] == -1:
                         index[y] = k
@@ -404,7 +462,13 @@ def _close_orbits(space: RepSpace):
             while frontier:
                 x = frontier.pop()
                 v = hi[x // radix] + lo[x % radix]
-                for parts in reads:
+                for s, m in codes:
+                    y = v >> s & m
+                    if index[y] == -1:
+                        index[y] = k
+                        count += 1
+                        frontier.append(y)
+                for parts in mixed:
                     y = 0
                     for t, s, m in parts:
                         y += t[v >> s & m]

@@ -1,6 +1,7 @@
 """Hall algebra products, coproducts, and the contraction transport."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,30 @@ def test_char_function_rejects_unknown_orbits(jordan_ctx):
     with pytest.raises(KeyError):
         char_function(jordan_ctx, (1,), "o9")
     assert char_function(jordan_ctx, (1,), "o1") == char_function(jordan_ctx, (1,), 1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_element_keys_are_the_interned_int_keys(bad, warm):
+    # True and 1.0 equal and hash like 1, so a warm memo finds the int
+    # grade; elements are keyed by the interned space's checked int key, and
+    # a grade met first through such a dimension is refused
+    ctx = HallContext(kronecker_quiver(), 2)
+    f = char_function(ctx, (2, 0), 0)
+    if not warm:
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            char_function(ctx, (bad, 0), 0)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            res(f, (bad, 0), (1, 0))
+        return
+    good, split = char_function(ctx, (1, 0), 0), res(f, (1, 0), (1, 0))
+    element, restricted = char_function(ctx, (bad, 0), 0), res(f, (bad, 0), (bad, 0))
+    assert element.grades() == [(1, 0)]
+    assert repr(element) == repr(good)
+    assert json.dumps(element.to_json()) == json.dumps(good.to_json())
+    assert '"p": 1' in json.dumps(element.to_json())
+    assert {type(n) for t, w in restricted.terms for n in t[0] + w[0]} == {int}
+    assert json.dumps(restricted.to_json()) == json.dumps(split.to_json())
 
 
 def test_contexts_do_not_mix(a1_ctx, jordan_ctx):

@@ -181,18 +181,24 @@ def _images_by_act(space, code):
 
 def _closure_images(space):
     """A function taking a code to the codes of its images under every group
-    generator, read off the two tables _close_orbits reads, as it reads them."""
+    generator, read off the two tables _close_orbits reads, as it reads them:
+    a clean slot (a (shift, mask) pair) with one shift and mask, a mixed one
+    as the sum of its reducer lookups."""
     (lo, hi), low, reads = _generator_tables(space)
     p = space.field.p
-    if p == 2:
-        def images(code):
-            v = hi[code >> low] ^ lo[code & (1 << low) - 1]
-            return [v >> s & m for s, m in reads]
-        return images
+
+    def read(v, slot):
+        if type(slot) is tuple:
+            s, m = slot
+            return v >> s & m
+        return sum(t[v >> s & m] for t, s, m in slot)
 
     def images(code):
-        v = hi[code // p ** low] + lo[code % p ** low]
-        return [sum(t[v >> s & m] for t, s, m in parts) for parts in reads]
+        if p == 2:
+            v = hi[code >> low] ^ lo[code & (1 << low) - 1]
+        else:
+            v = hi[code // p ** low] + lo[code % p ** low]
+        return [read(v, slot) for slot in reads]
     return images
 
 
@@ -226,6 +232,40 @@ def test_code_kernel_on_a_large_odd_space():
     images = _closure_images(space)
     for r in range(0, space.total_points, 4099):
         assert images(r) == _images_by_act(space, r), r
+
+
+def test_edge_aligned_cuts_read_every_slot_without_reducers(monkeypatch):
+    # the cut between the two tables falls on an edge boundary, and a map
+    # x_h -> L x_h R never mixes edges, so every generator slot is clean
+    def refuse(*args):
+        raise AssertionError(f"reducer built: {args}")
+
+    monkeypatch.setattr(repspace, "_reducer", refuse)
+    for space in (kron_space((2, 2), q=3), kron_space((1, 2), q=5),
+                  kron_space((1, 1), q=9)):
+        _, _, reads = _generator_tables(space)
+        assert reads and all(type(read) is tuple for read in reads), space
+        assert sum(orbits(space).sizes) == space.total_points
+
+
+def test_only_the_transvection_straddles_an_uneven_cut():
+    # Jordan q = 3 (3,) cuts its nine digits 5/4 inside the loop's matrix;
+    # the monomial generators (diagonal, cycle, swap) move each entry to one
+    # entry, so only the transvection draws an output digit from both halves
+    space = jordan_space(3, q=3)
+    _, _, reads = _generator_tables(space)
+    generators = group_generators(space)
+    mixed = [gamma for (_, gamma), read in zip(generators, reads)
+             if type(read) is list]
+    assert mixed == gl_generators(space.field, 3)[-1:]
+    assert mixed[0].data[0][1] == 1
+    images = _closure_images(space)
+    elements = [_as_group_element(space, g) for g in generators]
+    inverses = [tuple(m.inverse() for m in g) for g in elements]
+    for r in range(space.total_points):
+        x = space.point_from_rank(r)
+        assert images(r) == [space.point_rank(act(space, g, x, ginv))
+                             for g, ginv in zip(elements, inverses)], r
 
 
 def test_closure_builds_two_half_width_tables(monkeypatch):
@@ -299,6 +339,8 @@ PINNED_ORBIT_TABLES = {
     ("kronecker", 4, (2, 2)): "ec969921547173219a19cd21eb2207dfb54c281e1c2db29897f4f3c505a0f6f7",
     ("kronecker", 3, (1, 3)): "1b33d75f215dd042d349149e960896c20bcda40374869165732d9c89ea0e0592",
     ("kronecker", 2, (2, 3)): "60d093a587349ff71a62633044df8395ad9bf6fc96301328b1eb8e2fa4da87b1",
+    ("kronecker", 3, (2, 2)): "c98c62b0803d9ea41622917b44411b6d43b88910eace45c79c1d18cb313b9e53",
+    ("jordan", 5, (2,)): "121469b2532b47a20daf433b1604791341dc87ff998d2e3811ed6b8219beae52",
 }
 
 
