@@ -254,10 +254,16 @@ def _pack(digits: list[int], layout: list) -> int:
     """The int holding the digits side by side, least significant first, in
     runs (width, bits, radix): a run of bits-wide digit fields (radix None),
     or one bits-wide field holding the run's base-radix code."""
-    packed, top = 0, len(digits)
+    packed, rest = 0, reversed(digits)
+    if len(layout) == 1 and layout[0][2] is None:
+        # one run of digit fields, as in every flag-kernel table and every
+        # table at p = 2: the flag kernel's hot path, packed in one pass
+        bits = layout[0][1]
+        for d in rest:
+            packed = packed << bits | d
+        return packed
     for width, bits, radix in reversed(layout):
-        run = reversed(digits[top - width:top])
-        top -= width
+        run = itertools.islice(rest, width)
         if radix is None:
             for d in run:
                 packed = packed << bits | d
