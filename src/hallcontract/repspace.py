@@ -10,9 +10,11 @@ digits, since each map is F_p-linear on them; the tables are built from the
 L and R matrices alone. A generator gamma at one vertex is such a map: the
 closure compiles all generators into two tables, on the low and the high
 half of a code's digits, and reads them inline. A generator is clean when
-each of its output digits draws on one half only (every monomial generator,
-and every generator when the cut falls between edges); its image code is
-then stored whole and read with one shift and mask, at odd p as at p = 2.
+each of its output digits draws on one half only: a permutation (cycle,
+swap) at any cut, the diagonal when the cut falls between F_q entries
+(always at prime q; at q = p**e it mixes an entry's e digits), and every
+generator when the cut falls between edges. Its image code is then stored
+whole and read with one shift and mask, at odd p as at p = 2.
 Only a mixed generator at odd p is read through reducer lookups that bring
 its digits back mod p. Each part of the flag kernel
 stable_flag_codes is such a map too: for a fixed graded subspace the
@@ -255,13 +257,6 @@ def _pack(digits: list[int], layout: list) -> int:
     runs (width, bits, radix): a run of bits-wide digit fields (radix None),
     or one bits-wide field holding the run's base-radix code."""
     packed, rest = 0, reversed(digits)
-    if len(layout) == 1 and layout[0][2] is None:
-        # one run of digit fields, as in every flag-kernel table and every
-        # table at p = 2: the flag kernel's hot path, packed in one pass
-        bits = layout[0][1]
-        for d in rest:
-            packed = packed << bits | d
-        return packed
     for width, bits, radix in reversed(layout):
         run = itertools.islice(rest, width)
         if radix is None:
