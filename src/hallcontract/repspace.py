@@ -36,6 +36,7 @@ file whose automorphism is not the identity as invalid input (exit 4).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -252,24 +253,6 @@ def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
                  for f in range(1 << (width * bits)))
 
 
-def _pack(digits: list[int], layout: list) -> int:
-    """The int holding the digits side by side, least significant first, in
-    runs (width, bits, radix): a run of bits-wide digit fields (radix None),
-    or one bits-wide field holding the run's base-radix code."""
-    packed, rest = 0, reversed(digits)
-    for width, bits, radix in reversed(layout):
-        run = itertools.islice(rest, width)
-        if radix is None:
-            for d in run:
-                packed = packed << bits | d
-        else:
-            code = 0
-            for d in run:
-                code = code * radix + d
-            packed = packed << bits | code
-    return packed
-
-
 def _image_tables(space: RepSpace, slots: list, chunks: list[int],
                   codes: bool = False):
     """Tables taking a point code of the space to its images under F_q-linear
@@ -338,20 +321,19 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
     bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
     sizes = [(p ** w - 1).bit_length() if c else w * bits
              for w, c in zip(widths, clean)]
-    # _pack's runs: each clean slot, and each run of other slots' fields
-    layout = []
-    for w, size, c in zip(widths, sizes, clean):
-        if not c and layout and layout[-1][2] is None:
-            w += layout.pop()[0]
-        layout.append((w, size, p) if c else (w, bits, None))
+    shifts = list(itertools.accumulate(sizes, initial=0))
+    # places[i]: what output digit i adds to the packed int per unit; digit
+    # j of a clean slot adds p**j to the slot's code, that of another slot
+    # fills its own bits-wide field, so the fields never overlap
+    places = [p ** j << s if c else 1 << (s + j * bits)
+              for w, s, c in zip(widths, shifts, clean) for j in range(w)]
     tables = []
     for start, size in zip(starts, chunks):
         vecs = [[0] * sum(widths)]
         for col in columns[start:start + size]:
             vecs = [[(a + d * b) % p for a, b in zip(vec, col)]
                     for d in range(p) for vec in vecs]
-        tables.append([_pack(vec, layout) for vec in vecs])
-    shifts = itertools.accumulate(sizes, initial=0)
+        tables.append([sum(map(operator.mul, vec, places)) for vec in vecs])
     per_lookup = max(1, _CHUNK_BITS // bits)
     lookups = max([1] + [-(-w // per_lookup) for w, c in zip(widths, clean) if not c])
     places = range(0, lookups * per_lookup, per_lookup)
