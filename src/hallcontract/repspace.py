@@ -322,18 +322,18 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
     sizes = [(p ** w - 1).bit_length() if c else w * bits
              for w, c in zip(widths, clean)]
     shifts = list(itertools.accumulate(sizes, initial=0))
-    # places[i]: what output digit i adds to the packed int per unit; digit
+    # weights[i]: what output digit i adds to the packed int per unit; digit
     # j of a clean slot adds p**j to the slot's code, that of another slot
     # fills its own bits-wide field, so the fields never overlap
-    places = [p ** j << s if c else 1 << (s + j * bits)
-              for w, s, c in zip(widths, shifts, clean) for j in range(w)]
+    weights = [p ** j << s if c else 1 << (s + j * bits)
+               for w, s, c in zip(widths, shifts, clean) for j in range(w)]
     tables = []
     for start, size in zip(starts, chunks):
         vecs = [[0] * sum(widths)]
         for col in columns[start:start + size]:
             vecs = [[(a + d * b) % p for a, b in zip(vec, col)]
                     for d in range(p) for vec in vecs]
-        tables.append([sum(map(operator.mul, vec, places)) for vec in vecs])
+        tables.append([sum(map(operator.mul, vec, weights)) for vec in vecs])
     per_lookup = max(1, _CHUNK_BITS // bits)
     lookups = max([1] + [-(-w // per_lookup) for w, c in zip(widths, clean) if not c])
     places = range(0, lookups * per_lookup, per_lookup)
