@@ -504,8 +504,19 @@ def enumerate_gl(field: Field, n: int, max_count: int = DEFAULT_MAX_POINTS) -> t
 
 
 def gl_generators(field: Field, n: int) -> list[Mat]:
-    """A small generating set of GL_n(F_q): permutations, a transvection,
-    and a primitive diagonal entry."""
+    """A small generating set of GL_n(F_q): D = diag(alpha, 1, ..., 1) with
+    alpha primitive (q > 2 only), then, for n >= 2, the n-cycle C and the
+    transvection T = I + E_12.
+
+    They generate GL_n(F_q). Conjugating T by the powers of C gives the
+    cyclically adjacent transvections I + E_{i,i+1} (indices mod n), and for
+    distinct i, j, k the commutator [I + aE_ij, I + bE_jk] = I + abE_ik, so
+    they give every I + E_ij. Conjugating I + E_1j by D^k gives
+    I + alpha^k E_1j, and with the commutators every I + aE_ij, a in F_q
+    (at n = 2, I + E_21 is T conjugated by C and D scales it alike). These
+    generate SL_n(F_q), and det D = alpha generates F_q*, so {D, C, T}
+    generates GL_n(F_q); at q = 2, GL_n = SL_n and {C, T} does. A
+    transposition would add nothing."""
     if n == 0:
         return []
     gens: list[Mat] = []
@@ -517,11 +528,6 @@ def gl_generators(field: Field, n: int) -> list[Mat]:
     if n >= 2:
         cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
         gens.append(Mat(field, cycle, cols=n))
-        if n >= 3:
-            swap = [[int(i == j) for j in range(n)] for i in range(n)]
-            swap[0][0] = swap[1][1] = 0
-            swap[0][1] = swap[1][0] = 1
-            gens.append(Mat(field, tuple(tuple(r) for r in swap), cols=n))
         trans = [[int(i == j) for j in range(n)] for i in range(n)]
         trans[0][1] = 1
         gens.append(Mat(field, tuple(tuple(r) for r in trans), cols=n))

@@ -165,7 +165,10 @@ class _Terms:
                 "terms": terms}
 
     def __repr__(self):
-        bits = [f"{c}*{self._name(key)}" for key, c in sorted(self.terms.items())]
+        # a coefficient with both a rational and a sqrt(q) part is a sum
+        bits = [f"({c})*{self._name(key)}" if c.a and c.b
+                else f"{c}*{self._name(key)}"
+                for key, c in sorted(self.terms.items())]
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
 
 

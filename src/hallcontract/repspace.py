@@ -7,11 +7,13 @@ point under the group generators. The closure runs on integer point codes
 (ranks), never on matrices. One compiler, _image_tables, turns maps of the
 form x_h -> L_h x_h R_h into lookup tables on chunks of a code's base-p
 digits, since each map is F_p-linear on them; the tables are built from the
-L and R matrices alone. A generator gamma at one vertex is such a map: the
-closure compiles all generators into two tables, on the low and the high
-half of a code's digits, and reads them inline. A generator is clean when
-each of its output digits draws on one half only: a permutation (cycle,
-swap) at any cut, the diagonal when the cut falls between F_q entries
+L and R matrices alone, as sparse basis columns: at p = 2 by XOR of packed
+columns, at odd p by digit vectors over the output digits a chunk touches.
+A generator gamma at one vertex is such a map: the closure compiles all
+generators into two tables, on the low and the high half of a code's
+digits, and reads them inline. A generator is clean when each of its
+output digits draws on one half only: the cycle (a permutation) at any
+cut, the diagonal when the cut falls between F_q entries
 (always at prime q; at q = p**e it mixes an entry's e digits), and every
 generator when the cut falls between edges. Its image code is then stored
 whole and read with one shift and mask, at odd p as at p = 2.
@@ -267,6 +269,14 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
     packed side by side in one int. A code's packed images are the XOR
     (p = 2) or the sum (odd p) of its chunks' entries.
 
+    Each basis code's images are kept as a sparse column, its nonzero
+    (output digit, value) pairs. A table starts as [0] and grows by one
+    column at a time, that column's digit varying slowest: at p = 2 by
+    doubling on packed ints, entries + [v ^ column for v in entries], with
+    the column packed once (a one-bit field cannot carry); at odd p by
+    p-folding digit vectors over only the output digits the chunk's
+    columns touch, each vector then packed.
+
     A slot of w output digits is packed in one of two ways:
     - As its code, in a field of (p**w - 1).bit_length() bits, read with
       one (shift, mask) pair. This holds at p = 2, where XOR cannot carry,
@@ -285,10 +295,11 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
     p, e, mul = field.p, field.e, field._mul
     n = e * space.point_entries
     widths = [e * sum(L.rows * R.cols for L, R in slot) for slot in slots]
-    # columns[j]: the output digits of the basis code p**j, the slots end to
-    # end, each least significant digit first; in a code, input or output,
-    # the first entry is the most significant
-    columns = [[0] * sum(widths) for _ in range(n)]
+    # columns[j]: the nonzero (output digit, value) pairs of the basis code
+    # p**j, the output digits numbered over the slots end to end, each least
+    # significant digit first; in a code, input or output, the first entry
+    # is the most significant
+    columns = [[] for _ in range(n)]
     for top, slot in zip(itertools.accumulate(widths), slots):
         j = n
         for (L, R), (rows, cols) in zip(slot, space.edge_shapes):
@@ -305,17 +316,21 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
                         for k, b in rrows[c]:
                             value = mul[mul[a][alpha]][b]
                             pos = top - e * (i * R.cols + k + 1)
-                            for t in range(e):
-                                value, col[pos + t] = divmod(value, p)
+                            while value:
+                                value, digit = divmod(value, p)
+                                if digit:
+                                    col.append((pos, digit))
+                                pos += 1
             top -= e * L.rows * R.cols
     starts = list(itertools.accumulate(chunks, initial=0))
     offsets = list(itertools.accumulate(widths, initial=0))
+    # touched[i]: the output digits that chunk i's columns draw on
+    touched = [sorted({pos for col in columns[a:b] for pos, _ in col})
+               for a, b in zip(starts, starts[1:])]
     clean = [False] * len(slots)
     if codes and p != 2:
         # drawn[pos]: the number of chunks output digit pos draws on
-        drawn = Counter(pos for a, b in zip(starts, starts[1:])
-                        for pos in {pos for col in columns[a:b]
-                                    for pos, d in enumerate(col) if d})
+        drawn = Counter(pos for outs in touched for pos in outs)
         clean = [all(drawn[pos] < 2 for pos in range(a, b))
                  for a, b in zip(offsets, offsets[1:])]
     bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
@@ -328,12 +343,25 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
     weights = [p ** j << s if c else 1 << (s + j * bits)
                for w, s, c in zip(widths, shifts, clean) for j in range(w)]
     tables = []
-    for start, size in zip(starts, chunks):
-        vecs = [[0] * sum(widths)]
-        for col in columns[start:start + size]:
-            vecs = [[(a + d * b) % p for a, b in zip(vec, col)]
-                    for d in range(p) for vec in vecs]
-        tables.append([sum(map(operator.mul, vec, weights)) for vec in vecs])
+    for start, size, outs in zip(starts, chunks, touched):
+        if p == 2:
+            entries = [0]
+            for col in columns[start:start + size]:
+                packed = sum(weights[pos] for pos, _ in col)
+                entries += [v ^ packed for v in entries]
+        else:
+            # digit vectors over the output digits this chunk touches only
+            at = {pos: i for i, pos in enumerate(outs)}
+            vecs = [[0] * len(outs)]
+            for col in columns[start:start + size]:
+                dense = [0] * len(outs)
+                for pos, digit in col:
+                    dense[at[pos]] = digit
+                vecs = [[(a + d * b) % p for a, b in zip(vec, dense)]
+                        for d in range(p) for vec in vecs]
+            out_weights = [weights[pos] for pos in outs]
+            entries = [sum(map(operator.mul, vec, out_weights)) for vec in vecs]
+        tables.append(entries)
     per_lookup = max(1, _CHUNK_BITS // bits)
     lookups = max([1] + [-(-w // per_lookup) for w, c in zip(widths, clean) if not c])
     places = range(0, lookups * per_lookup, per_lookup)

@@ -102,7 +102,8 @@ def test_gl_orders():
 
 
 def test_gl_generators_generate():
-    for q, n in ((2, 2), (3, 2)):
+    # n >= 3 (no transposition among the generators) and non-prime q
+    for q, n in ((2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (8, 2), (9, 2)):
         f = Field(q)
         gens = gl_generators(f, n)
         seen = {Mat.identity(f, n)}

@@ -54,11 +54,11 @@ def _mixed_element(ctx):
 
 PINNED_ELEMENT = {
     "json": "d4898fbf17ad771bcf497ffcd584316a27589559c3a01eef61dc3df15b9a1bfa",
-    "repr": "a6eb7cd8512dc6cd034e16bcd07eebf950d662fb8300569fb395eb0acd4a0fc4",
+    "repr": "c6df3e8d144b401d677c8ca770a50c96c9fc2e633dd9c243e301fa93a90ba226",
 }
 PINNED_TENSOR = {
     "json": "b1fed8a15b8de95b7ff6ff4361cf6e82f3612650b029c6f3f3cb1bf08b880afc",
-    "repr": "3131ecc7ea57144c75ce2cf213d167835ba0126fc83cb0503eb7818a2a96875a",
+    "repr": "8e63db98407e0b4d1d4cd084ce0c399ebe15277d4f35d17c924e0c3a21231bd6",
 }
 
 
@@ -67,6 +67,18 @@ def test_element_serializers_are_pinned(kron_ctx):
     assert _report_digest(f.to_json()) == PINNED_ELEMENT["json"]
     assert _digest(repr(f)) == PINNED_ELEMENT["repr"]
     assert repr(zero_element(kron_ctx)) == "HallElement(0)"
+
+
+def test_repr_parenthesizes_coefficients_with_two_parts(kron_ctx):
+    # a coefficient a + b*sqrt(q) with a, b != 0 is one factor of its term;
+    # one with a single part needs no parentheses
+    c = char_function(kron_ctx, (1, 1), 0)
+    mixed = c.scale(kron_ctx.scalar(Fraction(1, 3), Fraction(-1, 10)))
+    assert repr(mixed) == "HallElement((1/3 + -1/10*sqrt(2))*P[(1, 1),o0])"
+    assert repr(c.scale(kron_ctx.scalar(0, 3))) == "HallElement(3*sqrt(2)*P[(1, 1),o0])"
+    assert repr(c.scale(Fraction(-7, 4))) == "HallElement(-7/4*P[(1, 1),o0])"
+    t = tensor(c, c.scale(kron_ctx.scalar(1, 1)))
+    assert repr(t) == "TensorElement((1 + 1*sqrt(2))*P[(1, 1),o0]⊗P[(1, 1),o0])"
 
 
 def test_tensor_serializers_are_pinned(kron_ctx):

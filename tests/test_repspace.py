@@ -255,8 +255,8 @@ def test_edge_aligned_cuts_read_every_slot_without_reducers(monkeypatch):
 
 def test_only_the_transvection_straddles_an_uneven_cut():
     # Jordan q = 3 (3,) cuts its nine digits 5/4 inside the loop's matrix;
-    # the monomial generators (diagonal, cycle, swap) move each entry to one
-    # entry, so only the transvection draws an output digit from both halves
+    # the monomial generators (diagonal, cycle) move each entry to one entry,
+    # so only the transvection draws an output digit from both halves
     space = jordan_space(3, q=3)
     _, _, reads = _generator_tables(space)
     generators = group_generators(space)
@@ -287,6 +287,96 @@ def test_closure_builds_two_half_width_tables(monkeypatch):
                                             space.field.p ** (n // 2)], space
 
 
+def _dense_image_tables(space, slots, chunks, codes=False):
+    """A reference for _image_tables: every basis code's images as a full
+    vector of output digits, found by Mat products, and each chunk's table by
+    p-folding those vectors over the chunk's digits, each vector then packed
+    in the layout _image_tables documents. Returns the tables and, per slot,
+    its shift and, when it is read as its code, its field's bits (None for
+    a slot read through reducers)."""
+    field = space.field
+    p, q, e = field.p, field.q, field.e
+    n = e * space.point_entries
+
+    def digits(x, slot):
+        # the slot's image of x as base-p digits, least significant first
+        code, width = 0, 0
+        for (L, R), m in zip(slot, x):
+            if m.rows * m.cols:
+                for a in (L @ m @ R).flat:
+                    code = code * q + a
+                width += e * L.rows * R.cols
+        return [code // p ** i % p for i in range(width)]
+
+    columns = [[d for slot in slots for d in digits(space.point_from_rank(p ** j), slot)]
+               for j in range(n)]
+    widths = [e * sum(L.rows * R.cols for L, R in slot) for slot in slots]
+    starts = list(itertools.accumulate(chunks, initial=0))
+    offsets = list(itertools.accumulate(widths, initial=0))
+    drawn = [sum(any(col[pos] for col in columns[a:b]) for a, b in zip(starts, starts[1:]))
+             for pos in range(offsets[-1])]
+    as_code = [p == 2 or codes and all(drawn[pos] < 2 for pos in range(a, b))
+               for a, b in zip(offsets, offsets[1:])]
+    bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
+    sizes = [(p ** w - 1).bit_length() if c else w * bits
+             for w, c in zip(widths, as_code)]
+    shifts = list(itertools.accumulate(sizes, initial=0))
+    tables = []
+    for a, b in zip(starts, starts[1:]):
+        vecs = [[0] * offsets[-1]]
+        for col in columns[a:b]:
+            vecs = [[(x + d * y) % p for x, y in zip(vec, col)]
+                    for d in range(p) for vec in vecs]
+        table = []
+        for vec in vecs:
+            packed = 0
+            for c, s, lo, hi in zip(as_code, shifts, offsets, offsets[1:]):
+                if c:
+                    packed += sum(d * p ** i for i, d in enumerate(vec[lo:hi])) << s
+                else:
+                    packed += sum(d << (s + i * bits) for i, d in enumerate(vec[lo:hi]))
+            table.append(packed)
+        tables.append(table)
+    return tables, [(s, size if c else None)
+                    for s, size, c in zip(shifts, sizes, as_code)]
+
+
+def test_image_tables_match_a_dense_reference(monkeypatch):
+    """_image_tables equals the dense reference on the closure's input (every
+    generator on two chunks, codes set; clean and mixed slots at odd p) and
+    on the flag kernel's (the candidate subspaces' maps on one-digit
+    chunks), at q = 2, 3, 4 and 9."""
+    calls = []
+    image_tables = repspace._image_tables
+    monkeypatch.setattr(repspace, "_image_tables", lambda *args: calls.append(
+        (args, image_tables(*args))) or calls[-1][1])
+    one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
+    fork = Quiver(("a", "b", "c"), (Edge("e", "a", "b"), Edge("f", "a", "c")))
+    closure = (jordan_space(3), kron_space((1, 2)), jordan_space(2, q=4),
+               kron_space((1, 1), q=4), jordan_space(3, q=3),
+               kron_space((2, 2), q=3), jordan_space(2, q=9),
+               RepSpace(one_edge, Field(9), {"a": 1, "b": 1}),
+               RepSpace(fork, Field(3), {"a": 1, "b": 2, "c": 0}))
+    for space in closure:
+        _generator_tables(space)
+    for q in (2, 3, 4, 9):
+        stable_flag_codes(jordan_space(2, q=q), {"1": 1})
+    stable_flag_codes(kron_space((2, 2)), {"p": 1, "m": 1})
+    stable_flag_codes(kron_space((1, 2), q=3), {"p": 1, "m": 1})
+    kinds = set()
+    for (space, slots, chunks, *codes), (tables, reads) in calls:
+        ref_tables, ref_layout = _dense_image_tables(space, slots, chunks, *codes)
+        assert tables == ref_tables, space
+        assert [(r[0], r[1].bit_length()) if type(r) is tuple else (r[0][1], None)
+                for r in reads] == ref_layout, space
+        kinds |= {(space.field.q, len(chunks) == 2 and bool(codes), type(r))
+                  for r in reads}
+    assert {(q, True, tuple) for q in (2, 3, 4, 9)} <= kinds
+    assert {(q, False, tuple) for q in (2, 4)} <= kinds
+    assert {(3, True, list), (9, True, list), (3, False, list),
+            (9, False, list)} <= kinds
+
+
 def test_orbit_sizes_divide_group_order():
     for space in (jordan_space(2), kron_space((2, 1)), kron_space((1, 1), q=3)):
         table = orbits(space)
@@ -296,7 +386,8 @@ def test_orbit_sizes_divide_group_order():
 
 def test_orbit_tables_agree_with_burnside_and_stabilisers():
     # every count below is taken over the whole group, never the generators;
-    # (1, 3) has a 3-dimensional vertex, so the swap generator is exercised
+    # (1, 3) has a 3-dimensional vertex, whose generators (cycle and
+    # transvection) hold no transposition
     spaces = (jordan_space(2), jordan_space(2, q=4), kron_space((1, 1), q=3),
               kron_space((2, 2)), kron_space((1, 3)), jordan_space(2, q=3),
               kron_space((1, 1), q=9))
@@ -330,7 +421,9 @@ def test_ordinals_out_of_range_are_refused():
 
 #: sha256 of json.dumps(orbits(space).to_payload()): orbit ids, sizes and
 #: representatives are cached and named in reports, so a kernel change must
-#: leave them byte-identical, orbit order included
+#: leave them byte-identical, orbit order included; Jordan q = 2 (4,) and
+#: Kronecker q = 4 (1, 3) close under generators of a 4- and a 3-dimensional
+#: vertex, at p = 2 and at non-prime q
 PINNED_ORBIT_TABLES = {
     ("jordan", 3, (3,)): "b0af955869bbf0e214a2f80b5cf65dac2ae1f03168dc53c36edbb3719f1ab4e3",
     ("jordan", 9, (2,)): "eb3cd9d51e785fc368a79241370adea86f5fa5667cf53cdaa930a0b43166ead1",
@@ -339,6 +432,8 @@ PINNED_ORBIT_TABLES = {
     ("kronecker", 2, (2, 3)): "60d093a587349ff71a62633044df8395ad9bf6fc96301328b1eb8e2fa4da87b1",
     ("kronecker", 3, (2, 2)): "c98c62b0803d9ea41622917b44411b6d43b88910eace45c79c1d18cb313b9e53",
     ("jordan", 5, (2,)): "121469b2532b47a20daf433b1604791341dc87ff998d2e3811ed6b8219beae52",
+    ("jordan", 2, (4,)): "4203690f85b0c52cedf73d0c97bc6ef7bda635e1cdb814fcdeee432a3587b962",
+    ("kronecker", 4, (1, 3)): "f49905e2ac911a1ae2b4f68b0b2a875a4f947da7f89d32beafdf48195cd7e467",
 }
 
 
