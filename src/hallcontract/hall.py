@@ -55,13 +55,19 @@ class HallContext:
         return self.field.q
 
     def dims_key(self, dims) -> tuple:
+        """dims (a dict over the vertices or a sequence in vertex order) as a
+        tuple in vertex order; an entry that is not an int (True, 1.0) is
+        refused."""
         if isinstance(dims, dict):
             if set(dims) != set(self.quiver.vertices):
                 raise ValueError("dimension vector must cover exactly the vertices")
-            return tuple(dims[v] for v in self.quiver.vertices)
-        key = tuple(dims)
-        if len(key) != len(self.quiver.vertices):
-            raise ValueError("dimension vector length mismatch")
+            key = tuple(dims[v] for v in self.quiver.vertices)
+        else:
+            key = tuple(dims)
+            if len(key) != len(self.quiver.vertices):
+                raise ValueError("dimension vector length mismatch")
+        if any(type(n) is not int for n in key):
+            raise ValueError(f"dimensions must be integers: {dims!r}")
         return key
 
     def dims_dict(self, key) -> dict:
@@ -216,8 +222,6 @@ class HallElement(_Terms):
         terms: dict = {}
         for t in payload["terms"]:
             key = ctx.dims_key(t["dim"])
-            if any(type(n) is not int for n in key):
-                raise ValueError(f"dimensions must be integers: {t['dim']!r}")
             ordinal = ctx.table(key).ordinal_of_id(t["orbit"])
             _accum(terms, (key, ordinal), SqrtQScalar.from_json(ctx.q, t["coeff"]))
         return cls(ctx, terms)

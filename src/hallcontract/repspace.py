@@ -4,26 +4,24 @@ A point assigns to each edge h a matrix of shape dims(target) x dims(source);
 the group prod_v GL(dims(v)) acts by (g.x)_h = g_{h''} x_h g_{h'}^{-1}. Points
 are enumerated exactly, and each orbit is found by closing its rank-least
 point under the group generators. The closure runs on integer point codes
-(ranks), never on matrices. One compiler, _image_tables, turns maps of the
-form x_h -> L_h x_h R_h into lookup tables on chunks of a code's base-p
-digits, since each map is F_p-linear on them; the tables are built from the
-L and R matrices alone, as sparse basis columns: at p = 2 by XOR of packed
-columns, at odd p by digit vectors over the output digits a chunk touches.
-A generator gamma at one vertex is such a map: the closure compiles all
-generators into two tables, on the low and the high half of a code's
-digits, and reads them inline. A generator is clean when each of its
-output digits draws on one half only: the cycle (a permutation) at any
-cut, the diagonal when the cut falls between F_q entries
-(always at prime q; at q = p**e it mixes an entry's e digits), and every
-generator when the cut falls between edges. Its image code is then stored
-whole and read with one shift and mask, at odd p as at p = 2.
+(ranks), never on matrices. Maps of the form x_h -> L_h x_h R_h are
+F_p-linear on a code's base-p digits; _columns reads each one off the L
+and R matrices alone as sparse basis columns, the images of the basis
+codes. A generator gamma at one vertex is such a map: the closure compiles
+all generators (_image_tables) into two tables, on the low and the high
+half of a code's digits, and reads them inline. A generator is clean when
+each of its output digits draws on one half only: the cycle (a
+permutation) at any cut, the diagonal when the cut falls between F_q
+entries (always at prime q; at q = p**e it mixes an entry's e digits),
+and every generator when the cut falls between edges. Its image code is
+then stored whole and read with one shift and mask, at odd p as at p = 2.
 Only a mixed generator at odd p is read through reducer lookups that bring
 its digits back mod p. Each part of the flag kernel
 stable_flag_codes is such a map too: for a fixed graded subspace the
 stability residue, the quotient point and the sub point are linear in the
-point, so one lookup per batch of candidate subspaces takes a code to the
-codes of its quotient and sub points; it looks up only orbit
-representatives, so it keeps one-digit chunks. act() and the Mat flag
+point, so the kernel sums the columns of a code's nonzero digits to get
+the codes of its quotient and sub points; it reads only orbit
+representatives, so it builds no tables. act() and the Mat flag
 geometry (stable_subspaces, quotient_point, sub_point) are not on these
 paths; they stay as the route of the tests and of the Hall layer's oracle.
 Extensions are enumerated here too, as an independent cross-check of the
@@ -236,13 +234,8 @@ class OrbitTable:
 
 
 #: Bits of a mixed slot's packed images that one odd-p reduction lookup
-#: reads; input chunks are two half-width tables in the closure, one digit in
-#: the flag kernel.
+#: reads.
 _CHUNK_BITS = 8
-
-#: Output digits of the candidate subspaces one flag-kernel lookup packs
-#: together; a candidate wider than this is a batch of its own.
-_BATCH_DIGITS = 1024
 
 
 @lru_cache(maxsize=None)
@@ -255,50 +248,21 @@ def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
                  for f in range(1 << (width * bits)))
 
 
-def _image_tables(space: RepSpace, slots: list, chunks: list[int],
-                  codes: bool = False):
-    """Tables taking a point code of the space to its images under F_q-linear
-    maps, one code per output slot.
+def _columns(space: RepSpace, slots: list):
+    """The images of every basis code of the space under F_q-linear maps, as
+    sparse columns, and the width of each map's output in base-p digits.
 
     A slot lists one (L_h, R_h) pair of Mats per edge and maps a point x to
     the point (L_h x_h R_h)_h, coded as a point is: the basis code with
     digit alpha at entry (r, c) of x_h goes to L_h[:, r] alpha R_h[c, :].
-    chunks lists the digit counts of consecutive chunks of a code's base-p
-    digits, least significant first; table i maps chunk i's value to the
-    images of that chunk, each output digit reduced mod p and the slots
-    packed side by side in one int. A code's packed images are the XOR
-    (p = 2) or the sum (odd p) of its chunks' entries.
-
-    Each basis code's images are kept as a sparse column, its nonzero
-    (output digit, value) pairs. A table starts as [0] and grows by one
-    column at a time, that column's digit varying slowest: at p = 2 by
-    doubling on packed ints, entries + [v ^ column for v in entries], with
-    the column packed once (a one-bit field cannot carry); at odd p by
-    p-folding digit vectors over only the output digits the chunk's
-    columns touch, each vector then packed.
-
-    A slot of w output digits is packed in one of two ways:
-    - As its code, in a field of (p**w - 1).bit_length() bits, read with
-      one (shift, mask) pair. This holds at p = 2, where XOR cannot carry,
-      and, when codes is set, for a clean slot at odd p: one whose every
-      output digit draws on the digits of one chunk only, so that a single
-      entry holds each digit and the sum of the entries is the code.
-    - Otherwise (a mixed slot) as one B-bit field per output digit, B wide
-      enough for the sum of every chunk's digit there, read with a list of
-      (reducer, shift, mask) lookups whose values sum to the code; a reducer
-      reads a few fields and returns their digits mod p at their place in
-      the code. Every mixed slot reads the same number of lookups.
-
-    Returns the tables and, per slot in order, its (shift, mask) pair or its
-    list of lookups."""
+    columns[j] holds the nonzero (output digit, value) pairs of the basis
+    code p**j, each value a base-p digit, the output digits numbered over
+    the slots end to end, each slot's least significant digit first."""
     field = space.field
     p, e, mul = field.p, field.e, field._mul
     n = e * space.point_entries
     widths = [e * sum(L.rows * R.cols for L, R in slot) for slot in slots]
-    # columns[j]: the nonzero (output digit, value) pairs of the basis code
-    # p**j, the output digits numbered over the slots end to end, each least
-    # significant digit first; in a code, input or output, the first entry
-    # is the most significant
+    # in a code, input or output, the first entry is the most significant
     columns = [[] for _ in range(n)]
     for top, slot in zip(itertools.accumulate(widths), slots):
         j = n
@@ -322,18 +286,52 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
                                     col.append((pos, digit))
                                 pos += 1
             top -= e * L.rows * R.cols
+    return columns, widths
+
+
+def _image_tables(space: RepSpace, slots: list, chunks: list[int]):
+    """Tables taking a point code of the space to its images under the
+    slots' maps (see _columns), one code per slot.
+
+    chunks lists the digit counts of consecutive chunks of a code's base-p
+    digits, least significant first; table i maps chunk i's value to the
+    images of that chunk, each output digit reduced mod p and the slots
+    packed side by side in one int. A code's packed images are the XOR
+    (p = 2) or the sum (odd p) of its chunks' entries.
+
+    A table starts as [0] and grows by one column at a time, that column's
+    digit varying slowest: at p = 2 by doubling on packed ints,
+    entries + [v ^ column for v in entries], with the column packed once (a
+    one-bit field cannot carry); at odd p by p-folding digit vectors over
+    only the output digits the chunk's columns touch, each vector then
+    packed.
+
+    A slot of w output digits is packed in one of two ways:
+    - As its code, in a field of (p**w - 1).bit_length() bits, read with
+      one (shift, mask) pair. This holds for a clean slot, one whose every
+      output digit draws on the digits of one chunk only, so that a single
+      entry holds each digit and the sum of the entries is the code, and
+      for every slot at p = 2, where XOR cannot carry.
+    - Otherwise (a mixed slot) as one B-bit field per output digit, B wide
+      enough for the sum of every chunk's digit there, read with a list of
+      (reducer, shift, mask) lookups whose values sum to the code; a reducer
+      reads a few fields and returns their digits mod p at their place in
+      the code. Every mixed slot reads the same number of lookups.
+
+    Returns the tables and, per slot in order, its (shift, mask) pair or its
+    list of lookups."""
+    p = space.field.p
+    columns, widths = _columns(space, slots)
     starts = list(itertools.accumulate(chunks, initial=0))
     offsets = list(itertools.accumulate(widths, initial=0))
     # touched[i]: the output digits that chunk i's columns draw on
     touched = [sorted({pos for col in columns[a:b] for pos, _ in col})
                for a, b in zip(starts, starts[1:])]
-    clean = [False] * len(slots)
-    if codes and p != 2:
-        # drawn[pos]: the number of chunks output digit pos draws on
-        drawn = Counter(pos for outs in touched for pos in outs)
-        clean = [all(drawn[pos] < 2 for pos in range(a, b))
-                 for a, b in zip(offsets, offsets[1:])]
-    bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
+    # drawn[pos]: the number of chunks output digit pos draws on
+    drawn = Counter(pos for outs in touched for pos in outs)
+    clean = [p == 2 or all(drawn[pos] < 2 for pos in range(a, b))
+             for a, b in zip(offsets, offsets[1:])]
+    bits = (len(chunks) * (p - 1)).bit_length()
     sizes = [(p ** w - 1).bit_length() if c else w * bits
              for w, c in zip(widths, clean)]
     shifts = list(itertools.accumulate(sizes, initial=0))
@@ -367,8 +365,7 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
     places = range(0, lookups * per_lookup, per_lookup)
     reads = []
     for s, w, size, c in zip(shifts, widths, sizes, clean):
-        if c or p == 2:
-            # at p = 2 a one-bit field per digit is the code itself
+        if c:
             reads.append((s, (1 << size) - 1))
         else:
             # padded with zero tables up to the common number of lookups
@@ -376,39 +373,6 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int],
                      for i in places]
             reads.append([(t, s + i * bits, len(t) - 1) for i, t in parts])
     return tables, reads
-
-
-def _packed_images(space: RepSpace, slots: list):
-    """A function taking a point code of the space to its images under the
-    slots' maps (see _image_tables), one code per slot, read through one
-    table per input digit."""
-    p = space.field.p
-    n = space.field.e * space.point_entries
-    if n == 0:
-        return lambda code: [0] * len(slots)
-    tables, reads = _image_tables(space, slots, [1] * n)
-
-    if p == 2:
-        def images(code):
-            packed = 0
-            for table in tables:
-                packed ^= table[code & 1]
-                code >>= 1
-            return [(packed >> s) & m for s, m in reads]
-        return images
-
-    lookups = [lookup for parts in reads for lookup in parts]
-    per_slot = len(reads[0])
-
-    def images(code):
-        packed = 0
-        for table in tables:
-            code, c = divmod(code, p)
-            packed += table[c]
-        # one slot's code is the sum of its consecutive parts
-        parts = iter([t[(packed >> s) & m] for t, s, m in lookups])
-        return list(map(sum, zip(*[parts] * per_slot)))
-    return images
 
 
 def _generator_tables(space: RepSpace):
@@ -433,8 +397,7 @@ def _generator_tables(space: RepSpace):
                       in zip(space.edge_vertex_indices, space.edge_shapes)])
     n = space.field.e * space.point_entries
     low = -(-n // 2)
-    # clean slots are stored as their codes (see _image_tables)
-    tables, reads = _image_tables(space, slots, [low, n - low], True)
+    tables, reads = _image_tables(space, slots, [low, n - low])
     return tables, low, reads
 
 
@@ -705,40 +668,43 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     the residues of x_h(U_s) modulo U_t, all zero iff U is stable (L the
     residue map of U_t, R the basis of U_s), the quotient point (the same
     L, R the inclusion of U_s's free rows) and the sub point (L the pivot
-    reader of U_t, R the basis of U_s). The candidates are applied
-    _BATCH_DIGITS output digits at a time, one _packed_images lookup per
-    batch. A chunk is one input digit: only the few orbit representatives
-    are looked up, so larger tables would not pay."""
+    reader of U_t, R the basis of U_s). The maps of every candidate are
+    kept as sparse basis columns (_columns), their output digits end to end,
+    and a code is evaluated on them directly, summing the columns of its
+    nonzero digits: only the few orbit representatives are looked up, and
+    their codes, being rank-least, have few nonzero digits."""
     vertices = space.quiver.vertices
     ends = [(vertices[ti], vertices[si]) for ti, si in space.edge_vertex_indices]
-
-    def slots_of(U):
+    p = space.field.p
+    slots = []
+    for U in _graded_subspaces(space, sub_dims, max_count):
         # per vertex: residue map, free-row inclusion, pivot reader, basis
         maps = {v: _flag_maps(U[v]) for v in vertices}
-        return [[(maps[t][0], maps[s][3]) for t, s in ends],
-                [(maps[t][0], maps[s][1]) for t, s in ends],
-                [(maps[t][2], maps[s][3]) for t, s in ends]]
+        slots += [[(maps[t][0], maps[s][3]) for t, s in ends],
+                  [(maps[t][0], maps[s][1]) for t, s in ends],
+                  [(maps[t][2], maps[s][3]) for t, s in ends]]
+    columns, widths = _columns(space, slots)
+    # per candidate: where its residue, quotient and sub digits start, and
+    # where its sub digits end
+    offsets = list(itertools.accumulate(widths, initial=0))
+    spans = list(zip(offsets[0::3], offsets[1::3], offsets[2::3], offsets[3::3]))
+    # no map has more output digits than the space has input digits
+    places = [p ** i for i in range(space.field.e * space.point_entries)]
 
-    # output entries of one candidate: (n_t - w_t) n_s for the residue and
-    # the quotient together, w_t w_s for the sub point
-    w = {v: sub_dims.get(v, 0) for v in vertices}
-    digits = space.field.e * sum(
-        (nt - w[t]) * ns + w[t] * w[s]
-        for (t, s), (nt, ns) in zip(ends, space.edge_shapes))
-    per_batch = max(1, _BATCH_DIGITS // max(1, digits))
-    candidates = map(slots_of, _graded_subspaces(space, sub_dims, max_count))
-    batches = []
-    while batch := list(itertools.islice(candidates, per_batch)):
-        slots = [slot for candidate in batch for slot in candidate]
-        batches.append(_packed_images(space, slots))
+    def code_of(digits):
+        return sum(a % p * w for a, w in zip(digits, places))
 
     def flags(code):
-        out = []
-        for images in batches:
-            slots = iter(images(code))
-            out += [(quo, sub) for res, quo, sub in zip(slots, slots, slots)
-                    if not res]
-        return out
+        image = [0] * offsets[-1]
+        j = 0
+        while code:
+            code, d = divmod(code, p)
+            if d:
+                for pos, v in columns[j]:
+                    image[pos] += d * v
+            j += 1
+        return [(code_of(image[b:c]), code_of(image[c:stop]))
+                for a, b, c, stop in spans if not any(x % p for x in image[a:b])]
     return flags
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hallcontract import HallContext, HeartContext, char_function
 from hallcontract import cartan as ct
+from hallcontract import hall
 from hallcontract import quiver as qv
 from hallcontract.cache import OrbitCache
 from hallcontract.cli import main
@@ -634,6 +635,40 @@ def test_hall_verify_cli(tmp_path):
                              "--q", "2", "--max-dim", "1"])
     assert r.exit_code == 4
     assert "--plus and --minus" in r.stderr
+
+
+def _swap_complement_split(monkeypatch):
+    real = hall.complement_split
+    monkeypatch.setattr(hall, "complement_split", lambda hc, f: real(hc, f)[::-1])
+
+
+def _double_contracted_twist(monkeypatch):
+    # the contracted Kronecker quiver is the one-vertex Jordan loop
+    real = hall._product_grade
+
+    def doubled(ctx, tkey, wkey):
+        nk, twist = real(ctx, tkey, wkey)
+        return nk, twist * 2 if len(ctx.quiver.vertices) == 1 else twist
+    monkeypatch.setattr(hall, "_product_grade", doubled)
+
+
+@pytest.mark.parametrize("suite, check_id, mutate, failures", [
+    ("ideal", "complement-two-sided-ideal", _swap_complement_split, 4),
+    ("embedding", "embedding-multiplicative", _double_contracted_twist, 5),
+], ids=["complement-two-sided-ideal", "embedding-multiplicative"])
+def test_negative_controls_fail_their_check(tmp_path, monkeypatch, suite,
+                                            check_id, mutate, failures):
+    """A mutation of what a check guards makes that check, and no other,
+    fail: the report's status is fail and the command exits 1."""
+    quiver_file = write_json(tmp_path, "kron.json", KRON)
+    mutate(monkeypatch)
+    r = runner.invoke(main, ["hall", "verify", suite, quiver_file, "--q", "2",
+                             "--max-dim", "1", "--plus", "p", "--minus", "m"])
+    assert r.exit_code == 1
+    p = payload_of(r)
+    assert p["status"] == "fail" and p["failures"] == failures
+    assert [c["check_id"] for c in p["checks"]
+            if c["status"] == "fail"] == [check_id] * failures
 
 
 def test_verify_that_decides_no_check_does_not_pass(tmp_path):

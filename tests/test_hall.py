@@ -292,25 +292,39 @@ def test_char_function_rejects_unknown_orbits(jordan_ctx):
 @pytest.mark.parametrize("bad", [True, 1.0])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_element_keys_are_the_interned_int_keys(bad, warm):
-    # True and 1.0 equal and hash like 1, so a warm memo finds the int
+    # True and 1.0 equal and hash like 1, so a warm memo would find the int
     # grade; elements are keyed by the interned space's checked int key, and
-    # a grade met first through such a dimension is refused
+    # a grade named through such a dimension is refused, met first or not
     ctx = HallContext(kronecker_quiver(), 2)
     f = char_function(ctx, (2, 0), 0)
-    if not warm:
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            char_function(ctx, (bad, 0), 0)
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            res(f, (bad, 0), (1, 0))
-        return
-    good, split = char_function(ctx, (1, 0), 0), res(f, (1, 0), (1, 0))
-    element, restricted = char_function(ctx, (bad, 0), 0), res(f, (bad, 0), (bad, 0))
-    assert element.grades() == [(1, 0)]
-    assert repr(element) == repr(good)
-    assert json.dumps(element.to_json()) == json.dumps(good.to_json())
-    assert '"p": 1' in json.dumps(element.to_json())
-    assert {type(n) for t, w in restricted.terms for n in t[0] + w[0]} == {int}
-    assert json.dumps(restricted.to_json()) == json.dumps(split.to_json())
+    if warm:
+        good, split = char_function(ctx, (1, 0), 0), res(f, (1, 0), (1, 0))
+        assert '"p": 1' in json.dumps(good.to_json())
+        assert {type(n) for t, w in split.terms for n in t[0] + w[0]} == {int}
+    with pytest.raises(ValueError, match="must be integers"):
+        char_function(ctx, (bad, 0), 0)
+    with pytest.raises(ValueError, match="must be integers"):
+        res(f, (bad, 0), (1, 0))
+
+
+@pytest.mark.parametrize("form", ["dict", "sequence"])
+def test_dims_key_refuses_entries_that_are_not_int(form):
+    """A bool or float entry is refused by space, table and sym_pairing,
+    before and after the int grade it equals has been interned."""
+    ctx = HallContext(kronecker_quiver(), 2)
+
+    def dims(key):
+        return dict(zip(ctx.quiver.vertices, key)) if form == "dict" else list(key)
+    for interned in (False, True):
+        if interned:
+            ctx.table((1, 1)), ctx.table((0, 0))
+        for bad in ((True, 1), (1.0, 1), (0.5, 0), (0, False)):
+            for call in (ctx.space, ctx.table,
+                         lambda d: ctx.sym_pairing(d, dims((1, 0)))):
+                with pytest.raises(ValueError, match="must be integers"):
+                    call(dims(bad))
+    assert ctx.space(dims((1, 1))).key == (1, 1)
+    assert ctx.sym_pairing(dims((1, 0)), dims((1, 0))) == 2
 
 
 def test_contexts_do_not_mix(a1_ctx, jordan_ctx):

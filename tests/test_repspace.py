@@ -287,7 +287,7 @@ def test_closure_builds_two_half_width_tables(monkeypatch):
                                             space.field.p ** (n // 2)], space
 
 
-def _dense_image_tables(space, slots, chunks, codes=False):
+def _dense_image_tables(space, slots, chunks):
     """A reference for _image_tables: every basis code's images as a full
     vector of output digits, found by Mat products, and each chunk's table by
     p-folding those vectors over the chunk's digits, each vector then packed
@@ -315,7 +315,7 @@ def _dense_image_tables(space, slots, chunks, codes=False):
     offsets = list(itertools.accumulate(widths, initial=0))
     drawn = [sum(any(col[pos] for col in columns[a:b]) for a, b in zip(starts, starts[1:]))
              for pos in range(offsets[-1])]
-    as_code = [p == 2 or codes and all(drawn[pos] < 2 for pos in range(a, b))
+    as_code = [p == 2 or all(drawn[pos] < 2 for pos in range(a, b))
                for a, b in zip(offsets, offsets[1:])]
     bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
     sizes = [(p ** w - 1).bit_length() if c else w * bits
@@ -342,10 +342,9 @@ def _dense_image_tables(space, slots, chunks, codes=False):
 
 
 def test_image_tables_match_a_dense_reference(monkeypatch):
-    """_image_tables equals the dense reference on the closure's input (every
-    generator on two chunks, codes set; clean and mixed slots at odd p) and
-    on the flag kernel's (the candidate subspaces' maps on one-digit
-    chunks), at q = 2, 3, 4 and 9."""
+    """_image_tables equals the dense reference on the closure's input, every
+    generator on two chunks, with clean slots at q = 2, 3, 4 and 9 and mixed
+    ones at q = 3 and 9."""
     calls = []
     image_tables = repspace._image_tables
     monkeypatch.setattr(repspace, "_image_tables", lambda *args: calls.append(
@@ -359,22 +358,14 @@ def test_image_tables_match_a_dense_reference(monkeypatch):
                RepSpace(fork, Field(3), {"a": 1, "b": 2, "c": 0}))
     for space in closure:
         _generator_tables(space)
-    for q in (2, 3, 4, 9):
-        stable_flag_codes(jordan_space(2, q=q), {"1": 1})
-    stable_flag_codes(kron_space((2, 2)), {"p": 1, "m": 1})
-    stable_flag_codes(kron_space((1, 2), q=3), {"p": 1, "m": 1})
     kinds = set()
-    for (space, slots, chunks, *codes), (tables, reads) in calls:
-        ref_tables, ref_layout = _dense_image_tables(space, slots, chunks, *codes)
+    for (space, slots, chunks), (tables, reads) in calls:
+        ref_tables, ref_layout = _dense_image_tables(space, slots, chunks)
         assert tables == ref_tables, space
         assert [(r[0], r[1].bit_length()) if type(r) is tuple else (r[0][1], None)
                 for r in reads] == ref_layout, space
-        kinds |= {(space.field.q, len(chunks) == 2 and bool(codes), type(r))
-                  for r in reads}
-    assert {(q, True, tuple) for q in (2, 3, 4, 9)} <= kinds
-    assert {(q, False, tuple) for q in (2, 4)} <= kinds
-    assert {(3, True, list), (9, True, list), (3, False, list),
-            (9, False, list)} <= kinds
+        kinds |= {(space.field.q, type(r)) for r in reads}
+    assert {(q, tuple) for q in (2, 3, 4, 9)} | {(3, list), (9, list)} <= kinds
 
 
 def test_orbit_sizes_divide_group_order():
@@ -437,7 +428,8 @@ PINNED_ORBIT_TABLES = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(PINNED_ORBIT_TABLES))
+@pytest.mark.parametrize("key", sorted(PINNED_ORBIT_TABLES), ids=lambda key: (
+    f"{key[0]}-q{key[1]}-{'x'.join(map(str, key[2]))}"))
 def test_orbit_tables_are_pinned(key):
     name, q, dims = key
     space = jordan_space(*dims, q=q) if name == "jordan" else kron_space(dims, q=q)
@@ -758,29 +750,24 @@ def _flags_by_mat(space, x, sub_dims):
             for U in stable_subspaces(space, x, sub_dims)]
 
 
-@pytest.mark.parametrize("batch_digits", [repspace._BATCH_DIGITS, 5])
-def test_flag_kernel_matches_the_mat_geometry(monkeypatch, batch_digits):
+def test_flag_kernel_matches_the_mat_geometry():
     """On every orbit representative of every space, for every sub dimension
     vector (zero and full ones included), the kernel lists the quotient and
     sub codes of stable_subspaces + quotient_point + sub_point, in order.
-    The spaces cover q = 2, 3, 4, 5, 9, codes of one and three digits (one
-    and three lookup chunks), and spaces without entries; a batch of five
-    digits splits the candidates into many lookups."""
+    The spaces cover q = 2, 3, 4, 5, 8, 9, 27 (e = 1, 2, 3), codes of one
+    and three digits, and spaces without entries."""
     one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
     spaces = (jordan_space(1), jordan_space(3), kron_space((2, 2)),
               kron_space((1, 2), q=3), jordan_space(2, q=3),
               RepSpace(one_edge, Field(3), {"a": 3, "b": 1}),
               jordan_space(2, q=4), kron_space((1, 1), q=4),
               jordan_space(2, q=5), kron_space((1, 1), q=9),
+              jordan_space(1, q=8), jordan_space(1, q=27),
+              kron_space((1, 1), q=8),
               jordan_space(0, q=5), kron_space((0, 2)),
               RepSpace(a1_quiver(), Field(3), {"1": 2}))
-    tables = [orbits(space) for space in spaces]
-    monkeypatch.setattr(repspace, "_BATCH_DIGITS", batch_digits)
-    lookups = []
-    packed_images = repspace._packed_images
-    monkeypatch.setattr(repspace, "_packed_images",
-                        lambda *args: lookups.append(args) or packed_images(*args))
-    for space, table in zip(spaces, tables):
+    for space in spaces:
+        table = orbits(space)
         vertices = space.quiver.vertices
         for split in itertools.product(*(range(space.dims[v] + 1) for v in vertices)):
             sub_dims = dict(zip(vertices, split))
@@ -789,11 +776,6 @@ def test_flag_kernel_matches_the_mat_geometry(monkeypatch, batch_digits):
                 x = space.point_from_rank(rank)
                 assert flags(rank) == _flags_by_mat(space, x, sub_dims), (
                     space, sub_dims, rank)
-    assert {s.field.e * s.point_entries for s, *_ in lookups} >= {0, 1, 3}
-    # the three lines of F_2^2, three output digits each
-    lookups.clear()
-    stable_flag_codes(jordan_space(2), {"1": 1})
-    assert len(lookups) == (3 if batch_digits == 5 else 1)
 
 
 def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
