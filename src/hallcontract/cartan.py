@@ -158,6 +158,34 @@ def merged_label(pair: ContractionPair) -> str:
     return f"{pair.plus}+{pair.minus}"
 
 
+def _merge(rows, ip: int, im: int) -> tuple:
+    """Row ip becomes row ip + row im and row im is dropped.
+
+    This is left multiplication by the matrix M whose i0 row is
+    e_{i+} + e_{i-} and whose other rows are unit vectors. Merging a form
+    F's rows and then its columns gives M F M^T, the Gram matrix of M's
+    rows: F restricted to the sublattice where i0 = i+ + i- replaces the
+    pair, so (M F M^T)[i0][i0] = i+.i+ + 2 i+.i- + i-.i-.
+    """
+    merged = tuple(a + b for a, b in zip(rows[ip], rows[im]))
+    return tuple(merged if k == ip else row
+                 for k, row in enumerate(rows) if k != im)
+
+
+def _merged_labels(labels, pair: ContractionPair) -> tuple[str, ...]:
+    """The labels with i+ renamed to i0 in place and i- dropped."""
+    i0 = merged_label(pair)
+    return tuple(i0 if x == pair.plus else x for x in labels if x != pair.minus)
+
+
+def _merged_phi2(datum: CartanDatum, pair: ContractionPair) -> int:
+    """phi2hat(i0) = -(i+.i-)/phi1(i+) - 1, the edges the contraction collapses."""
+    phi1_plus = datum.phi1_of(pair.plus)
+    joint = datum.value(pair.plus, pair.minus)
+    assert joint % phi1_plus == 0
+    return -joint // phi1_plus - 1
+
+
 def contract_cartan(datum: CartanDatum, pair: ContractionPair) -> CartanDatum:
     """Merge the pair into one label; the new form is the restriction along
     i0 = i+ + i- and phi2hat(i0) = -(i+.i-)/phi1(i+) - 1."""
@@ -165,29 +193,12 @@ def contract_cartan(datum: CartanDatum, pair: ContractionPair) -> CartanDatum:
     if bad:
         raise ValueError("cannot contract: " + "; ".join(bad))
     ip, im = datum.index(pair.plus), datum.index(pair.minus)
-    i0 = merged_label(pair)
-    new_labels = tuple(i0 if x == pair.plus else x
-                       for x in datum.labels if x != pair.minus)
-
-    def old_index(label):
-        return ip if label == i0 else datum.index(label)
-
-    def entry(x, y):
-        if x == i0 and y == i0:
-            return (datum.form[ip][ip] + 2 * datum.form[ip][im] + datum.form[im][im])
-        if x == i0:
-            return datum.form[ip][old_index(y)] + datum.form[im][old_index(y)]
-        if y == i0:
-            return datum.form[old_index(x)][ip] + datum.form[old_index(x)][im]
-        return datum.form[old_index(x)][old_index(y)]
-
-    form = tuple(tuple(entry(x, y) for y in new_labels) for x in new_labels)
-    phi1_plus = datum.phi1[ip]
-    assert datum.form[ip][im] % phi1_plus == 0
-    phi2_merged = -datum.form[ip][im] // phi1_plus - 1
-    phi1 = tuple(phi1_plus if x == i0 else datum.phi1_of(x) for x in new_labels)
-    phi2 = tuple(phi2_merged if x == i0 else datum.phi2_of(x) for x in new_labels)
-    out = CartanDatum(new_labels, form, phi1, phi2)
+    # M (M F)^T = M F M^T, since the validated form is symmetric
+    form = _merge(tuple(zip(*_merge(datum.form, ip, im))), ip, im)
+    keep = [k for k in range(len(datum.labels)) if k != im]
+    phi1 = tuple(datum.phi1[k] for k in keep)
+    phi2 = tuple(_merged_phi2(datum, pair) if k == ip else datum.phi2[k] for k in keep)
+    out = CartanDatum(_merged_labels(datum.labels, pair), form, phi1, phi2)
     leftover = validate_cartan(out)
     assert not leftover, f"contraction broke the axioms: {leftover}"
     return out
@@ -353,23 +364,8 @@ def contract_root_datum(rd: RootDatum, pair: ContractionPair,
     """Root datum of the contracted datum inside the same lattice: the merged
     label embeds as the sum of the pair's images on both sides."""
     ip, im = rd.labels.index(pair.plus), rd.labels.index(pair.minus)
-    i0 = merged_label(pair)
-    new_labels = tuple(i0 if x == pair.plus else x for x in rd.labels if x != pair.minus)
-
-    def combine(vectors, a, b):
-        return tuple(x + y for x, y in zip(vectors[a], vectors[b]))
-
-    embed_y = []
-    embed_x = []
-    for lab in new_labels:
-        if lab == i0:
-            embed_y.append(combine(rd.embed_y, ip, im))
-            embed_x.append(combine(rd.embed_x, ip, im))
-        else:
-            k = rd.labels.index(lab)
-            embed_y.append(rd.embed_y[k])
-            embed_x.append(rd.embed_x[k])
-    out = RootDatum(new_labels, tuple(embed_y), tuple(embed_x))
+    new_labels = _merged_labels(rd.labels, pair)
+    out = RootDatum(new_labels, _merge(rd.embed_y, ip, im), _merge(rd.embed_x, ip, im))
     if datum is not None:
         # the embedded pairings must match the contracted datum's own pairings
         contracted = contract_cartan(datum, pair)
@@ -456,11 +452,9 @@ def check_psi_identity(datum: CartanDatum, pair: ContractionPair):
     if bad:
         raise ValueError("invalid input: " + "; ".join(bad))
     rd = build_root_datum(datum)
-    phi1 = datum.phi1_of(pair.plus)
-    phi2_merged = -datum.value(pair.plus, pair.minus) // phi1 - 1
     lhs = generalized_reflection(rd, {pair.plus: 1, pair.minus: 1})
     s_plus = reflection(rd, pair.plus)
-    middle = generalized_reflection(rd, {pair.minus: 1, pair.plus: phi2_merged})
+    middle = generalized_reflection(rd, {pair.minus: 1, pair.plus: _merged_phi2(datum, pair)})
     rhs = s_plus @ middle @ s_plus
     return lhs.matrix == rhs.matrix, lhs, rhs
 

@@ -168,6 +168,11 @@ def orbit_of_vertex(quiver: Quiver, autom: Automorphism, v: str) -> tuple[str, .
     raise KeyError(f"unknown vertex {v!r}")
 
 
+def _orbit_index(orbits) -> dict:
+    """vertex -> ordinal of its orbit."""
+    return {v: k for k, orbit in enumerate(orbits) for v in orbit}
+
+
 def check_admissible(quiver: Quiver, autom: Automorphism) -> list[str]:
     """Violations of admissibility, empty iff admissible."""
     problems = []
@@ -183,10 +188,7 @@ def check_admissible(quiver: Quiver, autom: Automorphism) -> list[str]:
         if image.target != autom.apply_vertex(e.target):
             problems.append(f"a({e.id}) ends at {image.target}, "
                             f"expected a({e.target}) = {autom.apply_vertex(e.target)}")
-    orbit_index = {}
-    for k, orbit in enumerate(vertex_orbits(quiver, autom)):
-        for v in orbit:
-            orbit_index[v] = k
+    orbit_index = _orbit_index(vertex_orbits(quiver, autom))
     for e in quiver.edges:
         if not e.is_loop() and orbit_index[e.source] == orbit_index[e.target]:
             problems.append(
@@ -205,10 +207,7 @@ def cartan_of(quiver: Quiver, autom: Automorphism | None = None) -> CartanDatum:
         raise ValueError("automorphism not admissible: " + "; ".join(bad))
     orbits = vertex_orbits(quiver, autom)
     labels = [orbit[0] for orbit in orbits]
-    orbit_index = {}
-    for k, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_index[v] = k
+    orbit_index = _orbit_index(orbits)
     n = len(orbits)
     phi1 = [len(orbit) for orbit in orbits]
     phi2 = [len(quiver.loops_at(orbit[0])) for orbit in orbits]
@@ -255,27 +254,16 @@ def make_orbit_pair(quiver: Quiver, autom: Automorphism, plus: str, minus: str,
     minus_orbit = orbit_of_vertex(quiver, autom, minus)
     if plus_orbit == minus_orbit:
         raise ValueError("plus and minus vertices lie in the same orbit")
-    swapped = False
-    if edge is not None:
-        e = quiver.edge(edge)
-        if e.source in plus_orbit and e.target in minus_orbit:
-            pass
-        elif e.source in minus_orbit and e.target in plus_orbit:
-            plus_orbit, minus_orbit = minus_orbit, plus_orbit
-            swapped = True
-        else:
-            raise ValueError(f"edge {edge!r} does not join the two orbits")
+    candidates = quiver.edges if edge is None else (quiver.edge(edge),)
+    for swapped, src, dst in ((False, plus_orbit, minus_orbit),
+                              (True, minus_orbit, plus_orbit)):
+        e = next((x for x in candidates if x.source in src and x.target in dst), None)
+        if e is not None:
+            plus_orbit, minus_orbit = src, dst
+            break
     else:
-        e = next((x for x in quiver.edges
-                  if x.source in plus_orbit and x.target in minus_orbit), None)
-        if e is None:
-            e = next((x for x in quiver.edges
-                      if x.source in minus_orbit and x.target in plus_orbit), None)
-            if e is not None:
-                plus_orbit, minus_orbit = minus_orbit, plus_orbit
-                swapped = True
-        if e is None:
-            raise ValueError("no edge joins the two orbits")
+        raise ValueError("no edge joins the two orbits" if edge is None
+                         else f"edge {edge!r} does not join the two orbits")
     size = _edge_orbit_size(autom, e.id)
     if size != len(plus_orbit):
         raise ValueError(
@@ -368,12 +356,15 @@ def contract_quiver(quiver: Quiver, autom: Automorphism, pair: OrbitPair) -> Con
     new_vertices = tuple(v for v in quiver.vertices if v not in minus_set)
     new_edges: list[Edge] = []
     provenance: dict[str, tuple] = {}
+    eperm: dict[str, str] = {}  # a maps each composite to the composite of the images
+    a = autom.apply_edge
 
     for e in quiver.edges:
         if e.source in minus_set or e.target in minus_set:
             continue
         new_edges.append(e)
         provenance[e.id] = ("kept", e.id)
+        eperm[e.id] = a(e.id)
     for h_id in hks:
         h = quiver.edge(h_id)
         v = h.target
@@ -381,26 +372,16 @@ def contract_quiver(quiver: Quiver, autom: Automorphism, pair: OrbitPair) -> Con
             new_id = f"{l1.id}*{h_id}"
             new_edges.append(Edge(new_id, h.source, l1.target))
             provenance[new_id] = ("post", l1.id, h_id)
+            eperm[new_id] = f"{a(l1.id)}*{a(h_id)}"
         for l2 in quiver.in_edges(v):
             if l2.id == h_id:
                 continue
             new_id = f"~{h_id}*{l2.id}"
             new_edges.append(Edge(new_id, l2.source, h.source))
             provenance[new_id] = ("pre", h_id, l2.id)
+            eperm[new_id] = f"~{a(h_id)}*{a(l2.id)}"
 
     vperm = {v: autom.apply_vertex(v) for v in new_vertices}
-    eperm = {}
-    for e in new_edges:
-        kind = provenance[e.id]
-        if kind[0] == "kept":
-            eperm[e.id] = autom.apply_edge(e.id)
-        elif kind[0] == "post":
-            _, l1_id, h_id = kind
-            eperm[e.id] = f"{autom.apply_edge(l1_id)}*{autom.apply_edge(h_id)}"
-        else:
-            _, h_id, l2_id = kind
-            eperm[e.id] = f"~{autom.apply_edge(h_id)}*{autom.apply_edge(l2_id)}"
-
     contracted = Quiver(new_vertices, tuple(new_edges))
     new_autom = Automorphism(vperm, eperm)
     leftover = check_admissible(contracted, new_autom)

@@ -540,29 +540,16 @@ def contract_point(space: RepSpace, con: ContractedQuiver, x: tuple,
     return tuple(mats)
 
 
-def _provenance_by_source(con: ContractedQuiver) -> dict:
-    """original edge id -> (role, new edge id, contraction edge id)."""
-    out = {}
-    for new_id, kind in con.provenance.items():
-        if kind[0] == "kept":
-            out[kind[1]] = ("kept", new_id, None)
-        elif kind[0] == "post":
-            _, l1, h = kind
-            out[l1] = ("post", new_id, h)
-        else:
-            _, h, l2 = kind
-            out[l2] = ("pre", new_id, h)
-    return out
-
-
 def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
                          target_space: RepSpace | None = None,
                          max_count: int = DEFAULT_MAX_POINTS):
     """All heart points contracting onto xhat: one per invertible assignment
-    to the contraction edges."""
+    g_h to the contraction edges h. Each other original edge is read off
+    the new edge that records it in con.provenance: a kept edge copies its
+    xhat matrix, the l1 of a post edge l1*h gets xhat(l1*h) g_h^{-1}, and
+    the l2 of a pre edge ~h*l2 gets g_h xhat(~h*l2); h itself gets g_h."""
     if target_space is None:
         target_space = RepSpace(con.quiver, space.field, contracted_dims(space, con))
-    by_source = _provenance_by_source(con)
     total = 1
     for h in con.contraction_edges:
         rows, cols = space.edge_shapes[space.edge_index[h]]
@@ -578,19 +565,17 @@ def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
                for h in con.contraction_edges]
     for combo in itertools.product(*choices):
         assign = dict(zip(con.contraction_edges, combo))
-        mats = []
-        for e in space.quiver.edges:
-            if e.id in assign:
-                mats.append(assign[e.id][0])
-                continue
-            role, new_id, h = by_source[e.id]
+        mats = [None] * len(space.quiver.edges)
+        for new_id, kind in con.provenance.items():
             xh = xhat[target_space.edge_index[new_id]]
-            if role == "kept":
-                mats.append(xh)
-            elif role == "post":
-                mats.append(xh @ assign[h][1])
+            if kind[0] == "kept":
+                mats[space.edge_index[kind[1]]] = xh
+            elif kind[0] == "post":
+                mats[space.edge_index[kind[1]]] = xh @ assign[kind[2]][1]
             else:
-                mats.append(assign[h][0] @ xh)
+                mats[space.edge_index[kind[2]]] = assign[kind[1]][0] @ xh
+        for h, (g, _) in assign.items():
+            mats[space.edge_index[h]] = g
         yield tuple(mats)
 
 

@@ -242,3 +242,55 @@ def test_weyl_element_dict_roundtrip():
     rd = build_root_datum(kronecker_datum())
     s = reflection(rd, "i+")
     assert WeylElement.from_dict(s.to_dict()) == s
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def _merge_matrix(labels, pair):
+    """M with one row per contracted label: e_{i+} + e_{i-} for i0, the unit
+    vector of every other kept label."""
+    return tuple(tuple(int(y == x or (x, y) == (pair.plus, pair.minus))
+                       for y in labels)
+                 for x in labels if x != pair.minus)
+
+
+def _relabeled(datum, order):
+    labels = [datum.labels[i] for i in order]
+    return CartanDatum.make(labels, [[datum.form[i][j] for j in order] for i in order],
+                            {x: datum.phi1_of(x) for x in labels},
+                            {x: datum.phi2_of(x) for x in labels})
+
+
+C01_SEED = 20260816  # test_c01_contraction_preserves_validity's data
+
+
+def test_contraction_is_m_f_mt_on_random_data():
+    """On c01's data, with the pair named minus-first and with the labels
+    shuffled, the contracted form is M F M^T for the explicit merge matrix
+    M, phi2hat(i0) = -(i+.i-)/phi1(i+) - 1, and the contracted root datum
+    embeds i0 as M applied to both lattices, pairing as the contracted form."""
+    rng, shuffle = random.Random(C01_SEED), random.Random(1)
+    for _ in range(200):
+        datum, pair = random_contractible_datum(rng)
+        order = list(range(len(datum.labels)))
+        shuffle.shuffle(order)
+        for d, p in ((datum, ContractionPair(pair.minus, pair.plus)),
+                     (_relabeled(datum, order), pair)):
+            m = _merge_matrix(d.labels, p)
+            out = contract_cartan(d, p)
+            i0 = merged_label(p)
+            assert out.labels == tuple(i0 if x == p.plus else x
+                                       for x in d.labels if x != p.minus)
+            assert out.form == _matmul(_matmul(m, d.form), tuple(zip(*m)))
+            phi2hat = -d.value(p.plus, p.minus) // d.phi1_of(p.plus) - 1
+            for x in out.labels:
+                assert out.phi1_of(x) == d.phi1_of(p.plus if x == i0 else x)
+                assert out.phi2_of(x) == (phi2hat if x == i0 else d.phi2_of(x))
+            rd = build_root_datum(d)
+            crd = contract_root_datum(rd, p, datum=d)
+            assert crd.labels == out.labels
+            assert crd.embed_y == _matmul(m, rd.embed_y)
+            assert crd.embed_x == _matmul(m, rd.embed_x)

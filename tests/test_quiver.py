@@ -109,6 +109,17 @@ def test_make_orbit_pair_resolves_edges_and_roles():
         make_orbit_pair(lonely, identity_automorphism(lonely), "p", "m")
 
 
+def test_make_orbit_pair_with_a_named_edge():
+    # a named edge given against its direction swaps the roles, not the edge
+    quiver = kronecker_quiver()
+    pair = make_orbit_pair(quiver, identity_automorphism(quiver), "m", "p", "f")
+    assert (pair.plus, pair.minus, pair.edge, pair.swapped) == ("p", "m", "f", True)
+
+    looped = Quiver(("p", "m"), quiver.edges + (Edge("l", "p", "p"),))
+    with pytest.raises(ValueError, match="edge 'l' does not join the two orbits"):
+        make_orbit_pair(looped, identity_automorphism(looped), "p", "m", "l")
+
+
 def test_contraction_assumptions():
     quiver = kronecker_quiver()
     autom = identity_automorphism(quiver)

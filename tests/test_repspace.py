@@ -727,6 +727,32 @@ def test_fibers_have_gl_size():
             assert contract_point(space, con, y, hat) == xhat
 
 
+def test_fibers_cover_the_heart_on_every_provenance_kind():
+    """a->b x, b->c y, b->c z, c->a w, a->c v contracted at b/c along y keeps
+    x, composes w*y after y, and ~y*z, ~y*v before it: every branch of
+    fiber_of_contraction runs, and the fibers partition the heart."""
+    quiver = Quiver(("a", "b", "c"), (
+        Edge("x", "a", "b"), Edge("y", "b", "c"), Edge("z", "b", "c"),
+        Edge("w", "c", "a"), Edge("v", "a", "c")))
+    autom = identity_automorphism(quiver)
+    con = contract_quiver(quiver, autom, make_orbit_pair(quiver, autom, "b", "c", "y"))
+    assert con.provenance == {"x": ("kept", "x"), "w*y": ("post", "w", "y"),
+                              "~y*z": ("pre", "y", "z"), "~y*v": ("pre", "y", "v")}
+    space = RepSpace(quiver, Field(2), {"a": 1, "b": 2, "c": 2})
+    hat = RepSpace(con.quiver, space.field, {"a": 1, "b": 2})
+    covered = set()
+    for xhat in enumerate_points(hat):
+        fiber = list(fiber_of_contraction(space, con, xhat, hat))
+        assert len(fiber) == gl_order(2, 2) == 6
+        for y in fiber:
+            assert is_heart(space, con, y)
+            assert contract_point(space, con, y, hat) == xhat
+        covered.update(fiber)
+    heart = {x for x in enumerate_points(space) if is_heart(space, con, x)}
+    assert len(covered) == 6144
+    assert covered == heart
+
+
 def test_stable_line_counts():
     space = jordan_space(2)
     f = space.field
