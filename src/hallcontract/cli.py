@@ -25,6 +25,7 @@ from . import hall
 from . import quiver as qv
 from .cache import OrbitCache
 from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, UnsupportedFieldError
+from .repspace import grade_key
 
 
 class InputError(Exception):
@@ -124,29 +125,21 @@ def _violations(command: str, problems: list[str]):
     return payload, 1 if problems else 0
 
 
-def _parse_dims(spec: str, quiver: qv.Quiver) -> dict:
+def _parse_dims(spec: str, quiver: qv.Quiver) -> tuple:
+    """The grade key of a spec: one int per vertex in vertex order, or
+    name=value pairs that name each vertex once; grade_key checks it."""
     try:
-        if "=" in spec:
-            dims = {}
-            for part in spec.split(","):
-                name, _, val = part.partition("=")
-                dims[name.strip()] = int(val)
-        else:
-            values = [int(p) for p in spec.split(",")]
-            if len(values) != len(quiver.vertices):
-                raise InputError(
-                    f"--dim {spec!r} has {len(values)} entries for "
-                    f"{len(quiver.vertices)} vertices (order: "
-                    f"{', '.join(quiver.vertices)})")
-            dims = dict(zip(quiver.vertices, values))
+        if "=" not in spec:
+            return grade_key(quiver, [int(p) for p in spec.split(",")])
+        dims = {}
+        for part in spec.split(","):
+            name, _, val = (s.strip() for s in part.partition("="))
+            if name in dims:
+                raise ValueError(f"vertex {name!r} is named twice")
+            dims[name] = int(val)
+        return grade_key(quiver, dims)
     except ValueError as exc:
-        raise InputError(f"cannot parse dimension vector {spec!r}: {exc}") from None
-    if set(dims) != set(quiver.vertices):
-        raise InputError(f"--dim {spec!r} does not cover exactly the vertices "
-                         f"{', '.join(quiver.vertices)}")
-    if any(n < 0 for n in dims.values()):
-        raise InputError("dimensions must be nonnegative")
-    return dims
+        raise InputError(f"bad dimension vector {spec!r}: {exc}") from None
 
 
 def _parse_bounds(spec: str | None) -> int:
@@ -379,16 +372,15 @@ def hall_group():
 def hall_orbits(quiver_file, dim_spec, q, bounds):
     """List the orbits of the group action on a representation space."""
     ctx = _context(quiver_file, q, bounds)
-    dims = _parse_dims(dim_spec, ctx.quiver)
-    table = ctx.table(dims)
-    space = ctx.space(dims)
+    table = ctx.table(_parse_dims(dim_spec, ctx.quiver))
+    space = table.space
     orbits_out = []
     for k in range(table.count):
         orbits_out.append({
             "id": table.orbit_id(k), "size": table.sizes[k],
             "representative": space.point_to_dict(table.representative(k))})
     payload = {"command": "hall orbits", "q": q,
-               "quiver": ctx.quiver.content_hash(), "dims": dims,
+               "quiver": ctx.quiver.content_hash(), "dims": space.dims,
                "total_points": space.total_points,
                "count": table.count, "orbits": orbits_out}
     return payload, 0

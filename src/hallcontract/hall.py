@@ -26,14 +26,18 @@ from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, Field
 from .quiver import (Quiver, cartan_of, contract_quiver, identity_automorphism,
                      make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
-                       group_order, is_heart, orbits, quotient_point,
-                       stable_flag_codes, stable_subspaces, sub_point)
+                       grade_key, group_order, is_heart, orbits,
+                       quotient_point, stable_flag_codes, stable_subspaces,
+                       sub_point)
 from .scalars import SqrtQScalar
 
 
 class HallContext:
     """Shared machinery for one (quiver, q): interned representation spaces,
-    orbit tables, and memoized structure constants."""
+    orbit tables, and memoized structure constants. A public method takes a
+    grade as a dict over the vertices or a sequence in vertex order and
+    checks it with grade_key; the Hall layer below passes grade keys to the
+    underscored ones."""
 
     def __init__(self, quiver: Quiver, q: int, cache: OrbitCache | None = None,
                  max_points: int = DEFAULT_MAX_POINTS):
@@ -54,64 +58,52 @@ class HallContext:
     def q(self) -> int:
         return self.field.q
 
-    def dims_key(self, dims) -> tuple:
-        """dims (a dict over the vertices or a sequence in vertex order) as a
-        tuple in vertex order; an entry that is not an int (True, 1.0) is
-        refused."""
-        if isinstance(dims, dict):
-            if set(dims) != set(self.quiver.vertices):
-                raise ValueError("dimension vector must cover exactly the vertices")
-            key = tuple(dims[v] for v in self.quiver.vertices)
-        else:
-            key = tuple(dims)
-            if len(key) != len(self.quiver.vertices):
-                raise ValueError("dimension vector length mismatch")
-        if any(type(n) is not int for n in key):
-            raise ValueError(f"dimensions must be integers: {dims!r}")
-        return key
-
-    def dims_dict(self, key) -> dict:
-        return dict(zip(self.quiver.vertices, key))
-
     @property
     def zero_key(self) -> tuple:
         return (0,) * len(self.quiver.vertices)
 
     def space(self, dims) -> RepSpace:
-        key = self.dims_key(dims)
+        return self._space(grade_key(self.quiver, dims))
+
+    def _space(self, key: tuple) -> RepSpace:
         if key not in self._spaces:
-            self._spaces[key] = RepSpace(self.quiver, self.field,
-                                         self.dims_dict(key))
+            self._spaces[key] = RepSpace(self.quiver, self.field, key)
         return self._spaces[key]
 
     def table(self, dims):
-        key = self.dims_key(dims)
+        return self._table(grade_key(self.quiver, dims))
+
+    def _table(self, key: tuple):
         if key not in self._tables:
-            self._tables[key] = orbits(self.space(key),
+            self._tables[key] = orbits(self._space(key),
                                        max_points=self.max_points,
                                        cache=self.cache)
         return self._tables[key]
 
     def sym_pairing(self, d1, d2) -> int:
         """The symmetric form of the attached Cartan datum on dim vectors."""
-        k1, k2 = self.dims_key(d1), self.dims_key(d2)
-        return sum(k1[i] * k2[j] * self.cartan.form[i][j]
-                   for i in range(len(k1)) for j in range(len(k2)))
+        return self._pairing(grade_key(self.quiver, d1), grade_key(self.quiver, d2))
+
+    def _pairing(self, k1: tuple, k2: tuple) -> int:
+        return sum(a * b * self.cartan.form[i][j]
+                   for i, a in enumerate(k1) for j, b in enumerate(k2))
 
     def scalar(self, a=0, b=0) -> SqrtQScalar:
         return SqrtQScalar(self.q, a, b)
 
 
-def m_omega(quiver: Quiver, tau: dict, omega: dict) -> int:
-    vertex_part = sum(tau[v] * omega[v] for v in quiver.vertices)
-    edge_part = sum(tau[e.source] * omega[e.target] for e in quiver.edges)
-    return vertex_part + edge_part
+def m_omega(quiver: Quiver, tau: tuple, omega: tuple) -> int:
+    """sum_v tau_v omega_v + sum over edges h of tau_{h'} omega_{h''}, on
+    grade keys."""
+    vindex = quiver.vertex_index
+    return (sum(t * w for t, w in zip(tau, omega))
+            + sum(tau[vindex[e.source]] * omega[vindex[e.target]]
+                  for e in quiver.edges))
 
 
-def m_star_omega(quiver: Quiver, tau: dict, omega: dict) -> int:
-    vertex_part = sum(tau[v] * omega[v] for v in quiver.vertices)
-    edge_part = sum(tau[e.source] * omega[e.target] for e in quiver.edges)
-    return -vertex_part + edge_part
+def m_star_omega(quiver: Quiver, tau: tuple, omega: tuple) -> int:
+    """m_omega with the vertex part negated."""
+    return m_omega(quiver, tau, omega) - 2 * sum(t * w for t, w in zip(tau, omega))
 
 
 def _accum(terms: dict, key, value) -> None:
@@ -184,7 +176,7 @@ class HallElement(_Terms):
     @staticmethod
     def _label(ctx: HallContext, key: tuple) -> dict:
         """The JSON name of the basis vector at key = (dims key, ordinal)."""
-        return {"dim": ctx.dims_dict(key[0]), "orbit": f"o{key[1]}"}
+        return {"dim": dict(zip(ctx.quiver.vertices, key[0])), "orbit": f"o{key[1]}"}
 
     @staticmethod
     def _name(key: tuple) -> str:
@@ -203,9 +195,9 @@ class HallElement(_Terms):
 
     def value_at(self, dims, x) -> SqrtQScalar:
         """Evaluate at a point: the coefficient of the orbit containing x."""
-        key = self.ctx.dims_key(dims)
-        ordinal = self.ctx.table(key).ordinal_of(x)
-        return self.terms.get((key, ordinal), SqrtQScalar.zero(self.ctx.q))
+        table = self.ctx.table(dims)
+        return self.terms.get((table.space.key, table.ordinal_of(x)),
+                              SqrtQScalar.zero(self.ctx.q))
 
     def support_ids(self) -> list[dict]:
         return [self._label(self.ctx, key) for key in sorted(self.terms)]
@@ -221,9 +213,9 @@ class HallElement(_Terms):
             raise ValueError("element belongs to a different graph")
         terms: dict = {}
         for t in payload["terms"]:
-            key = ctx.dims_key(t["dim"])
-            ordinal = ctx.table(key).ordinal_of_id(t["orbit"])
-            _accum(terms, (key, ordinal), SqrtQScalar.from_json(ctx.q, t["coeff"]))
+            table = ctx.table(t["dim"])
+            _accum(terms, (table.space.key, table.ordinal_of_id(t["orbit"])),
+                   SqrtQScalar.from_json(ctx.q, t["coeff"]))
         return cls(ctx, terms)
 
 
@@ -258,9 +250,9 @@ def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     if memo_key in ctx._flag_tables:
         return ctx._flag_tables[memo_key]
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    big_space, big_table = ctx.space(nkey), ctx.table(nkey)
-    ttable, wtable = ctx.table(tkey), ctx.table(wkey)
-    flags = stable_flag_codes(big_space, ctx.dims_dict(wkey), ctx.max_points)
+    big_space, big_table = ctx._space(nkey), ctx._table(nkey)
+    ttable, wtable = ctx._table(tkey), ctx._table(wkey)
+    flags = stable_flag_codes(big_space, ctx._space(wkey).dims, ctx.max_points)
     out: dict = {}
     for big, rank in enumerate(big_table.rep_ranks):
         for qcode, scode in flags(rank):
@@ -275,7 +267,7 @@ def _product_grade(ctx: HallContext, tkey: tuple, wkey: tuple) -> tuple:
     context: both depend on the grades only."""
     memo_key = (tkey, wkey)
     if memo_key not in ctx._product_grades:
-        m = m_omega(ctx.quiver, ctx.dims_dict(tkey), ctx.dims_dict(wkey))
+        m = m_omega(ctx.quiver, tkey, wkey)
         ctx._product_grades[memo_key] = (tuple(a + b for a, b in zip(tkey, wkey)),
                                          SqrtQScalar.half_power(ctx.q, -m))
     return ctx._product_grades[memo_key]
@@ -334,7 +326,7 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement,
              for wk in sorted({k for k, _ in f2.terms})]
     orders = {}
     for tk, wk in pairs:
-        ot, ow = group_order(ctx.space(tk)), group_order(ctx.space(wk))
+        ot, ow = group_order(ctx._space(tk)), group_order(ctx._space(wk))
         if ot * ow > max_flags:
             raise EnumerationBoundError(
                 f"{ot}*{ow} flag isomorphisms exceed the bound {max_flags}")
@@ -377,8 +369,8 @@ def _oracle_flags(ctx: HallContext, tkey: tuple, wkey: tuple) -> list:
     if memo_key in ctx._oracle_flags:
         return ctx._oracle_flags[memo_key]
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    big_space, big_table = ctx.space(nkey), ctx.table(nkey)
-    omega = ctx.dims_dict(wkey)
+    big_space, big_table = ctx._space(nkey), ctx._table(nkey)
+    omega = ctx._space(wkey).dims
     out = []
     for big in range(big_table.count):
         y = big_table.representative(big)
@@ -393,11 +385,11 @@ def _oracle_flags(ctx: HallContext, tkey: tuple, wkey: tuple) -> list:
 def _group_profile(ctx: HallContext, key: tuple, x: tuple) -> dict:
     """Orbit ordinal -> number of g in G with g.x in that orbit, by applying
     every group element to x. The caller has bounded the group order."""
-    space = ctx.space(key)
+    space = ctx._space(key)
     memo_key = (key, space.point_rank(x))
     if memo_key in ctx._group_profiles:
         return ctx._group_profiles[memo_key]
-    table = ctx.table(key)
+    table = ctx._table(key)
     profile: dict = {}
     for g in enumerate_group(space, math.inf):
         o = table.ordinal_of(act(space, g, x))
@@ -438,8 +430,8 @@ def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     aut = {}
     for key in (tkey, wkey, nkey):
-        order = group_order(ctx.space(key))
-        aut[key] = [order // size for size in ctx.table(key).sizes]
+        order = group_order(ctx._space(key))
+        aut[key] = [order // size for size in ctx._table(key).sizes]
     hom = ctx.q ** sum(a * b for a, b in zip(tkey, wkey))
     out: dict = {}
     for (t, w), bucket in _flag_table(ctx, tkey, wkey).items():
@@ -459,16 +451,20 @@ def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
 def res(f: HallElement, tau, omega) -> TensorElement:
     """Restriction to a split of the grade: coefficient at (t, w) is
     q^{-m*/2} times the sum of f over all extensions of the representatives."""
+    quiver = f.ctx.quiver
+    return _res(f, grade_key(quiver, tau), grade_key(quiver, omega))
+
+
+def _res(f: HallElement, tk: tuple, wk: tuple) -> TensorElement:
+    """res on grade keys."""
     ctx = f.ctx
-    tk, wk = ctx.space(tau).key, ctx.space(omega).key
     nk = tuple(a + b for a, b in zip(tk, wk))
     part = {o: c for (key, o), c in f.terms.items() if key == nk}
     if not part:
         if f.terms:
             raise ValueError("restriction dims do not sum to a grade of the element")
         return TensorElement(ctx, {})
-    mult = SqrtQScalar.half_power(
-        ctx.q, -m_star_omega(ctx.quiver, ctx.dims_dict(tk), ctx.dims_dict(wk)))
+    mult = SqrtQScalar.half_power(ctx.q, -m_star_omega(ctx.quiver, tk, wk))
     table = _ext_table(ctx, tk, wk)
     terms: dict = {}
     for (t, w), counter in table.items():
@@ -484,7 +480,7 @@ def coproduct(f: HallElement) -> TensorElement:
     for nk, part in f.homogeneous().items():
         for tk in itertools.product(*(range(n + 1) for n in nk)):
             wk = tuple(n - t for n, t in zip(nk, tk))
-            _accum_all(terms, res(part, tk, wk))
+            _accum_all(terms, _res(part, tk, wk))
     return TensorElement(f.ctx, terms)
 
 
@@ -506,7 +502,7 @@ def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
 
     for ((ak, ao), (bk, bo)), c1 in t1.terms.items():
         for ((ck, co), (dk, do)), c2 in t2.terms.items():
-            twist = SqrtQScalar.half_power(ctx.q, ctx.sym_pairing(bk, ck))
+            twist = SqrtQScalar.half_power(ctx.q, ctx._pairing(bk, ck))
             left = _char_circ(ak, ao, ck, co).scale(c1 * c2 * twist)
             _accum_all(terms, tensor(left, _char_circ(bk, bo, dk, do)))
     return TensorElement(ctx, terms)
@@ -529,39 +525,39 @@ class HeartContext:
         self.orbit_size = len(pair.minus_orbit)
         self.hat = HallContext(self.con.quiver, ctx.q, cache=ctx.cache,
                                max_points=ctx.max_points)
+        # the contracted quiver keeps every vertex but the minus one, so keys
+        # map by index; a lifted key repeats the plus entry at the minus vertex
+        big, hat = ctx.quiver.vertex_index, self.con.quiver.vertex_index
+        self._plus, self._minus = big[self.plus_vertex], big[self.minus_vertex]
+        self._drop = tuple(big[v] for v in self.con.quiver.vertices)
+        self._lift = tuple(hat[self.plus_vertex if v == self.minus_vertex else v]
+                           for v in ctx.quiver.vertices)
         self._maps: dict = {}
 
     def is_balanced(self, big_key: tuple) -> bool:
-        dims = self.ctx.dims_dict(big_key)
-        return dims[self.plus_vertex] == dims[self.minus_vertex]
+        return big_key[self._plus] == big_key[self._minus]
 
     def minus_dim(self, big_key: tuple) -> int:
-        return self.ctx.dims_dict(big_key)[self.minus_vertex]
+        return big_key[self._minus]
 
     def lift_key(self, hat_key: tuple) -> tuple:
-        hat_dims = self.hat.dims_dict(hat_key)
-        dims = dict(hat_dims)
-        dims[self.minus_vertex] = hat_dims[self.plus_vertex]
-        return self.ctx.dims_key(dims)
+        return tuple(hat_key[i] for i in self._lift)
 
     def drop_key(self, big_key: tuple) -> tuple:
         if not self.is_balanced(big_key):
             raise ValueError("dimension vector is not balanced at the contraction")
-        dims = self.ctx.dims_dict(big_key)
-        return self.hat.dims_key({v: dims[v] for v in self.con.quiver.vertices})
+        return tuple(big_key[i] for i in self._drop)
 
     def orbit_maps(self, big_key: tuple) -> tuple[dict, dict]:
         """(heart orbit -> contracted orbit, inverse). Built from the orbit
         representatives; the bijectivity is checked, not assumed."""
         if big_key in self._maps:
             return self._maps[big_key]
-        if not self.is_balanced(big_key):
-            raise ValueError("dimension vector is not balanced at the contraction")
-        space = self.ctx.space(big_key)
-        table = self.ctx.table(big_key)
         hat_key = self.drop_key(big_key)
-        hat_space = self.hat.space(hat_key)
-        hat_table = self.hat.table(hat_key)
+        space = self.ctx._space(big_key)
+        table = self.ctx._table(big_key)
+        hat_space = self.hat._space(hat_key)
+        hat_table = self.hat._table(hat_key)
         to_hat: dict = {}
         for k in range(table.count):
             rep = table.representative(k)
@@ -577,8 +573,9 @@ class HeartContext:
         self._maps[big_key] = (to_hat, from_hat)
         return self._maps[big_key]
 
-    def heart_ordinals(self, big_key: tuple) -> set:
-        return set(self.orbit_maps(big_key)[0])
+    def heart_ordinals(self, big_key: tuple):
+        """The heart orbits at big_key, as a set-like view."""
+        return self.orbit_maps(big_key)[0].keys()
 
 
 def mu_star(hc: HeartContext, fhat: HallElement, twisted: bool = True) -> HallElement:
@@ -633,8 +630,6 @@ def j_star(hc: HeartContext, f: HallElement) -> HallElement:
         raise ValueError("context mismatch")
     terms = {}
     for (bk, o), c in f.terms.items():
-        if not hc.is_balanced(bk):
-            raise ValueError("dimension vector is not balanced at the contraction")
         if o in hc.heart_ordinals(bk):
             terms[(bk, o)] = c
     return HallElement(hc.ctx, terms)
@@ -705,7 +700,7 @@ def _basis(ctx: HallContext, keys):
     """(key, P, name) for each basis vector P at each dims key in turn, orbits
     in ordinal order; key is (dims key, ordinal) and name its display name."""
     for dims in keys:
-        for o in range(ctx.table(dims).count):
+        for o in range(ctx._table(dims).count):
             yield (dims, o), char_function(ctx, dims, o), HallElement._name((dims, o))
 
 
@@ -726,11 +721,10 @@ def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
     checks = []
     phi1 = hc.orbit_size
     for tk, wk in _key_pairs_upto(nhat, max_dim):
-        t_big = ctx.dims_dict(hc.lift_key(tk))
-        w_big = ctx.dims_dict(hc.lift_key(wk))
-        lhs_m = m_omega(hat.quiver, hat.dims_dict(tk), hat.dims_dict(wk))
+        t_big, w_big = hc.lift_key(tk), hc.lift_key(wk)
+        lhs_m = m_omega(hat.quiver, tk, wk)
         rhs_m = m_omega(ctx.quiver, t_big, w_big)
-        predicted = -2 * t_big[hc.minus_vertex] * w_big[hc.minus_vertex] * phi1
+        predicted = -2 * hc.minus_dim(t_big) * hc.minus_dim(w_big) * phi1
         checks.append(_check(
             f"twist identity at {tk}+{wk}", "contraction-twist-exponent",
             lhs_m - rhs_m == predicted,

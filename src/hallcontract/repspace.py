@@ -47,25 +47,39 @@ from .ffalg import (DEFAULT_MAX_POINTS, EnumerationBoundError, Field, Mat,
 from .quiver import ContractedQuiver, Quiver
 
 
+def grade_key(quiver: Quiver, dims) -> tuple:
+    """The one check of a dimension vector: dims, a dict over the vertices
+    or a sequence in vertex order, as its grade key, a tuple in vertex order.
+    It must cover exactly the vertices, and each entry must be a nonnegative
+    int (True and 1.0 are refused, though they equal 1)."""
+    vertices = quiver.vertices
+    if isinstance(dims, dict):
+        dims = [dims[v] for v in vertices] if dims.keys() == set(vertices) else ()
+    key = tuple(dims)
+    if len(key) != len(vertices):
+        raise ValueError(f"a dimension vector must cover exactly the vertices "
+                         f"(in order: {', '.join(vertices)})")
+    for v, n in zip(vertices, key):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"dimensions must be integers: each is a nonnegative "
+                             f"integer, but {v!r} has {n!r}")
+    return key
+
+
 class RepSpace:
     """E_{V,Omega}: the matrices attached to each edge for a fixed grading."""
 
-    def __init__(self, quiver: Quiver, field: Field, dims: dict):
-        if set(dims) != set(quiver.vertices):
-            raise ValueError("dimension vector must cover exactly the vertices")
-        for v, n in dims.items():
-            if type(n) is not int or n < 0:
-                raise ValueError(f"dimension at {v!r} must be a nonnegative integer")
+    def __init__(self, quiver: Quiver, field: Field, dims):
         self.quiver = quiver
         self.field = field
-        self.dims = {v: dims[v] for v in quiver.vertices}
-        #: the dimension vector in vertex order, each entry a checked int
-        self.key = tuple(self.dims.values())
+        #: the dimension vector in vertex order, checked by grade_key
+        self.key = grade_key(quiver, dims)
+        self.dims = dict(zip(quiver.vertices, self.key))
         vindex = quiver.vertex_index
         self.edge_vertex_indices = tuple(
             (vindex[e.target], vindex[e.source]) for e in quiver.edges)
         self.edge_shapes = tuple(
-            (dims[e.target], dims[e.source]) for e in quiver.edges)
+            (self.key[t], self.key[s]) for t, s in self.edge_vertex_indices)
         self.edge_index = {e.id: k for k, e in enumerate(quiver.edges)}
         self.point_entries = sum(r * c for r, c in self.edge_shapes)
 
@@ -506,10 +520,6 @@ def orbits(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS,
     return table
 
 
-def contracted_dims(space: RepSpace, con: ContractedQuiver) -> dict:
-    return {v: space.dims[v] for v in con.quiver.vertices}
-
-
 def is_heart(space: RepSpace, con: ContractedQuiver, x: tuple) -> bool:
     """A point is in the heart when every contraction-edge matrix is invertible."""
     return all(x[space.edge_index[h]].is_invertible()
@@ -549,7 +559,8 @@ def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
     xhat matrix, the l1 of a post edge l1*h gets xhat(l1*h) g_h^{-1}, and
     the l2 of a pre edge ~h*l2 gets g_h xhat(~h*l2); h itself gets g_h."""
     if target_space is None:
-        target_space = RepSpace(con.quiver, space.field, contracted_dims(space, con))
+        target_space = RepSpace(con.quiver, space.field,
+                                {v: space.dims[v] for v in con.quiver.vertices})
     total = 1
     for h in con.contraction_edges:
         rows, cols = space.edge_shapes[space.edge_index[h]]
@@ -734,8 +745,8 @@ def extension_space(space_t: RepSpace, space_w: RepSpace) -> RepSpace:
         raise ValueError("extension requires points on the same graph")
     if space_t.field is not space_w.field:
         raise ValueError("extension requires one field")
-    dims = {v: space_t.dims[v] + space_w.dims[v] for v in space_t.quiver.vertices}
-    return RepSpace(space_t.quiver, space_t.field, dims)
+    return RepSpace(space_t.quiver, space_t.field,
+                    [t + w for t, w in zip(space_t.key, space_w.key)])
 
 
 def extension_count(space_t: RepSpace, space_w: RepSpace) -> int:

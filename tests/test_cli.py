@@ -7,6 +7,7 @@ lines go to stderr, so stdout can be compared byte for byte across runs.
 """
 
 import ast
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -394,6 +395,10 @@ def test_hall_orbits_failure_modes(tmp_path):
     r = runner.invoke(main, ["hall", "orbits", jordan,
                              "--dim", "p=2", "--q", "2"])
     assert r.exit_code == 4
+    # a vertex named twice is refused, whichever value would have won
+    kron = write_json(tmp_path, "kron.json", KRON)
+    for spec in ("p=1,m=1,p=2", "p=1,m=1,m=0", "m=0, m=0,p=1"):
+        assert_refused(["hall", "orbits", kron, "--dim", spec, "--q", "2"])
     for q in ("6", "1", "0"):
         r = runner.invoke(main, ["hall", "orbits", jordan,
                                  "--dim", "1", "--q", q])
@@ -544,6 +549,9 @@ def test_hall_res_cli(tmp_path):
     r = runner.invoke(main, ["hall", "res", quiver_file, theta2, "--q", "2",
                              "--tau", "1"])
     assert r.exit_code == 4
+    # the last value would give the valid split 1 + 1
+    assert_refused(["hall", "res", quiver_file, theta2, "--q", "2",
+                    "--tau", "1=2,1=1", "--omega", "1"])
 
 
 def test_hall_psi_cli(tmp_path):
@@ -673,6 +681,24 @@ def _double_extension_by_zero(monkeypatch):
     monkeypatch.setattr(hall, "j_shriek", lambda hc, f: real(hc, f).scale(2))
 
 
+def _double_pushforward(monkeypatch):
+    real = hall.mu_lower_star
+    monkeypatch.setattr(hall, "mu_lower_star", lambda hc, f: real(hc, f).scale(2))
+
+
+def _double_tensor_product(monkeypatch):
+    real = hall.tensor_mult
+    monkeypatch.setattr(hall, "tensor_mult", lambda t1, t2: real(t1, t2).scale(2))
+
+
+def _grade_scaled_restriction(monkeypatch):
+    # 2^{|tau|} is additive in the grade, so the coproduct stays
+    # multiplicative, but the two ways of splitting three times disagree
+    real = hall._res
+    monkeypatch.setattr(hall, "_res",
+                        lambda f, tk, wk: real(f, tk, wk).scale(2 ** sum(tk)))
+
+
 NEGATIVE_CONTROLS = [
     ("ideal", "complement-two-sided-ideal", _swap_complement_split, 4),
     ("embedding", "embedding-multiplicative", _double_contracted_twist, 5),
@@ -680,6 +706,10 @@ NEGATIVE_CONTROLS = [
     ("pbw", "pbw-transport-twisted", _untwisted_psi, 2),
     ("ses", "heart-subalgebra-split", _swap_complement_split, 5),
     ("ses", "restrict-after-extend", _double_extension_by_zero, 3),
+    ("embedding", "embedding-injective-roundtrip", _double_pushforward, 3),
+    ("ses", "quotient-algebra-map", _double_pushforward, 5),
+    ("bialgebra", "coproduct-algebra-map", _double_tensor_product, 49),
+    ("bialgebra", "coproduct-coassociative", _grade_scaled_restriction, 6),
 ]
 
 
@@ -701,12 +731,13 @@ def test_negative_controls_fail_their_check(tmp_path, monkeypatch, suite,
 
 
 # check ids no negative control reaches yet; each leaves this list once
-# it gets a parameter above
-UNCONTROLLED_CHECK_IDS = {
-    "contraction-twist-exponent", "embedding-injective-roundtrip",
-    "restriction-kernel", "quotient-algebra-map", "coproduct-algebra-map",
-    "coproduct-coassociative",
-}
+# it gets a parameter above. contraction-twist-exponent reads m_omega, as
+# circ does, so a wrong exponent on the contracted quiver also fails
+# embedding-multiplicative: the check is evidence about circ only while it
+# reads that same exponent. No j_star mutation fails restriction-kernel
+# alone: one that returns zero fails three ids, and one that keeps every
+# term makes mu_lower_star raise instead of reporting.
+UNCONTROLLED_CHECK_IDS = {"contraction-twist-exponent", "restriction-kernel"}
 
 
 def test_every_check_id_has_a_negative_control_or_is_listed():
@@ -721,6 +752,22 @@ def test_every_check_id_has_a_negative_control_or_is_listed():
     controlled = {control[1] for control in NEGATIVE_CONTROLS}
     assert not controlled & UNCONTROLLED_CHECK_IDS
     assert found == controlled | UNCONTROLLED_CHECK_IDS
+
+
+def test_vacuous_check_sweep_patches_each_site_once():
+    """scripts/vacuous_checks.py finds every _check(...) call in hall.py,
+    and its patch of each one lands at exactly that call."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "vacuous_checks.py"
+    spec = importlib.util.spec_from_file_location("vacuous_checks", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    source = Path(hall.__file__).read_text()
+    sites = sweep.sites(source)
+    assert len(sites) == source.count("_check(") - 1  # every call, not the def
+    for k, site in enumerate(sites):
+        expected = [s.passed for s in sites]
+        expected[k] = f"True or ({site.passed})"
+        assert [s.passed for s in sweep.sites(sweep.patch(source, site))] == expected
 
 
 def test_verify_that_decides_no_check_does_not_pass(tmp_path):

@@ -12,6 +12,7 @@ from hallcontract.cache import OrbitCache
 from hallcontract.hall import (
     HallContext,
     HallElement,
+    HeartContext,
     _ext_table,
     _half_power_exponent,
     TensorElement,
@@ -40,6 +41,7 @@ from hallcontract.hall import (
     verify_ses,
     zero_element,
 )
+from hallcontract.quiver import Edge, Quiver
 from hallcontract.repspace import (enumerate_points, extensions_over,
                                    fiber_of_contraction)
 from hallcontract.scalars import SqrtQScalar
@@ -184,13 +186,13 @@ def test_star_and_the_oracle_share_no_flag_code(monkeypatch):
 
 def test_exponent_bookkeeping():
     jq, kq = jordan_quiver(), kronecker_quiver()
-    assert m_omega(jq, {"1": 1}, {"1": 1}) == 2
-    assert m_star_omega(jq, {"1": 1}, {"1": 1}) == 0
-    kt = {"p": 1, "m": 1}
+    assert m_omega(jq, (1,), (1,)) == 2
+    assert m_star_omega(jq, (1,), (1,)) == 0
+    kt = (1, 1)
     assert m_omega(kq, kt, kt) == 4
     assert m_star_omega(kq, kt, kt) == 0
-    assert m_omega(jq, {"1": 2}, {"1": 1}) == 4
-    assert m_star_omega(jq, {"1": 2}, {"1": 1}) == 0
+    assert m_omega(jq, (2,), (1,)) == 4
+    assert m_star_omega(jq, (2,), (1,)) == 0
 
 
 @pytest.mark.parametrize("ctx_name, bound", [
@@ -376,6 +378,47 @@ def test_pushforward_rejects_non_heart_support(kron_heart):
         mu_lower_star(kron_heart, nonheart)
     with pytest.raises(ValueError):
         mu_lower_star(kron_heart, char_function(kron_heart.hat, (1,), 0))
+
+
+KEY_MAP_SITES = {
+    # minus vertex first, and a third vertex feeding the plus one
+    "three-vertex": (Quiver(("m", "a", "p"), (
+        Edge("e", "p", "m"), Edge("f", "p", "m"), Edge("x", "a", "p"))),
+        "p", "m", "e", 36),
+    "five-edge": (Quiver(("a", "b", "c"), (
+        Edge("x", "a", "b"), Edge("y", "b", "c"), Edge("z", "b", "c"),
+        Edge("w", "c", "a"), Edge("v", "a", "c"))), "b", "c", "y", 72),
+    # the named roles are swapped against the edge direction
+    "kronecker-swapped": (kronecker_quiver(), "m", "p", "e", 11),
+}
+
+
+@pytest.mark.parametrize("site", sorted(KEY_MAP_SITES))
+def test_key_maps_match_a_dict_reference(site):
+    """lift_key, drop_key, minus_dim and is_balanced index grade keys; they
+    agree with maps written on dicts over the vertex names, on every grade
+    up to 2 at each vertex, and the embedding suite passes at the site."""
+    quiver, plus, minus, edge, checks = KEY_MAP_SITES[site]
+    hc = HeartContext(HallContext(quiver, 2), plus, minus, edge)
+    big, hat = hc.ctx.quiver.vertices, hc.hat.quiver.vertices
+    for key in itertools.product(range(3), repeat=len(big)):
+        dims = dict(zip(big, key))
+        balanced = dims[hc.plus_vertex] == dims[hc.minus_vertex]
+        assert hc.is_balanced(key) == balanced
+        assert hc.minus_dim(key) == dims[hc.minus_vertex]
+        if balanced:
+            assert hc.drop_key(key) == tuple(dims[v] for v in hat)
+        else:
+            with pytest.raises(ValueError, match="not balanced"):
+                hc.drop_key(key)
+    for hat_key in itertools.product(range(3), repeat=len(hat)):
+        dims = dict(zip(hat, hat_key))
+        dims[hc.minus_vertex] = dims[hc.plus_vertex]
+        lifted = tuple(dims[v] for v in big)
+        assert hc.lift_key(hat_key) == lifted
+        assert hc.drop_key(lifted) == hat_key
+    report = verify_embedding(hc, max_dim=1)
+    assert report["status"] == "pass" and len(report["checks"]) == checks
 
 
 def test_pushforward_agrees_with_fiber_averaging(kron_heart):
