@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError
+from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, check_count
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -267,10 +267,7 @@ def realize_graph(datum: CartanDatum):
                     f"multiple of lcm(phi1) = {step}; no orbit pattern realizes it")
     size = sum(datum.phi1) + sum(a * b for a, b in zip(datum.phi1, datum.phi2))
     size -= sum(datum.form[i][j] for i in range(n) for j in range(i + 1, n))
-    if size > DEFAULT_MAX_POINTS:
-        raise EnumerationBoundError(
-            f"the realized graph's {size} vertices plus edges exceed the "
-            f"bound {DEFAULT_MAX_POINTS}")
+    check_count(size, "vertices plus edges of the realized graph", DEFAULT_MAX_POINTS)
 
     vertices = []
     vperm = {}

@@ -22,6 +22,15 @@ class EnumerationBoundError(Exception):
     """An enumeration would exceed the configured size bound."""
 
 
+def check_count(total: int, what: str, bound: int) -> None:
+    """Raise EnumerationBoundError if total (of what) exceeds bound. A total
+    over 2^64 is written by its bit length: str() refuses an int of more
+    than 4,300 digits."""
+    if total > bound:
+        size = total if total.bit_length() <= 64 else f"at least 2^{total.bit_length() - 1}"
+        raise EnumerationBoundError(f"{size} {what} exceed the bound {bound}")
+
+
 class UnsupportedFieldError(ValueError):
     """No modulus is on file for the requested field size."""
 
@@ -455,10 +464,8 @@ def _subspaces(q: int, n: int, k: int) -> tuple[Subspace, ...]:
 def enumerate_subspaces(field: Field, n: int, k: int,
                         max_count: int = DEFAULT_MAX_POINTS) -> tuple[Subspace, ...]:
     """All k-dimensional subspaces of F_q^n, canonical bases, fixed order."""
-    total = gaussian_binomial(n, k, field.q)
-    if total > max_count:
-        raise EnumerationBoundError(
-            f"{total} subspaces of dim {k} in F_{field.q}^{n} exceed the bound {max_count}")
+    check_count(gaussian_binomial(n, k, field.q),
+                f"subspaces of dim {k} in F_{field.q}^{n}", max_count)
     return _subspaces(field.q, n, k)
 
 
@@ -497,9 +504,7 @@ def _gl_elements(q: int, n: int) -> tuple[Mat, ...]:
 
 def enumerate_gl(field: Field, n: int, max_count: int = DEFAULT_MAX_POINTS) -> tuple[Mat, ...]:
     """All invertible n x n matrices, by brute-force filtering."""
-    if field.q ** (n * n) > max_count:
-        raise EnumerationBoundError(
-            f"GL_{n}(F_{field.q}) search space {field.q ** (n * n)} exceeds the bound {max_count}")
+    check_count(field.q ** (n * n), f"candidates for GL_{n}(F_{field.q})", max_count)
     return _gl_elements(field.q, n)
 
 

@@ -22,7 +22,7 @@ import itertools
 import math
 
 from .cache import OrbitCache
-from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, Field
+from .ffalg import DEFAULT_MAX_POINTS, Field, check_count
 from .quiver import (Quiver, cartan_of, contract_quiver, identity_automorphism,
                      make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
@@ -231,10 +231,15 @@ def zero_element(ctx: HallContext) -> HallElement:
 def char_function(ctx: HallContext, dims, orbit) -> HallElement:
     """The basis vector P_O: coefficient 1 on one orbit."""
     table = ctx.table(dims)
-    key = table.space.key
     ordinal = table.ordinal_of_id(orbit) if isinstance(orbit, str) else orbit
     if not 0 <= ordinal < table.count:
-        raise KeyError(f"no orbit {orbit!r} at dims {key}")
+        raise KeyError(f"no orbit {orbit!r} at dims {table.space.key}")
+    return _char_function(ctx, table.space.key, ordinal)
+
+
+def _char_function(ctx: HallContext, key: tuple, ordinal: int) -> HallElement:
+    """char_function at a grade key and an orbit ordinal the caller holds
+    checked."""
     return HallElement(ctx, {(key, ordinal): SqrtQScalar.one(ctx.q)})
 
 
@@ -327,9 +332,7 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement,
     orders = {}
     for tk, wk in pairs:
         ot, ow = group_order(ctx._space(tk)), group_order(ctx._space(wk))
-        if ot * ow > max_flags:
-            raise EnumerationBoundError(
-                f"{ot}*{ow} flag isomorphisms exceed the bound {max_flags}")
+        check_count(ot * ow, "flag isomorphisms", max_flags)
         orders[(tk, wk)] = ot * ow
     zero = SqrtQScalar.zero(ctx.q)
     terms: dict = {}
@@ -496,8 +499,8 @@ def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
     def _char_circ(k1, o1, k2, o2):
         key = (k1, o1, k2, o2)
         if key not in products:
-            products[key] = circ(char_function(ctx, k1, o1),
-                                 char_function(ctx, k2, o2))
+            products[key] = circ(_char_function(ctx, k1, o1),
+                                 _char_function(ctx, k2, o2))
         return products[key]
 
     for ((ak, ao), (bk, bo)), c1 in t1.terms.items():
@@ -541,9 +544,13 @@ class HeartContext:
         return big_key[self._minus]
 
     def lift_key(self, hat_key: tuple) -> tuple:
+        if len(hat_key) != len(self._drop):
+            raise ValueError(f"a contracted grade key has {len(self._drop)} entries")
         return tuple(hat_key[i] for i in self._lift)
 
     def drop_key(self, big_key: tuple) -> tuple:
+        if len(big_key) != len(self._lift):
+            raise ValueError(f"a grade key has {len(self._lift)} entries")
         if not self.is_balanced(big_key):
             raise ValueError("dimension vector is not balanced at the contraction")
         return tuple(big_key[i] for i in self._drop)
@@ -701,7 +708,7 @@ def _basis(ctx: HallContext, keys):
     in ordinal order; key is (dims key, ordinal) and name its display name."""
     for dims in keys:
         for o in range(ctx._table(dims).count):
-            yield (dims, o), char_function(ctx, dims, o), HallElement._name((dims, o))
+            yield (dims, o), _char_function(ctx, dims, o), HallElement._name((dims, o))
 
 
 def _basis_pairs(ctx: HallContext, key_pairs):
@@ -756,7 +763,7 @@ def verify_pbw(hc: HeartContext, max_dim: int = 2) -> dict:
                                                    max_dim)):
         bk = hc.lift_key(nk)
         n = hc.minus_dim(bk)
-        expected = char_function(ctx, bk, hc.orbit_maps(bk)[1][o])
+        expected = _char_function(ctx, bk, hc.orbit_maps(bk)[1][o])
         plain = j_shriek(hc, mu_star(hc, f, twisted=False))
         checks.append(_check(
             f"untwisted transport of {name}", "pbw-transport-untwisted",
@@ -864,9 +871,9 @@ def _coassociativity_sides(ctx: HallContext, f: HallElement) -> tuple[dict, dict
     left: dict = {}
     right: dict = {}
     for (a, b), c in coproduct(f).terms.items():
-        for (x, y), c2 in coproduct(char_function(ctx, *a)).terms.items():
+        for (x, y), c2 in coproduct(_char_function(ctx, *a)).terms.items():
             _accum(left, (x, y, b), c * c2)
-        for (x, y), c2 in coproduct(char_function(ctx, *b)).terms.items():
+        for (x, y), c2 in coproduct(_char_function(ctx, *b)).terms.items():
             _accum(right, (a, x, y), c * c2)
     return _prune(left), _prune(right)
 
@@ -882,8 +889,8 @@ def comult_compat(hc: HeartContext, max_dim: int = 1) -> dict:
         big_side = coproduct(psi(hc, f))
         transported: dict = {}
         for (a, b), c in coproduct(f).terms.items():
-            fa = psi(hc, char_function(hat, *a)).scale(c)
-            _accum_all(transported, tensor(fa, psi(hc, char_function(hat, *b))))
+            fa = psi(hc, _char_function(hat, *a)).scale(c)
+            _accum_all(transported, tensor(fa, psi(hc, _char_function(hat, *b))))
         transported = _prune(transported)
         exponents = set()
         mismatches = []

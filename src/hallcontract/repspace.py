@@ -8,9 +8,9 @@ point under the group generators. The closure runs on integer point codes
 F_p-linear on a code's base-p digits; _columns reads each one off the L
 and R matrices alone as sparse basis columns, the images of the basis
 codes. A generator gamma at one vertex is such a map: the closure compiles
-all generators (_image_tables) into two tables, on the low and the high
-half of a code's digits, and reads them inline. A generator is clean when
-each of its output digits draws on one half only: the cycle (a
+all generators (_generator_tables) into two tables, on the low and the
+high half of a code's digits, and reads them inline. A generator is clean
+when each of its output digits draws on one half only: the cycle (a
 permutation) at any cut, the diagonal when the cut falls between F_q
 entries (always at prime q; at q = p**e it mixes an entry's e digits),
 and every generator when the cut falls between edges. Its image code is
@@ -42,8 +42,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ffalg import (DEFAULT_MAX_POINTS, EnumerationBoundError, Field, Mat,
-                    Subspace, block2x2, enumerate_gl, enumerate_subspaces,
-                    gaussian_binomial, gl_generators, gl_order)
+                    Subspace, block2x2, check_count, enumerate_gl,
+                    enumerate_subspaces, gaussian_binomial, gl_generators,
+                    gl_order)
 from .quiver import ContractedQuiver, Quiver
 
 
@@ -183,10 +184,7 @@ def group_generators(space: RepSpace) -> list[tuple[int, Mat]]:
 
 
 def enumerate_group(space: RepSpace, max_count: int = DEFAULT_MAX_POINTS):
-    total = group_order(space)
-    if total > max_count:
-        raise EnumerationBoundError(
-            f"group order {total} exceeds the bound {max_count}")
+    check_count(group_order(space), "group elements", max_count)
     factors = [enumerate_gl(space.field, space.dims[v], max_count)
                for v in space.quiver.vertices]
     return [tuple(combo) for combo in itertools.product(*factors)]
@@ -247,8 +245,8 @@ class OrbitTable:
         return {f: list(getattr(self, f)) for f in _PAYLOAD_FIELDS}
 
 
-#: Bits of a mixed slot's packed images that one odd-p reduction lookup
-#: reads.
+#: Bits of a mixed generator's packed images that one odd-p reduction
+#: lookup reads.
 _CHUNK_BITS = 8
 
 
@@ -303,69 +301,71 @@ def _columns(space: RepSpace, slots: list):
     return columns, widths
 
 
-def _image_tables(space: RepSpace, slots: list, chunks: list[int]):
-    """Tables taking a point code of the space to its images under the
-    slots' maps (see _columns), one code per slot.
+def _generator_slots(space: RepSpace) -> list:
+    """One slot (see _columns) per group generator, in order. A generator
+    gamma at vertex v maps x_h to L x_h R, with L = gamma where h ends at v,
+    R = gamma^{-1} where h starts at v and identities at the other ends; an
+    edge without entries has no digit in a code and gets the empty pair."""
+    empty = Mat.zeros(space.field, 0, 0)
+    identity = {n: Mat.identity(space.field, n) for rows, cols in space.edge_shapes
+                if rows * cols for n in (rows, cols)}
+    return [[(gamma if ti == vi else identity[rows],
+              gamma.inverse() if si == vi else identity[cols])
+             if rows * cols else (empty, empty)
+             for (ti, si), (rows, cols)
+             in zip(space.edge_vertex_indices, space.edge_shapes)]
+            for vi, gamma in group_generators(space)]
 
-    chunks lists the digit counts of consecutive chunks of a code's base-p
-    digits, least significant first; table i maps chunk i's value to the
-    images of that chunk, each output digit reduced mod p and the slots
-    packed side by side in one int. A code's packed images are the XOR
-    (p = 2) or the sum (odd p) of its chunks' entries.
 
-    A table starts as [0] and grows by one column at a time, that column's
-    digit varying slowest: at p = 2 by doubling on packed ints,
-    entries + [v ^ column for v in entries], with the column packed once (a
-    one-bit field cannot carry); at odd p by p-folding digit vectors over
-    only the output digits the chunk's columns touch, each vector then
-    packed.
+def _generator_tables(space: RepSpace):
+    """((lo, hi), low, reads): two tables taking a point code of the space to
+    its images under the slots of _generator_slots, lo on the low =
+    ceil(n/2) base-p digits of a code and hi on the high floor(n/2). An
+    entry packs its half's images side by side in one int, each output
+    digit reduced mod p; a code's packed images are the XOR (p = 2) or the
+    sum (odd p) of its two entries. A table grows by one column at a time,
+    that column's digit varying slowest: at p = 2 by doubling on packed
+    ints (a one-bit field cannot carry), at odd p by p-folding digit
+    vectors over the output digits the half touches.
 
-    A slot of w output digits is packed in one of two ways:
-    - As its code, in a field of (p**w - 1).bit_length() bits, read with
-      one (shift, mask) pair. This holds for a clean slot, one whose every
-      output digit draws on the digits of one chunk only, so that a single
-      entry holds each digit and the sum of the entries is the code, and
-      for every slot at p = 2, where XOR cannot carry.
-    - Otherwise (a mixed slot) as one B-bit field per output digit, B wide
-      enough for the sum of every chunk's digit there, read with a list of
-      (reducer, shift, mask) lookups whose values sum to the code; a reducer
-      reads a few fields and returns their digits mod p at their place in
-      the code. Every mixed slot reads the same number of lookups.
-
-    Returns the tables and, per slot in order, its (shift, mask) pair or its
-    list of lookups."""
+    Every generator maps the space onto itself, so generator k owns output
+    digits k*n ... k*n+n-1. A clean one (every one at p = 2) is packed as
+    its code, and its read is one (shift, mask) pair. A mixed one, with an
+    output digit that both halves touch, is packed as one field per digit,
+    bits wide enough for the sum of both halves' digits there, and its read
+    is a list of (reducer, shift, mask) lookups whose values sum to its
+    code."""
     p = space.field.p
-    columns, widths = _columns(space, slots)
-    starts = list(itertools.accumulate(chunks, initial=0))
-    offsets = list(itertools.accumulate(widths, initial=0))
-    # touched[i]: the output digits that chunk i's columns draw on
-    touched = [sorted({pos for col in columns[a:b] for pos, _ in col})
-               for a, b in zip(starts, starts[1:])]
-    # drawn[pos]: the number of chunks output digit pos draws on
-    drawn = Counter(pos for outs in touched for pos in outs)
-    clean = [p == 2 or all(drawn[pos] < 2 for pos in range(a, b))
-             for a, b in zip(offsets, offsets[1:])]
-    bits = (len(chunks) * (p - 1)).bit_length()
-    sizes = [(p ** w - 1).bit_length() if c else w * bits
-             for w, c in zip(widths, clean)]
+    n = space.field.e * space.point_entries
+    low = -(-n // 2)
+    slots = _generator_slots(space)
+    columns, _ = _columns(space, slots)
+    halves = (columns[:low], columns[low:])
+    # touched[i]: the output digits that half i's columns draw on
+    touched = [sorted({pos for col in half for pos, _ in col}) for half in halves]
+    both = set(touched[0]).intersection(touched[1])
+    clean = [p == 2 or both.isdisjoint(range(k * n, k * n + n))
+             for k in range(len(slots))]
+    bits = (2 * (p - 1)).bit_length()
+    sizes = [(p ** n - 1).bit_length() if c else n * bits for c in clean]
     shifts = list(itertools.accumulate(sizes, initial=0))
     # weights[i]: what output digit i adds to the packed int per unit; digit
-    # j of a clean slot adds p**j to the slot's code, that of another slot
+    # j of a clean generator adds p**j to its code, that of a mixed one
     # fills its own bits-wide field, so the fields never overlap
     weights = [p ** j << s if c else 1 << (s + j * bits)
-               for w, s, c in zip(widths, shifts, clean) for j in range(w)]
+               for s, c in zip(shifts, clean) for j in range(n)]
     tables = []
-    for start, size, outs in zip(starts, chunks, touched):
+    for half, outs in zip(halves, touched):
         if p == 2:
             entries = [0]
-            for col in columns[start:start + size]:
+            for col in half:
                 packed = sum(weights[pos] for pos, _ in col)
                 entries += [v ^ packed for v in entries]
         else:
-            # digit vectors over the output digits this chunk touches only
+            # digit vectors over the output digits this half touches only
             at = {pos: i for i, pos in enumerate(outs)}
             vecs = [[0] * len(outs)]
-            for col in columns[start:start + size]:
+            for col in half:
                 dense = [0] * len(outs)
                 for pos, digit in col:
                     dense[at[pos]] = digit
@@ -375,52 +375,20 @@ def _image_tables(space: RepSpace, slots: list, chunks: list[int]):
             entries = [sum(map(operator.mul, vec, out_weights)) for vec in vecs]
         tables.append(entries)
     per_lookup = max(1, _CHUNK_BITS // bits)
-    lookups = max([1] + [-(-w // per_lookup) for w, c in zip(widths, clean) if not c])
-    places = range(0, lookups * per_lookup, per_lookup)
-    reads = []
-    for s, w, size, c in zip(shifts, widths, sizes, clean):
-        if c:
-            reads.append((s, (1 << size) - 1))
-        else:
-            # padded with zero tables up to the common number of lookups
-            parts = [(i, _reducer(p, bits, i, max(0, min(per_lookup, w - i))))
-                     for i in places]
-            reads.append([(t, s + i * bits, len(t) - 1) for i, t in parts])
-    return tables, reads
-
-
-def _generator_tables(space: RepSpace):
-    """((lo, hi), low, reads): _image_tables of every group generator on two
-    chunks, lo on the low = ceil(n/2) base-p digits of a code and hi on the
-    high floor(n/2), so each has at most p**low entries; a clean generator
-    is read as its code, a mixed one (odd p only) through reducers. A
-    generator gamma at vertex v maps x_h to L x_h R, with L = gamma where h
-    ends at v, R = gamma^{-1} where h starts at v and identities at the
-    other ends; an edge without entries has no digit in a code and gets the
-    empty pair."""
-    empty = Mat.zeros(space.field, 0, 0)
-    identity = {n: Mat.identity(space.field, n) for rows, cols in space.edge_shapes
-                if rows * cols for n in (rows, cols)}
-    slots = []
-    for vi, gamma in group_generators(space):
-        gamma_inv = gamma.inverse()
-        slots.append([(gamma if ti == vi else identity[rows],
-                       gamma_inv if si == vi else identity[cols])
-                      if rows * cols else (empty, empty)
-                      for (ti, si), (rows, cols)
-                      in zip(space.edge_vertex_indices, space.edge_shapes)])
-    n = space.field.e * space.point_entries
-    low = -(-n // 2)
-    tables, reads = _image_tables(space, slots, [low, n - low])
+    lookups = [(i, _reducer(p, bits, i, min(per_lookup, n - i)))
+               for i in range(0, n, per_lookup)] if not all(clean) else []
+    reads = [(s, (1 << size) - 1) if c else
+             [(t, s + i * bits, len(t) - 1) for i, t in lookups]
+             for s, size, c in zip(shifts, sizes, clean)]
     return tables, low, reads
 
 
 def _close_orbits(space: RepSpace):
     """Close each fresh representative under the group generators. A point's
     images are packed in the XOR (p = 2) or the sum (odd p) of two table
-    entries (see _image_tables): the code of each clean slot, every slot at
-    p = 2, is read with one shift and mask, and that of each mixed slot
-    through its reducer lookups."""
+    entries (see _generator_tables): the code of each clean generator, every
+    generator at p = 2, is read with one shift and mask, and that of each
+    mixed one through its reducer lookups."""
     (lo, hi), low, reads = _generator_tables(space)
     codes = [read for read in reads if type(read) is tuple]
     mixed = [read for read in reads if type(read) is list]
@@ -567,9 +535,7 @@ def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
         if rows != cols:
             return
         total *= gl_order(rows, space.field.q)
-    if total > max_count:
-        raise EnumerationBoundError(
-            f"fiber size {total} exceeds the bound {max_count}")
+    check_count(total, "fiber points", max_count)
     choices = [[(g, g.inverse()) for g in
                 enumerate_gl(space.field, space.edge_shapes[space.edge_index[h]][0],
                              max_count)]
@@ -617,9 +583,7 @@ def _graded_subspaces(space: RepSpace, sub_dims: dict,
         if k < 0 or k > n:
             return iter(())
         total *= gaussian_binomial(n, k, space.field.q)
-    if total > max_count:
-        raise EnumerationBoundError(
-            f"{total} graded subspaces exceed the bound {max_count}")
+    check_count(total, "graded subspaces", max_count)
     per_vertex = [enumerate_subspaces(space.field, space.dims[v],
                                       sub_dims.get(v, 0), max_count)
                   for v in space.quiver.vertices]
@@ -763,10 +727,7 @@ def extensions_over(space_t: RepSpace, space_w: RepSpace, xt: tuple, xw: tuple,
     the span of the trailing coordinates is stable with restriction xw."""
     if big is None:
         big = extension_space(space_t, space_w)
-    total = extension_count(space_t, space_w)
-    if total > max_count:
-        raise EnumerationBoundError(
-            f"{total} extensions exceed the bound {max_count}")
+    check_count(extension_count(space_t, space_w), "extensions", max_count)
     field = space_t.field
     shapes = [(wt, ts) for (tt, ts), (wt, ws)
               in zip(space_t.edge_shapes, space_w.edge_shapes)]

@@ -6,6 +6,7 @@ on-disk cache, so each table is computed at most once per test run.
 
 import os
 import random
+import shutil
 import tempfile
 
 import pytest
@@ -19,9 +20,14 @@ from hallcontract.cartan import CartanDatum, ContractionPair
 settings.register_profile("exact", max_examples=50, deadline=None)
 settings.load_profile("exact")
 
-# One cache directory per test run, in place before any OrbitCache() is built.
+# One cache directory per test run, in place before any OrbitCache() is built
+# and removed when the run ends.
 _CACHE_DIR = tempfile.mkdtemp(prefix="hallcache-test-")
 os.environ["HALL_CACHE_DIR"] = _CACHE_DIR
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(_CACHE_DIR, ignore_errors=True)
 
 
 def a1_quiver():

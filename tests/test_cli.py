@@ -474,7 +474,10 @@ def test_hall_mult_cli(tmp_path):
 
 def test_huge_dims_exit_3_without_counting_points(tmp_path):
     """3^9800 points cannot even be printed as an int, and 3^72000000 takes
-    minutes to compute; the bound refuses both from the exponent."""
+    minutes to compute; the bound refuses both from the exponent. On A1
+    every dimension passes the point bound, but the graded subspaces of a
+    product or a restriction at dim 300 number about 2^22500, and the
+    bound message writes that count by its bit length."""
     quiver_file = write_json(tmp_path, "kron.json", KRON)
     for dims in ("70,70", "6000,6000"):
         r = runner.invoke(main, ["hall", "orbits", quiver_file, "--dim", dims,
@@ -490,6 +493,18 @@ def test_huge_dims_exit_3_without_counting_points(tmp_path):
                              "--q", "3"])
     assert r.exit_code == 3, r.exception
     assert "Traceback" not in r.stderr
+    a1_file = write_json(tmp_path, "a1.json", A1)
+
+    def a1_element(d):
+        return write_json(tmp_path, f"f{d}.json", {
+            "q": 2, "quiver": qv.Quiver.from_dict(A1)[0].content_hash(),
+            "terms": [{"dim": {"1": d}, "orbit": "o0", "coeff": {"a": "1", "b": "0"}}]})
+    for args in (["mult", a1_file, a1_element(150), a1_element(150)],
+                 ["res", a1_file, a1_element(300), "--tau", "1=150", "--omega", "1=150"]):
+        r = runner.invoke(main, ["hall", *args, "--q", "2"])
+        assert r.exit_code == 3, (args[0], r.exception)
+        assert r.stdout == "" and "error: at least 2^" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_malformed_element_json_exits_4(tmp_path):

@@ -14,6 +14,7 @@ from hallcontract.ffalg import (
     Subspace,
     UnsupportedFieldError,
     block2x2,
+    check_count,
     enumerate_gl,
     enumerate_subspaces,
     gaussian_binomial,
@@ -233,6 +234,19 @@ def test_enumeration_bound_is_enforced():
         enumerate_gl(Field(2), 4, max_count=100)
     with pytest.raises(EnumerationBoundError):
         enumerate_subspaces(Field(3), 6, 3, max_count=10)
+    # str() refuses ints of more than 4,300 digits; a bound message writes
+    # such a count by its bit length instead
+    check_count(10, "things", 10)
+    with pytest.raises(EnumerationBoundError,
+                       match=r"^18446744073709551615 things exceed the bound 1$"):
+        check_count(2 ** 64 - 1, "things", 1)
+    with pytest.raises(EnumerationBoundError, match=r"^at least 2\^64 things"):
+        check_count(2 ** 64, "things", 1)
+    with pytest.raises(EnumerationBoundError, match=r"^at least 2\^22\d{3} subspaces"):
+        enumerate_subspaces(Field(2), 300, 150)
+    with pytest.raises(EnumerationBoundError,
+                       match=r"^at least 2\^40000 candidates for GL_200\(F_2\)"):
+        enumerate_gl(Field(2), 200)
 
 
 def test_memo_keys_on_the_field():

@@ -417,6 +417,13 @@ def test_key_maps_match_a_dict_reference(site):
         lifted = tuple(dims[v] for v in big)
         assert hc.lift_key(hat_key) == lifted
         assert hc.drop_key(lifted) == hat_key
+    # a key of the other side's length, or one entry too long, is refused
+    for length in (len(hat), len(big) + 1):
+        with pytest.raises(ValueError, match=f"has {len(big)} entries"):
+            hc.drop_key((1,) * length)
+    for length in (len(big), len(hat) + 1):
+        with pytest.raises(ValueError, match=f"has {len(hat)} entries"):
+            hc.lift_key((1,) * length)
     report = verify_embedding(hc, max_dim=1)
     assert report["status"] == "pass" and len(report["checks"]) == checks
 

@@ -37,7 +37,7 @@ from hallcontract.repspace import (
     sub_dims_of,
 )
 from hallcontract.ffalg import Subspace
-from hallcontract.hall import HallContext, _flag_table
+from hallcontract.hall import HallContext, _flag_table, char_function, diagram_star_oracle
 
 from conftest import a1_quiver, jordan_quiver, kronecker_quiver
 
@@ -271,9 +271,9 @@ def test_closure_builds_two_half_width_tables(monkeypatch):
     the low ceil(n/2) and the high floor(n/2) base-p digits of a code, never
     a table over the whole space."""
     built = []
-    image_tables = repspace._image_tables
-    monkeypatch.setattr(repspace, "_image_tables", lambda *args: built.append(
-        image_tables(*args)) or built[-1])
+    generator_tables = repspace._generator_tables
+    monkeypatch.setattr(repspace, "_generator_tables", lambda *args: built.append(
+        generator_tables(*args)) or built[-1])
     for space in (kron_space((2, 2), q=4), jordan_space(3), jordan_space(3, q=3),
                   kron_space((1, 3), q=3), jordan_space(1, q=27),
                   RepSpace(Quiver(("a", "b"), (Edge("e", "a", "b"),)), Field(5),
@@ -282,21 +282,23 @@ def test_closure_builds_two_half_width_tables(monkeypatch):
         orbits(space)
         n = space.field.e * space.point_entries
         assert len(built) == 1, space
-        tables, _ = built[0]
+        tables, _, _ = built[0]
         assert [len(t) for t in tables] == [space.field.p ** -(-n // 2),
                                             space.field.p ** (n // 2)], space
 
 
-def _dense_image_tables(space, slots, chunks):
-    """A reference for _image_tables: every basis code's images as a full
-    vector of output digits, found by Mat products, and each chunk's table by
-    p-folding those vectors over the chunk's digits, each vector then packed
-    in the layout _image_tables documents. Returns the tables and, per slot,
-    its shift and, when it is read as its code, its field's bits (None for
-    a slot read through reducers)."""
+def _dense_generator_tables(space):
+    """A reference for _generator_tables: every basis code's images under
+    the slots of _generator_slots as a full vector of output digits, found
+    by Mat products, and each half's table by p-folding those vectors over
+    the half's digits, each vector then packed in the layout
+    _generator_tables documents. Returns the tables and, per generator, its
+    shift and, when it is read as its code, its field's bits (None for a
+    generator read through reducers)."""
     field = space.field
     p, q, e = field.p, field.q, field.e
     n = e * space.point_entries
+    slots = repspace._generator_slots(space)
 
     def digits(x, slot):
         # the slot's image of x as base-p digits, least significant first
@@ -311,13 +313,13 @@ def _dense_image_tables(space, slots, chunks):
     columns = [[d for slot in slots for d in digits(space.point_from_rank(p ** j), slot)]
                for j in range(n)]
     widths = [e * sum(L.rows * R.cols for L, R in slot) for slot in slots]
-    starts = list(itertools.accumulate(chunks, initial=0))
+    starts = [0, -(-n // 2), n]
     offsets = list(itertools.accumulate(widths, initial=0))
     drawn = [sum(any(col[pos] for col in columns[a:b]) for a, b in zip(starts, starts[1:]))
              for pos in range(offsets[-1])]
     as_code = [p == 2 or all(drawn[pos] < 2 for pos in range(a, b))
                for a, b in zip(offsets, offsets[1:])]
-    bits = 1 if p == 2 else (len(chunks) * (p - 1)).bit_length()
+    bits = 1 if p == 2 else (2 * (p - 1)).bit_length()
     sizes = [(p ** w - 1).bit_length() if c else w * bits
              for w, c in zip(widths, as_code)]
     shifts = list(itertools.accumulate(sizes, initial=0))
@@ -341,14 +343,10 @@ def _dense_image_tables(space, slots, chunks):
                     for s, size, c in zip(shifts, sizes, as_code)]
 
 
-def test_image_tables_match_a_dense_reference(monkeypatch):
-    """_image_tables equals the dense reference on the closure's input, every
-    generator on two chunks, with clean slots at q = 2, 3, 4 and 9 and mixed
-    ones at q = 3 and 9."""
-    calls = []
-    image_tables = repspace._image_tables
-    monkeypatch.setattr(repspace, "_image_tables", lambda *args: calls.append(
-        (args, image_tables(*args))) or calls[-1][1])
+def test_image_tables_match_a_dense_reference():
+    """_generator_tables equals the dense reference on the closure's input,
+    every generator on two halves, with clean generators at q = 2, 3, 4 and
+    9 and mixed ones at q = 3 and 9."""
     one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
     fork = Quiver(("a", "b", "c"), (Edge("e", "a", "b"), Edge("f", "a", "c")))
     closure = (jordan_space(3), kron_space((1, 2)), jordan_space(2, q=4),
@@ -356,11 +354,10 @@ def test_image_tables_match_a_dense_reference(monkeypatch):
                kron_space((2, 2), q=3), jordan_space(2, q=9),
                RepSpace(one_edge, Field(9), {"a": 1, "b": 1}),
                RepSpace(fork, Field(3), {"a": 1, "b": 2, "c": 0}))
-    for space in closure:
-        _generator_tables(space)
     kinds = set()
-    for (space, slots, chunks), (tables, reads) in calls:
-        ref_tables, ref_layout = _dense_image_tables(space, slots, chunks)
+    for space in closure:
+        tables, _, reads = _generator_tables(space)
+        ref_tables, ref_layout = _dense_generator_tables(space)
         assert tables == ref_tables, space
         assert [(r[0], r[1].bit_length()) if type(r) is tuple else (r[0][1], None)
                 for r in reads] == ref_layout, space
@@ -614,6 +611,27 @@ def test_enumeration_bounds():
         orbits(jordan_space(3), max_points=100)
     with pytest.raises(EnumerationBoundError):
         enumerate_group(kron_space((2, 2), q=3), max_count=10)
+    # every count refused below has more than 4,300 decimal digits, which
+    # str() refuses to write
+    big_kron = kron_space((150, 150))
+    con = kron_contraction()
+    target = RepSpace(con.quiver, Field(2), {v: 150 for v in con.quiver.vertices})
+    ext_t, ext_w = kron_space((100, 0)), kron_space((0, 100))
+    f = char_function(HallContext(a1_quiver(), 2), (200,), 0)
+    refused = [
+        ("group elements", lambda: enumerate_group(
+            RepSpace(a1_quiver(), Field(2), {"1": 200}))),
+        ("graded subspaces", lambda: stable_subspaces(
+            RepSpace(a1_quiver(), Field(2), {"1": 300}), (), {"1": 150})),
+        ("fiber points", lambda: next(fiber_of_contraction(
+            big_kron, con, target.zero_point(), target))),
+        ("extensions", lambda: next(extensions_over(
+            ext_t, ext_w, ext_t.zero_point(), ext_w.zero_point()))),
+        ("flag isomorphisms", lambda: diagram_star_oracle(f, f)),
+    ]
+    for what, call in refused:
+        with pytest.raises(EnumerationBoundError, match=f"^at least 2\\^\\d+ {what} exceed"):
+            call()
 
 
 def test_heart_membership():
