@@ -430,6 +430,7 @@ def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     memo_key = (tkey, wkey)
     if memo_key in ctx._ext_tables:
         return ctx._ext_tables[memo_key]
+    flag_table = _flag_table(ctx, tkey, wkey)  # its bounds first
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     aut = {}
     for key in (tkey, wkey, nkey):
@@ -437,7 +438,7 @@ def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
         aut[key] = [order // size for size in ctx._table(key).sizes]
     hom = ctx.q ** sum(a * b for a, b in zip(tkey, wkey))
     out: dict = {}
-    for (t, w), bucket in _flag_table(ctx, tkey, wkey).items():
+    for (t, w), bucket in flag_table.items():
         scale = aut[tkey][t] * aut[wkey][w] * hom
         counter = out[(t, w)] = {}
         for big, flags in bucket.items():
@@ -538,9 +539,11 @@ class HeartContext:
         self._maps: dict = {}
 
     def is_balanced(self, big_key: tuple) -> bool:
-        return big_key[self._plus] == big_key[self._minus]
+        return self.minus_dim(big_key) == big_key[self._plus]
 
     def minus_dim(self, big_key: tuple) -> int:
+        if len(big_key) != len(self._lift):
+            raise ValueError(f"a grade key has {len(self._lift)} entries")
         return big_key[self._minus]
 
     def lift_key(self, hat_key: tuple) -> tuple:
@@ -549,8 +552,6 @@ class HeartContext:
         return tuple(hat_key[i] for i in self._lift)
 
     def drop_key(self, big_key: tuple) -> tuple:
-        if len(big_key) != len(self._lift):
-            raise ValueError(f"a grade key has {len(self._lift)} entries")
         if not self.is_balanced(big_key):
             raise ValueError("dimension vector is not balanced at the contraction")
         return tuple(big_key[i] for i in self._drop)

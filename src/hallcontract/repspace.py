@@ -35,8 +35,10 @@ file whose automorphism is not the identity as invalid input (exit 4).
 
 from __future__ import annotations
 
+import base64
 import itertools
 import operator
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,7 +105,7 @@ class RepSpace:
 
     def cache_key(self) -> str:
         dims_part = ",".join(f"{v}={self.dims[v]}" for v in self.quiver.vertices)
-        return f"orbits:v1:q{self.field.q}:{self.quiver.content_hash()}:{dims_part}"
+        return f"orbits:v2:q{self.field.q}:{self.quiver.content_hash()}:{dims_part}"
 
     def zero_point(self) -> tuple:
         return tuple(Mat.zeros(self.field, r, c) for r, c in self.edge_shapes)
@@ -190,7 +192,8 @@ def enumerate_group(space: RepSpace, max_count: int = DEFAULT_MAX_POINTS):
     return [tuple(combo) for combo in itertools.product(*factors)]
 
 
-#: The cached form of an orbit table, in constructor order.
+#: The fields of an orbit table's payload and of its cached form, in
+#: constructor order.
 _PAYLOAD_FIELDS = ("index", "sizes", "rep_ranks")
 
 
@@ -436,26 +439,67 @@ def _close_orbits(space: RepSpace):
     return index, sizes, reps
 
 
-def _fits_space(space: RepSpace, payload) -> bool:
-    """Whether a cached payload is shaped like an orbit table of the space:
-    one ordinal per point, each ordinal k first met at rep_ranks[k] with the
-    ordinals met in order, sizes the ordinals' counts, and every size a
-    divisor of the group order. Linear in the points; it does not act."""
+#: struct format of one ordinal of a cached index, by width in bytes
+_WIDTH_CODES = {2: "H", 4: "I"}
+
+
+def _index_width(count: int) -> int:
+    """Bytes per ordinal in the cached index of a table of count orbits."""
+    return 1 if count <= 1 << 8 else 2 if count <= 1 << 16 else 4
+
+
+def _cached_payload(table: OrbitTable) -> dict:
+    """The cached form of a table: its payload, with the index packed
+    little-endian, _index_width(count) bytes per ordinal, as base64 text."""
+    width, index = _index_width(table.count), table.index
+    packed = (bytes(index) if width == 1 else
+              struct.pack(f"<{len(index)}{_WIDTH_CODES[width]}", *index))
+    return {"index": base64.b64encode(packed).decode("ascii"),
+            "sizes": table.sizes, "rep_ranks": table.rep_ranks}
+
+
+def _cached_table(space: RepSpace, payload) -> OrbitTable | None:
+    """The table a cached payload holds, if it is shaped like an orbit table
+    of the space, else None: sizes and rep_ranks lists of ints, and index
+    packed as _cached_payload packs it, one ordinal per point; each ordinal
+    k counted sizes[k] times and first met at rep_ranks[k], with the
+    ordinals met in order, and every size a divisor of the group order.
+    The passes over the points run in C: at one byte, bytes.count and
+    bytes.find per ordinal (at most 256 of them); wider, one Counter and
+    one first-occurrence dict. It does not act."""
     if not isinstance(payload, dict):
-        return False
-    fields = [payload.get(f) for f in _PAYLOAD_FIELDS]
-    if not all(isinstance(v, list) and set(map(type, v)) <= {int} for v in fields):
-        return False
-    index, sizes, rep_ranks = fields
-    if len(index) != space.total_points or len(rep_ranks) != len(sizes):
-        return False
-    if dict(Counter(index)) != dict(enumerate(sizes)):
-        return False
-    first = dict(zip(reversed(index), range(len(index) - 1, -1, -1)))
-    if first != dict(enumerate(rep_ranks)):
-        return False
-    return (all(a < b for a, b in zip(rep_ranks, rep_ranks[1:]))
-            and all(_divides_group_order(space, s) for s in set(sizes)))
+        return None
+    text, sizes, rep_ranks = (payload.get(f) for f in _PAYLOAD_FIELDS)
+    if not (isinstance(text, str)
+            and all(isinstance(v, list) and set(map(type, v)) <= {int}
+                    for v in (sizes, rep_ranks))):
+        return None
+    n, width = len(sizes), _index_width(len(sizes))
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        return None
+    if len(raw) != space.total_points * width:
+        return None
+    if width == 1:
+        index = list(raw)
+        counts = [raw.count(k) for k in range(n)]
+        first = [raw.find(k) for k in range(n)]
+    else:
+        layout = f"<{space.total_points}{_WIDTH_CODES[width]}"
+        index = list(struct.unpack(layout, raw))
+        counted = Counter(index)
+        met = dict(zip(reversed(index), range(len(index) - 1, -1, -1)))
+        counts = [counted[k] for k in range(n)]
+        first = [met.get(k, -1) for k in range(n)]
+    # An ordinal never met is first met at -1, so rep_ranks rising from 0
+    # rules out empty orbits; counts adding up to the points rule out
+    # ordinals >= n.
+    if (counts != sizes or sum(sizes) != len(index) or first != rep_ranks
+            or not all(a < b for a, b in zip([-1] + rep_ranks, rep_ranks))
+            or not all(_divides_group_order(space, s) for s in set(sizes))):
+        return None
+    return OrbitTable(space, index, sizes, rep_ranks)
 
 
 def _divides_group_order(space: RepSpace, s: int) -> bool:
@@ -474,17 +518,17 @@ def _divides_group_order(space: RepSpace, s: int) -> bool:
 def orbits(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS,
            cache=None) -> OrbitTable:
     """Orbit table of the group action, read from the cache when its entry
-    fits the space (see _fits_space); any other entry is recomputed and
+    fits the space (see _cached_table); any other entry is recomputed and
     overwritten."""
     space.check_bound(max_points)
     key = space.cache_key() if cache is not None else None
     if cache is not None:
-        payload = cache.load(key)
-        if _fits_space(space, payload):
-            return OrbitTable(space, *(payload[f] for f in _PAYLOAD_FIELDS))
+        table = _cached_table(space, cache.load(key))
+        if table is not None:
+            return table
     table = OrbitTable(space, *_close_orbits(space))
     if cache is not None:
-        cache.store(key, table.to_payload())
+        cache.store(key, _cached_payload(table))
     return table
 
 
@@ -575,18 +619,22 @@ def _graded_subspaces(space: RepSpace, sub_dims: dict,
                       max_count: int = DEFAULT_MAX_POINTS):
     """Every graded subspace (vertex -> Subspace) with the given dimension
     vector, in product order over the vertices; none when a dimension is out
-    of range. The bound is checked on the call, before any enumeration."""
+    of range. The bound is checked on the call, before any enumeration, and
+    on exponents first: there are at least q^(k(n-k)) k-subspaces of F_q^n,
+    so a huge count is refused without computing it."""
+    q, nk = space.field.q, [(space.dims[v], sub_dims.get(v, 0))
+                            for v in space.quiver.vertices]
+    if any(k < 0 or k > n for n, k in nk):
+        return iter(())
+    bits = sum(k * (n - k) for n, k in nk) * (q.bit_length() - 1)
+    if bits >= max_count.bit_length():
+        raise EnumerationBoundError(
+            f"at least 2^{bits} graded subspaces exceed the bound {max_count}")
     total = 1
-    for v in space.quiver.vertices:
-        n = space.dims[v]
-        k = sub_dims.get(v, 0)
-        if k < 0 or k > n:
-            return iter(())
-        total *= gaussian_binomial(n, k, space.field.q)
+    for n, k in nk:
+        total *= gaussian_binomial(n, k, q)
     check_count(total, "graded subspaces", max_count)
-    per_vertex = [enumerate_subspaces(space.field, space.dims[v],
-                                      sub_dims.get(v, 0), max_count)
-                  for v in space.quiver.vertices]
+    per_vertex = [enumerate_subspaces(space.field, n, k, max_count) for n, k in nk]
     return (dict(zip(space.quiver.vertices, combo))
             for combo in itertools.product(*per_vertex))
 

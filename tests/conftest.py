@@ -4,9 +4,11 @@ The heavy orbit tables live in session-scoped contexts backed by one shared
 on-disk cache, so each table is computed at most once per test run.
 """
 
+import base64
 import os
 import random
 import shutil
+import struct
 import tempfile
 
 import pytest
@@ -28,6 +30,14 @@ os.environ["HALL_CACHE_DIR"] = _CACHE_DIR
 
 def pytest_sessionfinish(session, exitstatus):
     shutil.rmtree(_CACHE_DIR, ignore_errors=True)
+
+
+def packed_index(ordinals, width=1):
+    """The cached form of an orbit index, built here without the library's
+    encoder: base64 text of the ordinals, little-endian, width bytes each."""
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    raw = struct.pack(f"<{len(ordinals)}{code}", *ordinals)
+    return base64.b64encode(raw).decode("ascii")
 
 
 def a1_quiver():

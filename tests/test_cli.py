@@ -26,7 +26,8 @@ from hallcontract.cli import main
 from hallcontract.ffalg import Field
 from hallcontract.repspace import RepSpace
 
-from conftest import double_orbit_datum, kronecker_datum, mixed_orbit_datum
+from conftest import (double_orbit_datum, kronecker_datum, mixed_orbit_datum,
+                      packed_index)
 
 runner = CliRunner()
 
@@ -438,9 +439,11 @@ def test_hall_orbits_recomputes_a_forged_cache_entry(tmp_path):
     env = {"HALL_CACHE_DIR": str(tmp_path / "cache")}
     quiver, _ = qv.Quiver.from_dict(KRON)
     space = RepSpace(quiver, Field(2), {"p": 1, "m": 1})
-    # well-formed, but claims the four points form one orbit
+    # well-formed, but claims the four points form one orbit, and 4 does not
+    # divide the order 1 of GL_1(F_2) x GL_1(F_2)
     OrbitCache(env["HALL_CACHE_DIR"]).store(
-        space.cache_key(), {"index": [0] * 4, "sizes": [4], "rep_ranks": [0]})
+        space.cache_key(),
+        {"index": packed_index([0] * 4), "sizes": [4], "rep_ranks": [0]})
     kron = write_json(tmp_path, "kron.json", KRON)
     r = runner.invoke(main, ["hall", "orbits", kron, "--dim", "1,1", "--q", "2"],
                       env=env)

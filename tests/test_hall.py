@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hallcontract.ffalg import EnumerationBoundError, Mat
-from hallcontract import hall
+from hallcontract import ffalg, hall, repspace
 from hallcontract.cache import OrbitCache
 from hallcontract.hall import (
     HallContext,
@@ -46,7 +46,7 @@ from hallcontract.repspace import (enumerate_points, extensions_over,
                                    fiber_of_contraction)
 from hallcontract.scalars import SqrtQScalar
 
-from conftest import jordan_quiver, kronecker_quiver
+from conftest import a1_quiver, jordan_quiver, kronecker_quiver
 
 
 def sq(ctx, a=0, b=0):
@@ -130,6 +130,28 @@ def test_oracle_respects_its_bound(jordan_ctx):
                 for f, g in itertools.product(basis, repeat=2)]
 
     assert products(fresh) == products(jordan_ctx)
+
+
+def test_hall_bounds_refuse_before_counting(monkeypatch):
+    """A restriction or a product of A1 at dim 1200 over F_2 is refused from
+    the exponent 600 * 600 or 1200 * 1200 of its graded subspaces, before
+    any group order or Gaussian binomial is formed."""
+    ctx = HallContext(a1_quiver(), 2)
+    f, g = char_function(ctx, (1200,), 0), char_function(ctx, (600,), 0)
+
+    def forbidden(*args):
+        raise AssertionError("a count was formed before the bound")
+    for module, name in itertools.product((ffalg, repspace),
+                                          ("gl_order", "gaussian_binomial")):
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(EnumerationBoundError,
+                       match=r"^at least 2\^360000 graded subspaces exceed the bound"):
+        res(f, {"1": 600}, {"1": 600})
+    with pytest.raises(EnumerationBoundError,
+                       match=r"^at least 2\^1440000 graded subspaces exceed the bound"):
+        circ(f, f)
+    with pytest.raises(EnumerationBoundError, match=r"^at least 2\^360000 "):
+        star(g, g)
 
 
 def test_oracle_shares_no_state_with_the_flag_table():
@@ -417,10 +439,12 @@ def test_key_maps_match_a_dict_reference(site):
         lifted = tuple(dims[v] for v in big)
         assert hc.lift_key(hat_key) == lifted
         assert hc.drop_key(lifted) == hat_key
-    # a key of the other side's length, or one entry too long, is refused
-    for length in (len(hat), len(big) + 1):
-        with pytest.raises(ValueError, match=f"has {len(big)} entries"):
-            hc.drop_key((1,) * length)
+    # a key of one entry, of the other side's length, or one entry too long,
+    # is refused
+    for length in (1, len(hat), len(big) + 1):
+        for key_map in (hc.drop_key, hc.is_balanced, hc.minus_dim):
+            with pytest.raises(ValueError, match=f"has {len(big)} entries"):
+                key_map((1,) * length)
     for length in (len(big), len(hat) + 1):
         with pytest.raises(ValueError, match=f"has {len(hat)} entries"):
             hc.lift_key((1,) * length)

@@ -39,7 +39,7 @@ from hallcontract.repspace import (
 from hallcontract.ffalg import Subspace
 from hallcontract.hall import HallContext, _flag_table, char_function, diagram_star_oracle
 
-from conftest import a1_quiver, jordan_quiver, kronecker_quiver
+from conftest import a1_quiver, jordan_quiver, kronecker_quiver, packed_index
 
 
 def jordan_space(n, q=2):
@@ -442,20 +442,26 @@ def test_representatives_are_rank_least():
         assert len(ranks) == table.sizes[k]
 
 
+def cached_form(table, width=1):
+    return dict(table.to_payload(), index=packed_index(table.index, width))
+
+
 def test_orbit_cache_roundtrip(tmp_path):
     space = jordan_space(2)
     cache = OrbitCache(str(tmp_path))
     first = orbits(space, cache=cache)
     assert len(cache.entries()) == 1
+    assert cache.entries()[0]["key"].startswith("orbits:v2:")
+    assert cache.load(space.cache_key()) == cached_form(first)
     again = orbits(space, cache=OrbitCache(str(tmp_path)))
     assert again.index == first.index and again.sizes == first.sizes
 
     # an entry whose sizes disagree with its index is recomputed and replaced
-    doctored = first.to_payload()
+    doctored = cached_form(first)
     doctored["sizes"] = list(reversed(first.sizes))
     cache.store(space.cache_key(), doctored)
     assert orbits(space, cache=cache).sizes == first.sizes
-    assert cache.load(space.cache_key()) == first.to_payload()
+    assert cache.load(space.cache_key()) == cached_form(first)
 
     # corrupt entries fall back to recomputation
     path = cache._path(space.cache_key())
@@ -466,13 +472,57 @@ def test_orbit_cache_roundtrip(tmp_path):
     assert cache.entries() == []
 
 
+@pytest.mark.parametrize("edges, width", [(9, 2), (17, 4)])
+def test_wide_cached_indexes_roundtrip(tmp_path, monkeypatch, edges, width):
+    """2^9 and 2^17 singleton orbits (the group of dims (1,1) at q = 2 is
+    trivial) pack their ordinals 2 and 4 bytes wide."""
+    quiver = Quiver(("p", "m"), tuple(Edge(f"e{i}", "p", "m") for i in range(edges)))
+    space = RepSpace(quiver, Field(2), {"p": 1, "m": 1})
+    cache = OrbitCache(str(tmp_path))
+    first = orbits(space, cache=cache)
+    assert first.index == list(range(2 ** edges)) == first.rep_ranks
+    assert cache.load(space.cache_key()) == cached_form(first, width)
+
+    def forbidden(space):
+        raise AssertionError("a fitting entry was recomputed")
+    monkeypatch.setattr(repspace, "_close_orbits", forbidden)
+    again = orbits(space, cache=cache)
+    assert again.to_payload() == first.to_payload()
+
+    # ordinals 1 and 2 swapped at points 1 and 2: counts hold, order does not
+    swapped = [0, 2, 1] + first.index[3:]
+    forged = [dict(cached_form(first, width), index=packed_index(swapped, width)),
+              cached_form(first, 2 * width),
+              dict(cached_form(first, width),
+                   index=packed_index(first.index[:-1] + [2 ** edges], width))]
+    for payload in forged:
+        cache.store(space.cache_key(), payload)
+        with pytest.raises(AssertionError, match="recomputed"):
+            orbits(space, cache=cache)
+
+
+def test_wide_cached_sizes_are_counted(tmp_path):
+    """At q = 3, 9 edges at (1,1) give 9,842 orbits: the zero point, and the
+    pairs {x, -x}; sizes that trade places still add up and divide 4."""
+    quiver = Quiver(("p", "m"), tuple(Edge(f"e{i}", "p", "m") for i in range(9)))
+    space = RepSpace(quiver, Field(3), {"p": 1, "m": 1})
+    cache = OrbitCache(str(tmp_path))
+    table = orbits(space, cache=cache)
+    good = cached_form(table, 2)
+    assert table.sizes[:2] == [1, 2] and cache.load(space.cache_key()) == good
+    cache.store(space.cache_key(), dict(good, sizes=[2, 1] + table.sizes[2:]))
+    assert orbits(space, cache=cache).to_payload() == table.to_payload()
+    assert cache.load(space.cache_key()) == good
+
+
 def test_malformed_cache_entries_are_misses(tmp_path):
     space = jordan_space(2)
     cache = OrbitCache(str(tmp_path))
     first = orbits(space, cache=cache)
     key = space.cache_key()
     malformed = ["[1, 2]", '"text"', {"key": key}, {"key": key, "value": [1, 2]},
-                 {"key": key, "value": {"index": first.index, "sizes": first.sizes}}]
+                 {"key": key, "value": {"index": packed_index(first.index),
+                                        "sizes": first.sizes}}]
     for entry in malformed:
         with open(cache._path(key), "w", encoding="utf-8") as fh:
             fh.write(entry if isinstance(entry, str) else json.dumps(entry))
@@ -488,29 +538,58 @@ def test_malformed_cache_entries_are_misses(tmp_path):
 def test_entries_that_do_not_fit_the_space_are_recomputed(tmp_path):
     space = jordan_space(2)
     cache = OrbitCache(str(tmp_path))
-    good = orbits(space, cache=cache).to_payload()
-    index, sizes, reps = good["index"], good["sizes"], good["rep_ranks"]
+    table = orbits(space, cache=cache)
+    good = cached_form(table)
+    index, sizes, reps = table.index, table.sizes, table.rep_ranks
+    assert (sizes[0], reps[0]) == (1, 0)
     swapped = {1: 2, 2: 1}
     forged = [
-        dict(good, index=index[:-1]),
-        dict(good, index=index[:-1] + [len(sizes)]),
-        dict(good, index=[-1] + index[1:]),
+        dict(good, index=packed_index(index[:-1])),
+        # the table of another space: it fits, but that space has 2 points
+        cached_form(orbits(jordan_space(1))),
+        # ordinals >= the count of orbits
+        dict(good, index=packed_index(index[:-1] + [len(sizes)])),
+        dict(good, index=packed_index([255] + index[1:])),
+        dict(good, sizes=sizes[:-1], rep_ranks=reps[:-1]),
+        # an ordinal 0 that no point has, met at -1
+        {"index": packed_index([k + 1 for k in index]), "sizes": [0] + sizes,
+         "rep_ranks": [-1] + reps},
         # still increasing, but the last point is not where the last ordinal starts
         dict(good, rep_ranks=reps[:-1] + [len(index) - 1]),
         # ordinals 1 and 2 relabelled: consistent, but not met in order
-        {"index": [swapped.get(k, k) for k in index],
+        {"index": packed_index([swapped.get(k, k) for k in index]),
          "sizes": [sizes[swapped.get(k, k)] for k in range(len(sizes))],
          "rep_ranks": [reps[swapped.get(k, k)] for k in range(len(reps))]},
         dict(good, sizes=[float(v) for v in sizes]),
-        dict(good, index=[False if k == 0 else k for k in index]),
+        # True == 1 and False == 0, but neither is an int
+        dict(good, sizes=[True] + sizes[1:]),
+        dict(good, rep_ranks=[False] + reps[1:]),
         dict(good, sizes="123456"),
         # one orbit of 16 points: consistent, but 16 does not divide |GL_2(F_2)|
-        {"index": [0] * 16, "sizes": [16], "rep_ranks": [0]},
+        {"index": packed_index([0] * 16), "sizes": [16], "rep_ranks": [0]},
+        # the v1 format: the index as a JSON list of ints
+        dict(good, index=index),
+        # not base64: a character outside the alphabet (which a lax decoder
+        # would skip), a missing pad, non-ASCII
+        dict(good, index=good["index"][:4] + "!" + good["index"][4:]),
+        dict(good, index=good["index"].rstrip("=")),
+        dict(good, index="\u00e9" + good["index"][1:]),
+        # right ordinals, wrong width: 2 bytes each for 6 orbits
+        dict(good, index=packed_index(index, 2)),
     ]
     for payload in forged:
         cache.store(space.cache_key(), payload)
-        assert orbits(space, cache=cache).to_payload() == good, payload
+        assert orbits(space, cache=cache).to_payload() == table.to_payload(), payload
         assert cache.load(space.cache_key()) == good
+
+
+def test_cached_tables_take_under_one_and_a_half_bytes_per_point(tmp_path):
+    """The index is stored packed, not as a JSON list (2.85 bytes a point)."""
+    space = jordan_space(4)
+    cache = OrbitCache(str(tmp_path))
+    orbits(space, cache=cache)
+    (entry,) = cache.entries()
+    assert entry["bytes"] < 1.5 * space.total_points
 
 
 def test_warm_entries_are_checked_without_forming_the_group_order(tmp_path,
