@@ -12,6 +12,7 @@ built internally skip the constructor's checks. Nothing here floats.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 #: Default ceiling for brute-force enumerations (points, group elements).
@@ -391,8 +392,9 @@ class Subspace:
         object.__setattr__(self, "dim", len(pivots))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
+        pivot_set = set(pivots)
         object.__setattr__(self, "free_rows",
-                           tuple(r for r in range(ambient) if r not in set(pivots)))
+                           tuple(r for r in range(ambient) if r not in pivot_set))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -447,16 +449,16 @@ def _subspaces(q: int, n: int, k: int) -> tuple[Subspace, ...]:
     out = []
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
-        free_positions = [(r, j) for j, p in enumerate(pivots)
-                          for r in range(p + 1, n) if r not in pivot_set]
+        free = [r for r in range(n) if r not in pivot_set]
+        free_positions = [(r, j) for j, p in enumerate(pivots) for r in free if r > p]
+        # the n x k basis: a 1 at each pivot, zeros above, free values below
+        rows = [[0] * k for _ in range(n)]
+        for j, p in enumerate(pivots):
+            rows[p][j] = 1
         for values in itertools.product(range(q), repeat=len(free_positions)):
-            entries = {}
             for (r, j), v in zip(free_positions, values):
-                entries[(r, j)] = v
-            data = tuple(
-                tuple(1 if r == pivots[j] else entries.get((r, j), 0) for j in range(k))
-                for r in range(n))
-            out.append(Subspace(field, n, Mat(field, data, cols=k) if n else Mat(field, (), cols=k),
+                rows[r][j] = v
+            out.append(Subspace(field, n, _mat(field, tuple(map(tuple, rows)), k),
                                 pivots))
     return tuple(out)
 
@@ -470,23 +472,28 @@ def enumerate_subspaces(field: Field, n: int, k: int,
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n."""
+    """Number of k-dimensional subspaces of F_q^n; [n, k] = [n, n - k], so
+    the product runs over min(k, n - k) factors."""
     if k < 0 or k > n:
         return 0
     num = den = 1
-    for i in range(k):
+    for i in range(min(k, n - k)):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
 
 
+@lru_cache(maxsize=None)
 def gl_order(n: int, q: int) -> int:
-    """Order of GL_n(F_q)."""
-    out = 1
-    for k in range(n):
-        out *= q ** n - q ** k
-    return out
+    """Order of GL_n(F_q): q^(n(n-1)/2) prod_{k=1..n} (q^k - 1). The factors
+    are multiplied pairwise, level by level: big-int multiplication is
+    subquadratic on numbers of like size, while a running product would
+    multiply its huge partial product by a small factor n times."""
+    factors = [q ** k - 1 for k in range(1, n + 1)]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return q ** (n * (n - 1) // 2) * math.prod(factors)
 
 
 @lru_cache(maxsize=None)
@@ -509,31 +516,41 @@ def enumerate_gl(field: Field, n: int, max_count: int = DEFAULT_MAX_POINTS) -> t
 
 
 def gl_generators(field: Field, n: int) -> list[Mat]:
-    """A small generating set of GL_n(F_q): D = diag(alpha, 1, ..., 1) with
-    alpha primitive (q > 2 only), then, for n >= 2, the n-cycle C and the
-    transvection T = I + E_12.
+    """A generating set of GL_n(F_q) with at most two elements: [D] at
+    n = 1, {C, T} at q = 2 and {D, X} with X = C T at q > 2 for n >= 2.
+    Here D = diag(alpha, 1, ..., 1) with alpha primitive, C is the n-cycle
+    and T = I + E_12 the transvection; at n = 1, q = 2 the group is trivial.
 
-    They generate GL_n(F_q). Conjugating T by the powers of C gives the
+    {D, C, T} generates GL_n(F_q). Conjugating T by the powers of C gives the
     cyclically adjacent transvections I + E_{i,i+1} (indices mod n), and for
     distinct i, j, k the commutator [I + aE_ij, I + bE_jk] = I + abE_ik, so
     they give every I + E_ij. Conjugating I + E_1j by D^k gives
     I + alpha^k E_1j, and with the commutators every I + aE_ij, a in F_q
     (at n = 2, I + E_21 is T conjugated by C and D scales it alike). These
     generate SL_n(F_q), and det D = alpha generates F_q*, so {D, C, T}
-    generates GL_n(F_q); at q = 2, GL_n = SL_n and {C, T} does. A
-    transposition would add nothing."""
+    generates GL_n(F_q); at q = 2, GL_n = SL_n and {C, T} does.
+
+    {D, X} generates the same group at q > 2. C^-1 D C = diag(1, alpha, 1,
+    ...) = D', so X^-1 D X = T^-1 D' T = D' + (1 - alpha)E_12 and
+    Y = X^-1 D X D^-1 = A(I + bE_12) with A = diag(alpha^-1, alpha, 1, ...)
+    and b = alpha(1 - alpha). Then D Y D^-1 = A(I + alpha b E_12), so
+    Y^-1 D Y D^-1 = I + cE_12 with c = (alpha - 1)b = -alpha(1 - alpha)^2,
+    nonzero as alpha is neither 0 nor 1. Conjugating by D^k gives
+    I + alpha^k c E_12, every nonzero multiple of E_12, so T lies in
+    <D, X>, and with it C = X T^-1."""
     if n == 0:
         return []
-    gens: list[Mat] = []
-    if field.q > 2:
-        alpha = field.primitive()
-        diag = [[int(i == j) for j in range(n)] for i in range(n)]
-        diag[0][0] = alpha
-        gens.append(Mat(field, tuple(tuple(r) for r in diag), cols=n))
-    if n >= 2:
-        cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
-        gens.append(Mat(field, cycle, cols=n))
-        trans = [[int(i == j) for j in range(n)] for i in range(n)]
-        trans[0][1] = 1
-        gens.append(Mat(field, tuple(tuple(r) for r in trans), cols=n))
-    return gens
+
+    def eye_with(i: int, j: int, a: int) -> Mat:
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][j] = a
+        return Mat(field, tuple(map(tuple, rows)), cols=n)
+
+    if n == 1:
+        return [eye_with(0, 0, field.primitive())] if field.q > 2 else []
+    cycle = Mat(field, tuple(tuple(int(j == (i + 1) % n) for j in range(n))
+                             for i in range(n)), cols=n)
+    trans = eye_with(0, 1, 1)
+    if field.q == 2:
+        return [cycle, trans]
+    return [eye_with(0, 0, field.primitive()), cycle @ trans]

@@ -10,10 +10,10 @@ and R matrices alone as sparse basis columns, the images of the basis
 codes. A generator gamma at one vertex is such a map: the closure compiles
 all generators (_generator_tables) into two tables, on the low and the
 high half of a code's digits, and reads them inline. A generator is clean
-when each of its output digits draws on one half only: the cycle (a
-permutation) at any cut, the diagonal when the cut falls between F_q
-entries (always at prime q; at q = p**e it mixes an entry's e digits),
-and every generator when the cut falls between edges. Its image code is
+when each of its output digits draws on one half only: every generator at
+p = 2, the diagonal when the cut falls between F_q entries (always at
+prime q; at q = p**e it mixes an entry's e digits), and every generator
+when the cut falls between edges. Its image code is
 then stored whole and read with one shift and mask, at odd p as at p = 2.
 Only a mixed generator at odd p is read through reducer lookups that bring
 its digits back mod p. Each part of the flag kernel

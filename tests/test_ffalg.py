@@ -102,9 +102,76 @@ def test_gl_orders():
     assert gl_order(4, 2) == 20160
 
 
+def test_gl_orders_and_gaussian_binomials_match_the_textbook_products():
+    # the running products over all n factors, as they were first written
+    def gl_reference(n, q):
+        out = 1
+        for k in range(n):
+            out *= q ** n - q ** k
+        return out
+
+    def binomial_reference(n, k, q):
+        num = den = 1
+        for i in range(k):
+            num *= q ** (n - i) - 1
+            den *= q ** (i + 1) - 1
+        return num // den
+
+    for q in (2, 3, 4, 5, 9):
+        for n in range(13):
+            assert gl_order(n, q) == gl_reference(n, q), (n, q)
+            for k in range(n + 1):
+                assert gaussian_binomial(n, k, q) == binomial_reference(n, k, q)
+
+
+def _eye_with(f, n, entries):
+    """The n x n identity with the given {(row, col): value} entries."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (i, j), a in entries.items():
+        rows[i][j] = a
+    return Mat(f, rows)
+
+
+@pytest.mark.parametrize("q", sorted(p ** e for p, e in ffalg._MODULI))
+def test_two_gl_generators_carry_their_certificate(q):
+    # at q > 2, {D, X} with X = C T: Y = X^-1 D X D^-1 gives
+    # Y^-1 D Y D^-1 = I + cE_12 with c = -alpha(1 - alpha)^2 != 0, and the
+    # powers of D scale it to every I + aE_12, T among them; C = X T^-1
+    f = Field(q)
+    alpha = f.primitive()
+    for n in range(1, 7):
+        gens = gl_generators(f, n)
+        if n == 1:
+            assert gens == ([Mat(f, ((alpha,),))] if q > 2 else [])
+            continue
+        cycle = Mat(f, [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+        trans = _eye_with(f, n, {(0, 1): 1})
+        assert len(gens) == 2
+        if q == 2:
+            assert gens == [cycle, trans]
+            continue
+        d, x = gens
+        assert d == _eye_with(f, n, {(0, 0): alpha}) and x == cycle @ trans
+        assert x @ trans.inverse() == cycle
+        y = x.inverse() @ d @ x @ d.inverse()
+        c = f.neg(f.mul(alpha, f.mul(f.sub(1, alpha), f.sub(1, alpha))))
+        assert c != 0
+        commutator = y.inverse() @ d @ y @ d.inverse()
+        assert commutator == _eye_with(f, n, {(0, 1): c})
+        # D^k (I + cE_12) D^-k = I + alpha^k c E_12 runs over every a != 0
+        scaled, power = set(), commutator
+        for _ in range(q - 1):
+            scaled.add(power)
+            power = d @ power @ d.inverse()
+        assert scaled == {_eye_with(f, n, {(0, 1): a}) for a in f.units()}
+        assert trans in scaled
+
+
 def test_gl_generators_generate():
-    # n >= 3 (no transposition among the generators) and non-prime q
-    for q, n in ((2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (8, 2), (9, 2)):
+    # n >= 3 (no transposition among the generators), non-prime q, and the
+    # two generators {D, C T} at q > 2
+    for q, n in ((2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2), (7, 2),
+                 (8, 2), (9, 2)):
         f = Field(q)
         gens = gl_generators(f, n)
         seen = {Mat.identity(f, n)}

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,17 @@ def test_hall_bounds_refuse_before_counting(monkeypatch):
         circ(f, f)
     with pytest.raises(EnumerationBoundError, match=r"^at least 2\^360000 "):
         star(g, g)
+
+
+def test_a_coproduct_past_the_bound_is_refused_promptly():
+    """The coproduct of A1 at dim 1200 over F_2 computes its split (0, 1200),
+    whose one graded subspace is the whole space (group order |GL_1200|,
+    Gaussian binomial [1200, 1200] = 1), before (1, 1199) is refused."""
+    f = char_function(HallContext(a1_quiver(), 2), (1200,), 0)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBoundError, match=r"^at least 2\^1199 "):
+        coproduct(f)
+    assert time.perf_counter() - start < 1.5
 
 
 def test_oracle_shares_no_state_with_the_flag_table():

@@ -164,6 +164,18 @@ def test_jordan_orbits_are_similarity_classes():
         assert sum(table.sizes) == q ** 4
 
 
+@pytest.mark.parametrize("q,classes", [(3, 39), (4, 84)])
+def test_two_generators_close_all_of_gl3(q, classes):
+    # GL_3 acts on Jordan (3,) by conjugation, closed here under {D, C T}
+    # alone: were they to generate a proper subgroup, some similarity
+    # class would split into several orbits
+    space = jordan_space(3, q=q)
+    assert len(group_generators(space)) == 2
+    table = orbits(space)
+    assert table.count == similarity_classes(3, q) == classes
+    assert sum(table.sizes) == q ** 9
+
+
 def _as_group_element(space, generator):
     """A generator (vertex index, gamma) as a full tuple for act: gamma at
     its vertex, group_identity elsewhere."""
@@ -207,7 +219,7 @@ def test_code_kernel_matches_act():
     # 9, 16, 25, 27, codes of one digit (no high digits), of an odd
     # number of digits (uneven halves) at p = 2 and at odd p, spaces
     # without entries, a cut inside a matrix (Jordan q = 3 (3,), whose
-    # transvection is mixed) and a cut inside one F_9 entry (one edge
+    # generator C T is mixed) and a cut inside one F_9 entry (one edge
     # (1,1), whose diagonals are mixed)
     one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
     split_entry = RepSpace(one_edge, Field(9), {"a": 1, "b": 1})
@@ -253,17 +265,20 @@ def test_edge_aligned_cuts_read_every_slot_without_reducers(monkeypatch):
         assert sum(orbits(space).sizes) == space.total_points
 
 
-def test_only_the_transvection_straddles_an_uneven_cut():
+def test_only_cycle_times_transvection_straddles_an_uneven_cut():
     # Jordan q = 3 (3,) cuts its nine digits 5/4 inside the loop's matrix;
-    # the monomial generators (diagonal, cycle) move each entry to one entry,
-    # so only the transvection draws an output digit from both halves
+    # the diagonal D moves each entry to one entry, while X = C T, through
+    # its transvection, adds entries into others, so only X draws an output
+    # digit from both halves
     space = jordan_space(3, q=3)
     _, _, reads = _generator_tables(space)
     generators = group_generators(space)
+    assert [gamma for _, gamma in generators] == gl_generators(space.field, 3)
     mixed = [gamma for (_, gamma), read in zip(generators, reads)
              if type(read) is list]
-    assert mixed == gl_generators(space.field, 3)[-1:]
-    assert mixed[0].data[0][1] == 1
+    cycle = Mat(space.field, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    trans = Mat(space.field, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    assert mixed == [cycle @ trans]
 
 
 def test_closure_builds_two_half_width_tables(monkeypatch):
@@ -374,8 +389,9 @@ def test_orbit_sizes_divide_group_order():
 
 def test_orbit_tables_agree_with_burnside_and_stabilisers():
     # every count below is taken over the whole group, never the generators;
-    # (1, 3) has a 3-dimensional vertex, whose generators (cycle and
-    # transvection) hold no transposition
+    # (1, 3) has a 3-dimensional vertex, whose generators at q = 2 (cycle
+    # and transvection) hold no transposition; the q > 2 spaces close under
+    # two generators per vertex, D and C T
     spaces = (jordan_space(2), jordan_space(2, q=4), kron_space((1, 1), q=3),
               kron_space((2, 2)), kron_space((1, 3)), jordan_space(2, q=3),
               kron_space((1, 1), q=9))
