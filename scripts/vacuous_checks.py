@@ -14,6 +14,7 @@ survives, else 0.
 """
 
 import ast
+import itertools
 import os
 import shutil
 import subprocess
@@ -40,9 +41,18 @@ def sites(source: str) -> list[Site]:
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "_check"),
                    key=lambda node: (node.lineno, node.col_offset))
-    return [Site(call.args[1].value, call.lineno,
-                 ast.get_source_segment(source, call),
-                 ast.get_source_segment(source, call.args[2]))
+    # the source is split into lines once; ast.get_source_segment would
+    # split it again for every segment
+    data = source.encode()
+    starts = list(itertools.accumulate(
+        map(len, data.splitlines(keepends=True)), initial=0))
+
+    def segment(node: ast.AST) -> str:
+        """node's source text, cut at its UTF-8 byte offsets as
+        ast.get_source_segment cuts it."""
+        return data[starts[node.lineno - 1] + node.col_offset:
+                    starts[node.end_lineno - 1] + node.end_col_offset].decode()
+    return [Site(call.args[1].value, call.lineno, segment(call), segment(call.args[2]))
             for call in calls]
 
 

@@ -14,13 +14,11 @@ import os
 import tempfile
 
 
-def default_cache_dir() -> str:
-    return os.environ.get("HALL_CACHE_DIR", os.path.join(".", ".hallcache"))
-
-
 class OrbitCache:
     def __init__(self, directory: str | None = None):
-        self.directory = directory if directory is not None else default_cache_dir()
+        if directory is None:
+            directory = os.environ.get("HALL_CACHE_DIR", os.path.join(".", ".hallcache"))
+        self.directory = directory
 
     def _path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode()).hexdigest()

@@ -13,7 +13,6 @@ phi2hat(i0) = -(i+.i-)/phi1(i+) - 1. The form restricts along i0 = i+ + i-.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
@@ -398,9 +397,6 @@ class WeylElement:
                   for j in range(n))
             for i in range(n))
         return WeylElement(self.labels, prod)
-
-    def apply(self, y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(row[k] * y[k] for k in range(len(y))) for row in self.matrix)
 
     def to_dict(self) -> dict:
         return {"labels": list(self.labels), "matrix": [list(r) for r in self.matrix]}

@@ -270,11 +270,6 @@ class Mat:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
-    def transpose(self) -> "Mat":
-        if self.rows == 0 or self.cols == 0:
-            return _mat(self.field, ((),) * self.cols, self.rows)
-        return _mat(self.field, tuple(zip(*self.data)), self.rows)
-
     def rank(self) -> int:
         return _rank(self.field, self.data)
 
@@ -363,17 +358,6 @@ def block2x2(field: Field, tl: Mat, tr: Mat, bl: Mat, br: Mat) -> Mat:
     top = tuple(a + b for a, b in zip(tl.data, tr.data))
     bot = tuple(a + b for a, b in zip(bl.data, br.data))
     return _mat(field, top + bot, tl.cols + tr.cols)
-
-
-def split2x2(m: Mat, row_split: int, col_split: int) -> tuple[Mat, Mat, Mat, Mat]:
-    """Split into (tl, tr, bl, br) at the given row/column boundary."""
-    if not (0 <= row_split <= m.rows and 0 <= col_split <= m.cols):
-        raise ValueError("split outside the matrix")
-    f, top, bot, right = m.field, m.data[:row_split], m.data[row_split:], m.cols - col_split
-    return (_mat(f, tuple(r[:col_split] for r in top), col_split),
-            _mat(f, tuple(r[col_split:] for r in top), right),
-            _mat(f, tuple(r[:col_split] for r in bot), col_split),
-            _mat(f, tuple(r[col_split:] for r in bot), right))
 
 
 class Subspace:

@@ -88,9 +88,6 @@ class HallContext:
         return sum(a * b * self.cartan.form[i][j]
                    for i, a in enumerate(k1) for j, b in enumerate(k2))
 
-    def scalar(self, a=0, b=0) -> SqrtQScalar:
-        return SqrtQScalar(self.q, a, b)
-
 
 def m_omega(quiver: Quiver, tau: tuple, omega: tuple) -> int:
     """sum_v tau_v omega_v + sum over edges h of tau_{h'} omega_{h''}, on
@@ -190,17 +187,11 @@ class HallElement(_Terms):
             parts.setdefault(key, {})[(key, o)] = c
         return {key: HallElement(self.ctx, t) for key, t in parts.items()}
 
-    def grades(self) -> list[tuple]:
-        return sorted({key for key, _ in self.terms})
-
     def value_at(self, dims, x) -> SqrtQScalar:
         """Evaluate at a point: the coefficient of the orbit containing x."""
         table = self.ctx.table(dims)
         return self.terms.get((table.space.key, table.ordinal_of(x)),
                               SqrtQScalar.zero(self.ctx.q))
-
-    def support_ids(self) -> list[dict]:
-        return [self._label(self.ctx, key) for key in sorted(self.terms)]
 
     @classmethod
     def from_json(cls, ctx: HallContext, payload: dict) -> "HallElement":

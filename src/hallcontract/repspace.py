@@ -107,9 +107,6 @@ class RepSpace:
         dims_part = ",".join(f"{v}={self.dims[v]}" for v in self.quiver.vertices)
         return f"orbits:v2:q{self.field.q}:{self.quiver.content_hash()}:{dims_part}"
 
-    def zero_point(self) -> tuple:
-        return tuple(Mat.zeros(self.field, r, c) for r, c in self.edge_shapes)
-
     def point_rank(self, x: tuple) -> int:
         q = self.field.q
         r = 0
@@ -159,11 +156,6 @@ def act(space: RepSpace, g: tuple, x: tuple, ginv: tuple | None = None) -> tuple
         ginv = tuple(m.inverse() for m in g)
     return tuple(g[ti] @ m @ ginv[si]
                  for m, (ti, si) in zip(x, space.edge_vertex_indices))
-
-
-def group_identity(space: RepSpace) -> tuple:
-    return tuple(Mat.identity(space.field, space.dims[v])
-                 for v in space.quiver.vertices)
 
 
 def group_order(space: RepSpace) -> int:
@@ -237,12 +229,6 @@ class OrbitTable:
 
     def representative(self, k: int) -> tuple:
         return self.space.point_from_rank(self.rep_ranks[self._checked(k)])
-
-    def points_of(self, k: int):
-        self._checked(k)
-        for rank, ordinal in enumerate(self.index):
-            if ordinal == k:
-                yield self.space.point_from_rank(rank)
 
     def to_payload(self) -> dict:
         return {f: list(getattr(self, f)) for f in _PAYLOAD_FIELDS}
@@ -683,11 +669,13 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     their codes, being rank-least, have few nonzero digits."""
     vertices = space.quiver.vertices
     ends = [(vertices[ti], vertices[si]) for ti, si in space.edge_vertex_indices]
+    incident = set().union(*ends)
     p = space.field.p
     slots = []
     for U in _graded_subspaces(space, sub_dims, max_count):
-        # per vertex: residue map, free-row inclusion, pivot reader, basis
-        maps = {v: _flag_maps(U[v]) for v in vertices}
+        # per vertex that ends an edge: residue map, free-row inclusion,
+        # pivot reader, basis
+        maps = {v: _flag_maps(U[v]) for v in incident}
         slots += [[(maps[t][0], maps[s][3]) for t, s in ends],
                   [(maps[t][0], maps[s][1]) for t, s in ends],
                   [(maps[t][2], maps[s][3]) for t, s in ends]]
@@ -748,10 +736,6 @@ def quotient_point(space: RepSpace, x: tuple, U: dict) -> tuple:
     return tuple(mats)
 
 
-def sub_dims_of(U: dict) -> dict:
-    return {v: s.dim for v, s in U.items()}
-
-
 def extension_space(space_t: RepSpace, space_w: RepSpace) -> RepSpace:
     if space_t.quiver is not space_w.quiver and space_t.quiver != space_w.quiver:
         raise ValueError("extension requires points on the same graph")
@@ -772,9 +756,11 @@ def extensions_over(space_t: RepSpace, space_w: RepSpace, xt: tuple, xw: tuple,
                     big: RepSpace | None = None,
                     max_count: int = DEFAULT_MAX_POINTS):
     """All points [[xt, 0], [M, xw]] in block form, quotient coordinates first;
-    the span of the trailing coordinates is stable with restriction xw."""
+    the span of the trailing coordinates is stable with restriction xw. big
+    is accepted but not read; without it, extension_space checks that the
+    two spaces share one graph and one field."""
     if big is None:
-        big = extension_space(space_t, space_w)
+        extension_space(space_t, space_w)
     check_count(extension_count(space_t, space_w), "extensions", max_count)
     field = space_t.field
     shapes = [(wt, ts) for (tt, ts), (wt, ws)
@@ -786,15 +772,3 @@ def extensions_over(space_t: RepSpace, space_w: RepSpace, xt: tuple, xw: tuple,
         corners = _mats_from_digits(field, shapes, digits)
         yield tuple(block2x2(field, a, z, m, b)
                     for a, z, m, b in zip(xt, zeros, corners, xw))
-
-
-def direct_sum_point(space_t: RepSpace, space_w: RepSpace,
-                     xt: tuple, xw: tuple) -> tuple:
-    field = space_t.field
-    mats = []
-    for k in range(len(space_t.edge_shapes)):
-        tt, ts = space_t.edge_shapes[k]
-        wt, ws = space_w.edge_shapes[k]
-        mats.append(block2x2(field, xt[k], Mat.zeros(field, tt, ws),
-                             Mat.zeros(field, wt, ts), xw[k]))
-    return tuple(mats)

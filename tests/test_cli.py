@@ -782,6 +782,13 @@ def test_vacuous_check_sweep_patches_each_site_once():
     source = Path(hall.__file__).read_text()
     sites = sweep.sites(source)
     assert len(sites) == source.count("_check(") - 1  # every call, not the def
+    calls = sorted((node for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_check"),
+                   key=lambda node: (node.lineno, node.col_offset))
+    assert [(s.call, s.passed) for s in sites] == [
+        (ast.get_source_segment(source, c), ast.get_source_segment(source, c.args[2]))
+        for c in calls]
     for k, site in enumerate(sites):
         expected = [s.passed for s in sites]
         expected[k] = f"True or ({site.passed})"

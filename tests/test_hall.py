@@ -51,7 +51,7 @@ from conftest import a1_quiver, jordan_quiver, kronecker_quiver
 
 
 def sq(ctx, a=0, b=0):
-    return ctx.scalar(Fraction(a), Fraction(b))
+    return SqrtQScalar(ctx.q, Fraction(a), Fraction(b))
 
 
 def test_unit_is_neutral(a1_ctx, jordan_ctx):
@@ -96,7 +96,7 @@ def test_scale_refuses_floats(jordan_ctx):
     with pytest.raises(TypeError):
         f.scale(0.5)
     with pytest.raises(TypeError):
-        jordan_ctx.scalar(0.1)
+        SqrtQScalar(jordan_ctx.q, 0.1)
 
 
 def test_oracle_agrees_on_spot_checks(jordan_ctx, kron_ctx):
@@ -164,6 +164,20 @@ def test_a_coproduct_past_the_bound_is_refused_promptly():
     with pytest.raises(EnumerationBoundError, match=r"^at least 2\^1199 "):
         coproduct(f)
     assert time.perf_counter() - start < 1.5
+
+
+def test_flag_maps_are_built_only_where_an_edge_reads_them(monkeypatch):
+    """A1 has no edge, so its flag kernel reads no vertex's flag maps: the
+    refused coproduct above builds none, not even the 1200 x 1200 ones of
+    its split (0, 1200)."""
+    calls = []
+    flag_maps = repspace._flag_maps
+    monkeypatch.setattr(repspace, "_flag_maps",
+                        lambda U: calls.append(U.ambient) or flag_maps(U))
+    f = char_function(HallContext(a1_quiver(), 2), (1200,), 0)
+    with pytest.raises(EnumerationBoundError, match=r"^at least 2\^1199 "):
+        coproduct(f)
+    assert calls == []
 
 
 def test_oracle_shares_no_state_with_the_flag_table():
@@ -309,7 +323,7 @@ def test_value_at_reads_orbit_coefficients(jordan_ctx):
     prod = circ(p0, p0)
     space = jordan_ctx.space((2,))
     f = space.field
-    zero = space.zero_point()
+    zero = space.point_from_rank(0)
     nilp = (Mat(f, ((0, 0), (1, 0))),)
     idem = (Mat(f, ((0, 0), (0, 1))),)
     assert prod.value_at((2,), zero) == sq(jordan_ctx, Fraction(3, 2))
@@ -375,12 +389,11 @@ def test_contexts_do_not_mix(a1_ctx, jordan_ctx):
 
 def test_homogeneous_grading(a1_ctx):
     f = char_function(a1_ctx, (1,), 0) + char_function(a1_ctx, (2,), 0).scale(5)
-    assert f.grades() == [(1,), (2,)]
     parts = f.homogeneous()
     assert set(parts) == {(1,), (2,)}
     assert parts[(1,)] + parts[(2,)] == f
-    assert f.support_ids() == [{"dim": {"1": 1}, "orbit": "o0"},
-                               {"dim": {"1": 2}, "orbit": "o0"}]
+    assert [{"dim": t["dim"], "orbit": t["orbit"]} for t in f.to_json()["terms"]] == [
+        {"dim": {"1": 1}, "orbit": "o0"}, {"dim": {"1": 2}, "orbit": "o0"}]
 
 
 def test_pullback_moves_one_basis_vector(kron_heart):
@@ -481,11 +494,11 @@ def test_pushforward_agrees_with_fiber_averaging(kron_heart):
             f = f + char_function(ctx, big_key, o).scale(2 + o)
         pushed = mu_lower_star(kron_heart, f)
         for xhat in enumerate_points(hat_space):
-            total = hat.scalar(0)
+            total = SqrtQScalar.zero(hat.q)
             for y in fiber_of_contraction(space, con, xhat, hat_space):
                 v = f.value_at(big_key, y)
-                total = total + hat.scalar(v.a, v.b)
-            expect = total * hat.scalar(Fraction(1, gauge)) * twist
+                total = total + SqrtQScalar(hat.q, v.a, v.b)
+            expect = total * SqrtQScalar(hat.q, Fraction(1, gauge)) * twist
             assert pushed.value_at(hat_key, xhat) == expect
 
 

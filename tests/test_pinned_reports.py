@@ -14,6 +14,7 @@ import pytest
 from hallcontract import hall
 from hallcontract.hall import (TensorElement, char_function, circ, coproduct,
                                tensor, zero_element)
+from hallcontract.scalars import SqrtQScalar
 
 
 def _digest(text: str) -> str:
@@ -47,9 +48,9 @@ def _mixed_element(ctx):
     a = char_function(ctx, (1, 0), 0)
     b = char_function(ctx, (0, 1), 0)
     c = char_function(ctx, (1, 1), 2)
-    return (circ(a, b).scale(ctx.scalar(Fraction(2, 3), Fraction(-1, 5)))
+    return (circ(a, b).scale(SqrtQScalar(ctx.q, Fraction(2, 3), Fraction(-1, 5)))
             + a.scale(Fraction(1, 2)) + b.scale(Fraction(-7, 4))
-            + c.scale(ctx.scalar(0, 3)))
+            + c.scale(SqrtQScalar(ctx.q, 0, 3)))
 
 
 PINNED_ELEMENT = {
@@ -73,11 +74,12 @@ def test_repr_parenthesizes_coefficients_with_two_parts(kron_ctx):
     # a coefficient a + b*sqrt(q) with a, b != 0 is one factor of its term;
     # one with a single part needs no parentheses
     c = char_function(kron_ctx, (1, 1), 0)
-    mixed = c.scale(kron_ctx.scalar(Fraction(1, 3), Fraction(-1, 10)))
+    mixed = c.scale(SqrtQScalar(kron_ctx.q, Fraction(1, 3), Fraction(-1, 10)))
     assert repr(mixed) == "HallElement((1/3 + -1/10*sqrt(2))*P[(1, 1),o0])"
-    assert repr(c.scale(kron_ctx.scalar(0, 3))) == "HallElement(3*sqrt(2)*P[(1, 1),o0])"
+    assert (repr(c.scale(SqrtQScalar(kron_ctx.q, 0, 3)))
+            == "HallElement(3*sqrt(2)*P[(1, 1),o0])")
     assert repr(c.scale(Fraction(-7, 4))) == "HallElement(-7/4*P[(1, 1),o0])"
-    t = tensor(c, c.scale(kron_ctx.scalar(1, 1)))
+    t = tensor(c, c.scale(SqrtQScalar(kron_ctx.q, 1, 1)))
     assert repr(t) == "TensorElement((1 + 1*sqrt(2))*P[(1, 1),o0]⊗P[(1, 1),o0])"
 
 
