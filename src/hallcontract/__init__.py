@@ -5,9 +5,8 @@ algebras with exact Q(sqrt q) coefficients."""
 
 from .cartan import (CartanDatum, ContractionPair, RootDatum, WeylElement,
                      build_root_datum, check_psi_identity, contract_cartan,
-                     contract_root_datum, generalized_reflection,
-                     is_isomorphic, realize_graph, reflection, validate_cartan,
-                     validate_pair, weyl_word_search)
+                     generalized_reflection, realize_graph, reflection,
+                     validate_cartan, validate_pair, weyl_word_search)
 from .ffalg import (EnumerationBoundError, Field, Mat, Subspace,
                     UnsupportedFieldError, enumerate_gl, enumerate_subspaces,
                     gaussian_binomial, gl_order)

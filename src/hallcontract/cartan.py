@@ -203,45 +203,6 @@ def contract_cartan(datum: CartanDatum, pair: ContractionPair) -> CartanDatum:
     return out
 
 
-def is_isomorphic(d1: CartanDatum, d2: CartanDatum):
-    """A label bijection matching form, phi1 and phi2, or None.
-
-    Backtracking with signature pruning; fine for the handful of labels these
-    data carry.
-    """
-    if len(d1.labels) != len(d2.labels):
-        return None
-
-    def signature(d, i):
-        return (d.phi1[i], d.phi2[i], d.form[i][i],
-                tuple(sorted(d.form[i][j] for j in range(len(d.labels)) if j != i)))
-
-    n = len(d1.labels)
-    candidates = [[j for j in range(n) if signature(d2, j) == signature(d1, i)]
-                  for i in range(n)]
-    if any(not c for c in candidates):
-        return None
-    assignment: list[int] = []
-
-    def extend(i):
-        if i == n:
-            return True
-        for j in candidates[i]:
-            if j in assignment:
-                continue
-            if any(d1.form[i][k] != d2.form[j][assignment[k]] for k in range(i)):
-                continue
-            assignment.append(j)
-            if extend(i + 1):
-                return True
-            assignment.pop()
-        return False
-
-    if not extend(0):
-        return None
-    return {d1.labels[i]: d2.labels[assignment[i]] for i in range(n)}
-
-
 def realize_graph(datum: CartanDatum):
     """Build a graph with admissible automorphism whose orbit data reproduce
     the datum: phi1(i) vertices per label cycled by a, phi2(i) loop orbits,
@@ -333,10 +294,6 @@ class RootDatum:
     def x_of(self, label: str) -> tuple[int, ...]:
         return self.embed_x[self.labels.index(label)]
 
-    @staticmethod
-    def pair(y: tuple[int, ...], x: tuple[int, ...]) -> int:
-        return sum(a * b for a, b in zip(y, x))
-
 
 def build_root_datum(datum: CartanDatum) -> RootDatum:
     bad = validate_cartan(datum)
@@ -353,26 +310,6 @@ def build_root_datum(datum: CartanDatum) -> RootDatum:
             col.append(v // datum.phi1[k])
         embed_x.append(tuple(col))
     return RootDatum(datum.labels, embed_y, tuple(embed_x))
-
-
-def contract_root_datum(rd: RootDatum, pair: ContractionPair,
-                        datum: CartanDatum | None = None) -> RootDatum:
-    """Root datum of the contracted datum inside the same lattice: the merged
-    label embeds as the sum of the pair's images on both sides."""
-    ip, im = rd.labels.index(pair.plus), rd.labels.index(pair.minus)
-    new_labels = _merged_labels(rd.labels, pair)
-    out = RootDatum(new_labels, _merge(rd.embed_y, ip, im), _merge(rd.embed_x, ip, im))
-    if datum is not None:
-        # the embedded pairings must match the contracted datum's own pairings
-        contracted = contract_cartan(datum, pair)
-        for a, la in enumerate(new_labels):
-            for b, lb in enumerate(new_labels):
-                got = RootDatum.pair(out.embed_y[a], out.embed_x[b])
-                want = contracted.form[a][b] // contracted.phi1[a]
-                if got != want:
-                    raise ValueError(
-                        f"pairing mismatch at ({la}, {lb}): embedded {got}, contracted {want}")
-    return out
 
 
 @dataclass(frozen=True)

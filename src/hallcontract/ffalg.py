@@ -493,9 +493,11 @@ def _gl_elements(q: int, n: int) -> tuple[Mat, ...]:
     return tuple(out)
 
 
-def enumerate_gl(field: Field, n: int, max_count: int = DEFAULT_MAX_POINTS) -> tuple[Mat, ...]:
-    """All invertible n x n matrices, by brute-force filtering."""
-    check_count(field.q ** (n * n), f"candidates for GL_{n}(F_{field.q})", max_count)
+def enumerate_gl(field: Field, n: int) -> tuple[Mat, ...]:
+    """All invertible n x n matrices, by brute-force filtering of at most
+    DEFAULT_MAX_POINTS candidates."""
+    check_count(field.q ** (n * n), f"candidates for GL_{n}(F_{field.q})",
+                DEFAULT_MAX_POINTS)
     return _gl_elements(field.q, n)
 
 

@@ -19,7 +19,6 @@ one basis enumeration (_basis, _basis_pairs) and share one site config.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .cache import OrbitCache
 from .ffalg import DEFAULT_MAX_POINTS, Field, check_count
@@ -298,8 +297,12 @@ def circ(f1: HallElement, f2: HallElement) -> HallElement:
     return _convolve(f1, f2, twisted=True)
 
 
-def diagram_star_oracle(f1: HallElement, f2: HallElement,
-                        max_flags: int = 10_000) -> HallElement:
+#: The bound on |G_t| |G_w| for diagram_star_oracle, which enumerates both
+#: groups.
+ORACLE_MAX_FLAGS = 10_000
+
+
+def diagram_star_oracle(f1: HallElement, f2: HallElement) -> HallElement:
     """The convolution computed the long way round: every stable graded
     subspace together with every pair of graded isomorphisms onto the
     standard quotient and sub spaces, divided by the two group orders.
@@ -313,8 +316,9 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement,
     rather than assuming it stays in its orbit, so exact agreement with
     star() is a real consistency check.
     Memoized on the context: the flags of each grade pair with their
-    points' group profiles, and each point's group profile. The bound on
-    |G_t| |G_w| is checked on every call, before any enumeration.
+    points' group profiles, and each point's group profile. The bound
+    ORACLE_MAX_FLAGS on |G_t| |G_w| is checked on every call, before any
+    enumeration.
     """
     _same_ctx(f1, f2)
     ctx = f1.ctx
@@ -323,7 +327,7 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement,
     orders = {}
     for tk, wk in pairs:
         ot, ow = group_order(ctx._space(tk)), group_order(ctx._space(wk))
-        check_count(ot * ow, "flag isomorphisms", max_flags)
+        check_count(ot * ow, "flag isomorphisms", ORACLE_MAX_FLAGS)
         orders[(tk, wk)] = ot * ow
     zero = SqrtQScalar.zero(ctx.q)
     terms: dict = {}
@@ -378,14 +382,15 @@ def _oracle_flags(ctx: HallContext, tkey: tuple, wkey: tuple) -> list:
 
 def _group_profile(ctx: HallContext, key: tuple, x: tuple) -> dict:
     """Orbit ordinal -> number of g in G with g.x in that orbit, by applying
-    every group element to x. The caller has bounded the group order."""
+    every group element to x. The caller has bounded the group order by
+    ORACLE_MAX_FLAGS, far below enumerate_group's own bound."""
     space = ctx._space(key)
     memo_key = (key, space.point_rank(x))
     if memo_key in ctx._group_profiles:
         return ctx._group_profiles[memo_key]
     table = ctx._table(key)
     profile: dict = {}
-    for g in enumerate_group(space, math.inf):
+    for g in enumerate_group(space):
         o = table.ordinal_of(act(space, g, x))
         profile[o] = profile.get(o, 0) + 1
     ctx._group_profiles[memo_key] = profile

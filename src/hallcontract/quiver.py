@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .cartan import CartanDatum, ContractionPair, contract_cartan, is_isomorphic
+from .cartan import CartanDatum, ContractionPair, contract_cartan, merged_label
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,9 @@ def check_admissible(quiver: Quiver, autom: Automorphism) -> list[str]:
     return problems
 
 
-def cartan_of(quiver: Quiver, autom: Automorphism | None = None) -> CartanDatum:
+def cartan_of(quiver: Quiver, autom: Automorphism) -> CartanDatum:
     """The Cartan datum on vertex orbits: phi1 = orbit size, phi2 = loops at a
     fixed representative, off-diagonal entries minus the cross-edge count."""
-    if autom is None:
-        autom = identity_automorphism(quiver)
     bad = check_admissible(quiver, autom)
     if bad:
         raise ValueError("automorphism not admissible: " + "; ".join(bad))
@@ -391,14 +389,22 @@ def contract_quiver(quiver: Quiver, autom: Automorphism, pair: OrbitPair) -> Con
 
 def cartan_contraction_commutes(quiver: Quiver, autom: Automorphism, pair: OrbitPair):
     """Contract at graph level, then compare Cartan data: the datum of the
-    contracted graph against the contracted datum of the graph.
+    contracted graph against the contracted datum of the graph, under the
+    label map the contraction fixes. Both keep the label order, and the
+    merged label i+ + i- is the plus vertex, so the data must be equal once
+    it is renamed.
 
-    Returns (agree, mapping, datum_from_graph, datum_from_cartan).
+    Returns (agree, mapping, datum_from_graph, datum_from_cartan); mapping
+    sends each label of the contracted datum to its graph label, or is None
+    when the data differ.
     """
     datum = cartan_of(quiver, autom)
     cpair = ContractionPair(plus=pair.plus_orbit[0], minus=pair.minus_orbit[0])
     via_cartan = contract_cartan(datum, cpair)
     result = contract_quiver(quiver, autom, pair)
     via_graph = cartan_of(result.quiver, result.autom)
-    mapping = is_isomorphic(via_cartan, via_graph)
-    return mapping is not None, mapping, via_graph, via_cartan
+    i0 = merged_label(cpair)
+    renamed = tuple(cpair.plus if x == i0 else x for x in via_cartan.labels)
+    agree = replace(via_cartan, labels=renamed) == via_graph
+    mapping = dict(zip(via_cartan.labels, renamed)) if agree else None
+    return agree, mapping, via_graph, via_cartan

@@ -141,19 +141,19 @@ def _mats_from_digits(field: Field, shapes, digits) -> tuple:
     return tuple(mats)
 
 
-def enumerate_points(space: RepSpace, max_points: int = DEFAULT_MAX_POINTS):
-    """All points in rank order (entries vary fastest at the last edge)."""
-    space.check_bound(max_points)
+def enumerate_points(space: RepSpace):
+    """All points in rank order (entries vary fastest at the last edge), of
+    a space with at most DEFAULT_MAX_POINTS points."""
+    space.check_bound(DEFAULT_MAX_POINTS)
     field, shapes = space.field, space.edge_shapes
     for digits in itertools.product(range(field.q), repeat=space.point_entries):
         yield _mats_from_digits(field, shapes, digits)
 
 
-def act(space: RepSpace, g: tuple, x: tuple, ginv: tuple | None = None) -> tuple:
+def act(space: RepSpace, g: tuple, x: tuple) -> tuple:
     """(g.x)_h = g_{h''} x_h g_{h'}^{-1}; g is a tuple of matrices over the
     vertices in order."""
-    if ginv is None:
-        ginv = tuple(m.inverse() for m in g)
+    ginv = tuple(m.inverse() for m in g)
     return tuple(g[ti] @ m @ ginv[si]
                  for m, (ti, si) in zip(x, space.edge_vertex_indices))
 
@@ -177,9 +177,9 @@ def group_generators(space: RepSpace) -> list[tuple[int, Mat]]:
             gl_generators(space.field, space.dims[space.quiver.vertices[vi]])]
 
 
-def enumerate_group(space: RepSpace, max_count: int = DEFAULT_MAX_POINTS):
-    check_count(group_order(space), "group elements", max_count)
-    factors = [enumerate_gl(space.field, space.dims[v], max_count)
+def enumerate_group(space: RepSpace):
+    check_count(group_order(space), "group elements", DEFAULT_MAX_POINTS)
+    factors = [enumerate_gl(space.field, space.dims[v])
                for v in space.quiver.vertices]
     return [tuple(combo) for combo in itertools.product(*factors)]
 
@@ -549,13 +549,13 @@ def contract_point(space: RepSpace, con: ContractedQuiver, x: tuple,
 
 
 def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
-                         target_space: RepSpace | None = None,
-                         max_count: int = DEFAULT_MAX_POINTS):
+                         target_space: RepSpace | None = None):
     """All heart points contracting onto xhat: one per invertible assignment
-    g_h to the contraction edges h. Each other original edge is read off
-    the new edge that records it in con.provenance: a kept edge copies its
-    xhat matrix, the l1 of a post edge l1*h gets xhat(l1*h) g_h^{-1}, and
-    the l2 of a pre edge ~h*l2 gets g_h xhat(~h*l2); h itself gets g_h."""
+    g_h to the contraction edges h, of which there must be at most
+    DEFAULT_MAX_POINTS. Each other original edge is read off the new edge
+    that records it in con.provenance: a kept edge copies its xhat matrix,
+    the l1 of a post edge l1*h gets xhat(l1*h) g_h^{-1}, and the l2 of a
+    pre edge ~h*l2 gets g_h xhat(~h*l2); h itself gets g_h."""
     if target_space is None:
         target_space = RepSpace(con.quiver, space.field,
                                 {v: space.dims[v] for v in con.quiver.vertices})
@@ -565,10 +565,9 @@ def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
         if rows != cols:
             return
         total *= gl_order(rows, space.field.q)
-    check_count(total, "fiber points", max_count)
+    check_count(total, "fiber points", DEFAULT_MAX_POINTS)
     choices = [[(g, g.inverse()) for g in
-                enumerate_gl(space.field, space.edge_shapes[space.edge_index[h]][0],
-                             max_count)]
+                enumerate_gl(space.field, space.edge_shapes[space.edge_index[h]][0])]
                for h in con.contraction_edges]
     for combo in itertools.product(*choices):
         assign = dict(zip(con.contraction_edges, combo))
@@ -736,15 +735,6 @@ def quotient_point(space: RepSpace, x: tuple, U: dict) -> tuple:
     return tuple(mats)
 
 
-def extension_space(space_t: RepSpace, space_w: RepSpace) -> RepSpace:
-    if space_t.quiver is not space_w.quiver and space_t.quiver != space_w.quiver:
-        raise ValueError("extension requires points on the same graph")
-    if space_t.field is not space_w.field:
-        raise ValueError("extension requires one field")
-    return RepSpace(space_t.quiver, space_t.field,
-                    [t + w for t, w in zip(space_t.key, space_w.key)])
-
-
 def extension_count(space_t: RepSpace, space_w: RepSpace) -> int:
     count = 1
     for (tt, ts), (wt, ws) in zip(space_t.edge_shapes, space_w.edge_shapes):
@@ -753,15 +743,16 @@ def extension_count(space_t: RepSpace, space_w: RepSpace) -> int:
 
 
 def extensions_over(space_t: RepSpace, space_w: RepSpace, xt: tuple, xw: tuple,
-                    big: RepSpace | None = None,
-                    max_count: int = DEFAULT_MAX_POINTS):
+                    big: RepSpace | None = None):
     """All points [[xt, 0], [M, xw]] in block form, quotient coordinates first;
-    the span of the trailing coordinates is stable with restriction xw. big
-    is accepted but not read; without it, extension_space checks that the
-    two spaces share one graph and one field."""
-    if big is None:
-        extension_space(space_t, space_w)
-    check_count(extension_count(space_t, space_w), "extensions", max_count)
+    the span of the trailing coordinates is stable with restriction xw. The
+    two spaces must share one graph and one field, and there must be at
+    most DEFAULT_MAX_POINTS extensions; big is accepted but not read."""
+    if space_t.quiver is not space_w.quiver and space_t.quiver != space_w.quiver:
+        raise ValueError("extension requires points on the same graph")
+    if space_t.field is not space_w.field:
+        raise ValueError("extension requires one field")
+    check_count(extension_count(space_t, space_w), "extensions", DEFAULT_MAX_POINTS)
     field = space_t.field
     shapes = [(wt, ts) for (tt, ts), (wt, ws)
               in zip(space_t.edge_shapes, space_w.edge_shapes)]

@@ -77,13 +77,14 @@ def test_c02_graph_and_cartan_contraction_commute():
     agree, mapping, via_graph, via_cartan = qv.cartan_contraction_commutes(
         quiver, autom, pair)
     assert agree
-    assert mapping is not None
+    assert mapping == {"p+m": "p"}
 
     quiver, autom = realize_graph(double_orbit_datum())
     pair = qv.make_orbit_pair(quiver, autom, "i+@0", "i-@0")
     assert qv.check_contraction_assumptions(quiver, autom, pair) == []
     agree, mapping, _, _ = qv.cartan_contraction_commutes(quiver, autom, pair)
     assert agree
+    assert mapping == {"i+@0+i-@0": "i+@0"}
 
     rng = random.Random(SEED)
     for _ in range(100):
@@ -91,9 +92,11 @@ def test_c02_graph_and_cartan_contraction_commute():
         quiver, autom = realize_graph(datum)
         pair = qv.make_orbit_pair(quiver, autom, "p0@0", "m0@0")
         assert qv.check_contraction_assumptions(quiver, autom, pair) == []
-        agree, mapping, _, _ = qv.cartan_contraction_commutes(quiver, autom, pair)
+        agree, mapping, via_graph, _ = qv.cartan_contraction_commutes(quiver, autom, pair)
         assert agree
-        assert mapping is not None
+        # the merged label names the plus vertex, every other label itself
+        assert mapping == {(f"{pair.plus}+{pair.minus}" if x == pair.plus else x): x
+                           for x in via_graph.labels}
     _done("c02 contraction commutes with taking Cartan data", 5.0, t0)
 
 

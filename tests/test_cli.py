@@ -336,6 +336,29 @@ def test_quiver_verify_l14_cli(tmp_path):
     assert "already a label" in r.stderr
 
 
+def test_quiver_verify_l14_fails_on_a_contraction_right_only_up_to_relabeling(
+        tmp_path, monkeypatch):
+    """With the merged label put in the minus label's slot, the loop of
+    p⇉m lands on a instead of the merged vertex; some relabeling still
+    matches the graph side, the contraction's own label map does not."""
+    def merged_in_minus_slot(labels, pair):
+        i0 = ct.merged_label(pair)
+        return tuple(i0 if x == pair.minus else x for x in labels if x != pair.plus)
+
+    monkeypatch.setattr(ct, "_merged_labels", merged_in_minus_slot)
+    quiver_file = write_json(tmp_path, "pam.json", {
+        "vertices": ["p", "a", "m"],
+        "edges": KRON["edges"] + [{"id": "g", "source": "a", "target": "p"},
+                                  {"id": "h", "source": "a", "target": "m"}]})
+    r = runner.invoke(main, ["quiver", "verify-l14", quiver_file,
+                             "--plus-orbit", "p", "--minus-orbit", "m"])
+    assert r.exit_code == 1, r.exc_info
+    p = payload_of(r)
+    assert p["agree"] is False and p["status"] == "fail"
+    assert p["label_mapping"] is None
+    assert p["cartan_then_contract"]["labels"] == ["a", "p+m"]
+
+
 # ---------------------------------------------------------------------------
 # hall
 

@@ -301,9 +301,11 @@ def test_subspace_counts_are_gaussian_binomials():
                 assert len(set(subs)) == len(subs)
 
 
-def test_enumeration_bound_is_enforced():
-    with pytest.raises(EnumerationBoundError):
-        enumerate_gl(Field(2), 4, max_count=100)
+def test_enumeration_bound_is_enforced(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(ffalg, "DEFAULT_MAX_POINTS", 100)
+        with pytest.raises(EnumerationBoundError):
+            enumerate_gl(Field(2), 4)
     with pytest.raises(EnumerationBoundError):
         enumerate_subspaces(Field(3), 6, 3, max_count=10)
     # str() refuses ints of more than 4,300 digits; a bound message writes

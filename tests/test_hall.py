@@ -110,16 +110,21 @@ def test_oracle_agrees_on_spot_checks(jordan_ctx, kron_ctx):
     assert diagram_star_oracle(g, f) == star(g, f)
 
 
-def test_oracle_respects_its_bound(jordan_ctx):
+def test_oracle_respects_its_bound(jordan_ctx, monkeypatch):
     """Also once a default-bound call has warmed the memo; and a fresh
     context gives the same products as the warmed one."""
     f = char_function(jordan_ctx, (2,), 2)
-    with pytest.raises(EnumerationBoundError):
-        diagram_star_oracle(f, f, max_flags=10)
+
+    def refused():
+        with monkeypatch.context() as m:
+            m.setattr(hall, "ORACLE_MAX_FLAGS", 10)
+            with pytest.raises(EnumerationBoundError):
+                diagram_star_oracle(f, f)
+
+    refused()
     warm = diagram_star_oracle(f, f)
     assert ((2,), (2,)) in jordan_ctx._oracle_flags
-    with pytest.raises(EnumerationBoundError):
-        diagram_star_oracle(f, f, max_flags=10)
+    refused()
     assert diagram_star_oracle(f, f) == warm
 
     fresh = HallContext(jordan_ctx.quiver, 2, cache=OrbitCache())

@@ -1,6 +1,7 @@
 """Production modules define only what production runs: every function,
 class and method defined in src/hallcontract/ is named outside its own body
-somewhere in src/hallcontract/ or bench/, read from the syntax tree. A
+somewhere in src/hallcontract/ or bench/, read from the syntax tree. The
+package's __init__.py does not count: re-exporting a name runs nothing. A
 helper that only tests call belongs in the tests."""
 
 import ast
@@ -44,8 +45,8 @@ def _is_click_command(node) -> bool:
 
 def _unreferenced():
     """(file name, definition) of every definition in src/hallcontract/
-    whose name src/hallcontract/ and bench/ read nowhere outside its own
-    body."""
+    whose name src/hallcontract/ (but for __init__.py) and bench/ read
+    nowhere outside its own body."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
     definitions = [(path.name, node)
@@ -53,7 +54,8 @@ def _unreferenced():
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                         ast.ClassDef))]
-    references = sum(map(_references, trees.values()), Counter())
+    references = sum((_references(tree) for path, tree in trees.items()
+                      if path != PACKAGE / "__init__.py"), Counter())
     return [(name, node) for name, node in definitions
             if references[node.name] == _references(node)[node.name]]
 

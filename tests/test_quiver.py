@@ -1,10 +1,11 @@
 """Graphs, admissible automorphisms, and edge contraction."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from hallcontract.cartan import ContractionPair, contract_cartan, is_isomorphic, realize_graph
+from hallcontract.cartan import ContractionPair, contract_cartan, realize_graph
 from hallcontract.quiver import (
     Automorphism,
     Edge,
@@ -68,22 +69,20 @@ def test_automorphism_must_be_a_permutation():
 
 
 def test_cartan_of_small_graphs():
-    jordan = cartan_of(jordan_quiver())
+    jordan = cartan_of(jordan_quiver(), identity_automorphism(jordan_quiver()))
     assert jordan.form == ((0,),)
     assert jordan.phi1 == (1,)
     assert jordan.phi2 == (1,)
 
-    kron = cartan_of(kronecker_quiver())
-    assert kron.form == ((2, -2), (-2, 2))
-    assert kron.phi1 == (1, 1)
-    assert kron.phi2 == (0, 0)
-    assert is_isomorphic(kron, kronecker_datum()) is not None
+    kron = cartan_of(kronecker_quiver(), identity_automorphism(kronecker_quiver()))
+    assert kron == replace(kronecker_datum(), labels=("p", "m"))
 
 
 def test_cartan_of_realized_graph_matches_the_datum():
     datum = mixed_orbit_datum()
     quiver, autom = realize_graph(datum)
-    assert is_isomorphic(cartan_of(quiver, autom), datum) is not None
+    # each label's orbit is named by its vertex lab@0
+    assert cartan_of(quiver, autom) == replace(datum, labels=("a@0", "b@0", "c@0"))
     orbits = vertex_orbits(quiver, autom)
     assert sorted(len(o) for o in orbits) == [1, 2, 3]
 
@@ -211,22 +210,29 @@ def test_loop_count_matches_contracted_phi2():
 
 
 def test_contraction_commutes_with_cartan_data():
-    for quiver, autom, plus, minus in (
-            (kronecker_quiver(), None, "p", "m"),
-            (path_quiver(), None, "i+", "i-"),
+    """The merged label maps to the plus vertex, every other label to itself."""
+    for quiver, plus, minus, want in (
+            (kronecker_quiver(), "p", "m", {"p+m": "p"}),
+            (path_quiver(), "i+", "i-", {"i++i-": "i+", "k": "k"}),
+            # a label between the pair keeps its place
+            (Quiver(("p", "a", "m"), (Edge("e", "p", "m"), Edge("f", "p", "m"),
+                                      Edge("g", "a", "p"), Edge("h", "a", "m"))),
+             "p", "m", {"p+m": "p", "a": "a"}),
     ):
-        autom = autom or identity_automorphism(quiver)
+        autom = identity_automorphism(quiver)
         pair = make_orbit_pair(quiver, autom, plus, minus)
         agree, mapping, via_graph, via_cartan = cartan_contraction_commutes(
             quiver, autom, pair)
         assert agree
-        assert via_graph.form is not None and via_cartan.form is not None
+        assert mapping == want
+        assert via_graph.labels == tuple(want.values())
+        assert via_cartan.labels == tuple(want)
 
     quiver, autom = realize_graph(double_orbit_datum())
     pair = make_orbit_pair(quiver, autom, "i+@0", "i-@0")
     agree, mapping, _, _ = cartan_contraction_commutes(quiver, autom, pair)
     assert agree
-    assert mapping is not None
+    assert mapping == {"i+@0+i-@0": "i+@0"}
 
 
 def test_dict_roundtrip_keeps_the_automorphism():

@@ -695,13 +695,15 @@ def test_entry_less_edges_build_no_identity(monkeypatch):
         assert table.count == 2
 
 
-def test_enumeration_bounds():
-    with pytest.raises(EnumerationBoundError):
-        list(enumerate_points(jordan_space(2), max_points=8))
+def test_enumeration_bounds(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(repspace, "DEFAULT_MAX_POINTS", 8)
+        with pytest.raises(EnumerationBoundError):
+            list(enumerate_points(jordan_space(2)))
+        with pytest.raises(EnumerationBoundError):
+            enumerate_group(kron_space((2, 2), q=3))
     with pytest.raises(EnumerationBoundError):
         orbits(jordan_space(3), max_points=100)
-    with pytest.raises(EnumerationBoundError):
-        enumerate_group(kron_space((2, 2), q=3), max_count=10)
     # every count refused below has more than 4,300 decimal digits, which
     # str() refuses to write
     big_kron = kron_space((150, 150))
@@ -976,16 +978,26 @@ def test_extensions_recover_sub_and_quotient():
     assert (block2x2(f, xt[0], zero, zero, xw[0]),) in ys
 
 
-def test_extension_counts():
+def test_extension_counts(monkeypatch):
     jo = RepSpace(jordan_quiver(), Field(2), {"1": 1})
     assert extension_count(jo, jo) == 2
     k = kron_space((1, 1))
     assert extension_count(k, k) == 4
     assert len(list(extensions_over(k, k, k.point_from_rank(0), k.point_from_rank(0)))) == 4
+    monkeypatch.setattr(repspace, "DEFAULT_MAX_POINTS", 10)
     with pytest.raises(EnumerationBoundError):
         list(extensions_over(kron_space((3, 3)), kron_space((3, 3)),
                              kron_space((3, 3)).point_from_rank(0),
-                             kron_space((3, 3)).point_from_rank(0), max_count=10))
+                             kron_space((3, 3)).point_from_rank(0)))
+
+
+def test_extension_refuses_two_fields_also_with_big_given():
+    """big is not read, so it does not stand in for the check."""
+    two, three = jordan_space(1), jordan_space(1, q=3)
+    for big in (None, jordan_space(2), jordan_space(2, q=3)):
+        with pytest.raises(ValueError, match="one field"):
+            next(extensions_over(two, three, two.point_from_rank(0),
+                                 three.point_from_rank(2), big))
 
 
 def test_extension_is_heart_iff_both_factors_are():
