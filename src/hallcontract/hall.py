@@ -33,10 +33,12 @@ from .scalars import SqrtQScalar
 
 class HallContext:
     """Shared machinery for one (quiver, q): interned representation spaces,
-    orbit tables, and memoized structure constants. A public method takes a
-    grade as a dict over the vertices or a sequence in vertex order and
-    checks it with grade_key; the Hall layer below passes grade keys to the
-    underscored ones."""
+    orbit tables, and memoized structure constants: the flag and extension
+    tables and, built from them on first use, each basis vector's product
+    row with every basis vector (_product_row) and its coproduct row
+    (_coproduct_row). A public method takes a grade as a dict over the
+    vertices or a sequence in vertex order and checks it with grade_key; the
+    Hall layer below passes grade keys to the underscored ones."""
 
     def __init__(self, quiver: Quiver, q: int, cache: OrbitCache | None = None,
                  max_points: int = DEFAULT_MAX_POINTS):
@@ -48,8 +50,9 @@ class HallContext:
         self._spaces: dict = {}
         self._tables: dict = {}
         self._flag_tables: dict = {}
-        self._product_grades: dict = {}
+        self._product_rows: dict = {}
         self._ext_tables: dict = {}
+        self._coproduct_rows: dict = {}
         self._oracle_flags: dict = {}
         self._group_profiles: dict = {}
 
@@ -109,9 +112,20 @@ def _accum(terms: dict, key, value) -> None:
         terms[key] = value
 
 
-def _accum_all(terms: dict, element) -> None:
-    for key, value in element.terms.items():
-        _accum(terms, key, value)
+def _times(c1: SqrtQScalar, c2: SqrtQScalar) -> SqrtQScalar:
+    """c1 c2, with no multiplication when either is 1."""
+    return c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+
+
+def _accum_row(terms: dict, row, c) -> None:
+    """terms += c times the (key, value) pairs of row, such as a memoized
+    row or an element's terms.items()."""
+    if c == 1:
+        for key, value in row:
+            _accum(terms, key, value)
+    else:
+        for key, value in row:
+            _accum(terms, key, value * c)
 
 
 def _prune(terms: dict) -> dict:
@@ -138,7 +152,7 @@ class _Terms:
     def __add__(self, other):
         _same_ctx(self, other)
         terms = dict(self.terms)
-        _accum_all(terms, other)
+        _accum_row(terms, other.terms.items(), 1)
         return type(self)(self.ctx, terms)
 
     def __sub__(self, other):
@@ -178,13 +192,6 @@ class HallElement(_Terms):
     def _name(key: tuple) -> str:
         """The display name P[dims key,o{ordinal}] of the same vector."""
         return f"P[{key[0]},o{key[1]}]"
-
-    def homogeneous(self) -> dict:
-        """Grade -> sub-element, grouping the terms by dims key."""
-        parts: dict = {}
-        for (key, o), c in self.terms.items():
-            parts.setdefault(key, {})[(key, o)] = c
-        return {key: HallElement(self.ctx, t) for key, t in parts.items()}
 
     def value_at(self, dims, x) -> SqrtQScalar:
         """Evaluate at a point: the coefficient of the orbit containing x."""
@@ -258,31 +265,38 @@ def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
 
 
 def _product_grade(ctx: HallContext, tkey: tuple, wkey: tuple) -> tuple:
-    """(tkey + wkey, q^{-m/2}) for a homogeneous pair, memoized on the
-    context: both depend on the grades only."""
-    memo_key = (tkey, wkey)
-    if memo_key not in ctx._product_grades:
-        m = m_omega(ctx.quiver, tkey, wkey)
-        ctx._product_grades[memo_key] = (tuple(a + b for a, b in zip(tkey, wkey)),
-                                         SqrtQScalar.half_power(ctx.q, -m))
-    return ctx._product_grades[memo_key]
+    """(tkey + wkey, q^{-m/2}) for a homogeneous pair."""
+    return (tuple(a + b for a, b in zip(tkey, wkey)),
+            SqrtQScalar.half_power(ctx.q, -m_omega(ctx.quiver, tkey, wkey)))
+
+
+def _product_row(ctx: HallContext, left: tuple, right: tuple,
+                 twisted: bool) -> tuple:
+    """The product of the basis vectors at left and right (each a (dims
+    key, ordinal) pair) as a tuple of ((dims key, big orbit), value): the
+    flag counts of their flag-table bucket, times q^{-m/2} when twisted.
+    Memoized on the context, built after _flag_table's bounds."""
+    memo_key = (twisted, left, right)
+    row = ctx._product_rows.get(memo_key)
+    if row is None:
+        (tk, t), (wk, w) = left, right
+        bucket = _flag_table(ctx, tk, wk).get((t, w), {})
+        nk, twist = _product_grade(ctx, tk, wk)
+        if not twisted:
+            twist = SqrtQScalar.one(ctx.q)
+        row = ctx._product_rows[memo_key] = tuple(
+            ((nk, big), twist * count) for big, count in bucket.items())
+    return row
 
 
 def _convolve(f1: HallElement, f2: HallElement, twisted: bool) -> HallElement:
-    """Sum over flag-table buckets of c1 c2 times the flag count, each
-    homogeneous pair scaled by q^{-m/2} when twisted."""
+    """Sum over basis pairs of c1 c2 times their product row."""
     _same_ctx(f1, f2)
     ctx = f1.ctx
     terms: dict = {}
-    for (tk, t), c1 in f1.terms.items():
-        for (wk, w), c2 in f2.terms.items():
-            bucket = _flag_table(ctx, tk, wk).get((t, w))
-            if not bucket:
-                continue
-            nk, twist = _product_grade(ctx, tk, wk)
-            c = c1 * c2 * twist if twisted else c1 * c2
-            for big, count in bucket.items():
-                _accum(terms, (nk, big), c * count)
+    for k1, c1 in f1.terms.items():
+        for k2, c2 in f2.terms.items():
+            _accum_row(terms, _product_row(ctx, k1, k2, twisted), _times(c1, c2))
     return HallElement(ctx, terms)
 
 
@@ -474,13 +488,26 @@ def _res(f: HallElement, tk: tuple, wk: tuple) -> TensorElement:
     return TensorElement(ctx, terms)
 
 
-def coproduct(f: HallElement) -> TensorElement:
-    """Sum of res over every splitting of every grade of f."""
-    terms: dict = {}
-    for nk, part in f.homogeneous().items():
+def _coproduct_row(ctx: HallContext, key: tuple) -> tuple:
+    """The coproduct of the basis vector at key = (dims key, ordinal) as a
+    tuple of ((left key, right key), value): its res over every split of
+    its grade in turn. Memoized on the context."""
+    row = ctx._coproduct_rows.get(key)
+    if row is None:
+        nk, f = key[0], _char_function(ctx, *key)
+        items: list = []
         for tk in itertools.product(*(range(n + 1) for n in nk)):
-            wk = tuple(n - t for n, t in zip(nk, tk))
-            _accum_all(terms, _res(part, tk, wk))
+            items += _res(f, tk, tuple(n - t for n, t in zip(nk, tk))).terms.items()
+        row = ctx._coproduct_rows[key] = tuple(items)
+    return row
+
+
+def coproduct(f: HallElement) -> TensorElement:
+    """Sum of res over every splitting of every grade of f: the sum over
+    its basis vectors of the coefficient times their coproduct row."""
+    terms: dict = {}
+    for key, c in f.terms.items():
+        _accum_row(terms, _coproduct_row(f.ctx, key), c)
     return TensorElement(f.ctx, terms)
 
 
@@ -491,20 +518,16 @@ def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
     _same_ctx(t1, t2)
     ctx = t1.ctx
     terms: dict = {}
-    products: dict = {}
-
-    def _char_circ(k1, o1, k2, o2):
-        key = (k1, o1, k2, o2)
-        if key not in products:
-            products[key] = circ(_char_function(ctx, k1, o1),
-                                 _char_function(ctx, k2, o2))
-        return products[key]
-
-    for ((ak, ao), (bk, bo)), c1 in t1.terms.items():
-        for ((ck, co), (dk, do)), c2 in t2.terms.items():
-            twist = SqrtQScalar.half_power(ctx.q, ctx._pairing(bk, ck))
-            left = _char_circ(ak, ao, ck, co).scale(c1 * c2 * twist)
-            _accum_all(terms, tensor(left, _char_circ(bk, bo, dk, do)))
+    for (a, b), c1 in t1.terms.items():
+        for (c, d), c2 in t2.terms.items():
+            left = _product_row(ctx, a, c, True)
+            right = _product_row(ctx, b, d, True)
+            twist = SqrtQScalar.half_power(ctx.q, ctx._pairing(b[0], c[0]))
+            scale = _times(_times(c1, c2), twist)
+            for lkey, lvalue in left:
+                lvalue = _times(lvalue, scale)
+                for rkey, rvalue in right:
+                    _accum(terms, (lkey, rkey), lvalue * rvalue)
     return TensorElement(ctx, terms)
 
 
@@ -887,7 +910,8 @@ def comult_compat(hc: HeartContext, max_dim: int = 1) -> dict:
         transported: dict = {}
         for (a, b), c in coproduct(f).terms.items():
             fa = psi(hc, _char_function(hat, *a)).scale(c)
-            _accum_all(transported, tensor(fa, psi(hc, _char_function(hat, *b))))
+            pair = tensor(fa, psi(hc, _char_function(hat, *b)))
+            _accum_row(transported, pair.terms.items(), 1)
         transported = _prune(transported)
         exponents = set()
         mismatches = []

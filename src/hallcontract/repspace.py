@@ -19,8 +19,9 @@ Only a mixed generator at odd p is read through reducer lookups that bring
 its digits back mod p. Each part of the flag kernel
 stable_flag_codes is such a map too: for a fixed graded subspace the
 stability residue, the quotient point and the sub point are linear in the
-point, so the kernel sums the columns of a code's nonzero digits to get
-the codes of its quotient and sub points; it reads only orbit
+point, so the kernel evaluates a code on the columns of its nonzero digits
+(at p = 2 the XOR of packed columns, at odd p a sum over digit lists) to
+get the codes of its quotient and sub points; it reads only orbit
 representatives, so it builds no tables. act() and the Mat flag
 geometry (stable_subspaces, quotient_point, sub_point) are not on these
 paths; they stay as the route of the tests and of the Hall layer's oracle.
@@ -663,9 +664,13 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     L, R the inclusion of U_s's free rows) and the sub point (L the pivot
     reader of U_t, R the basis of U_s). The maps of every candidate are
     kept as sparse basis columns (_columns), their output digits end to end,
-    and a code is evaluated on them directly, summing the columns of its
+    and a code is evaluated on them directly, from the columns of its
     nonzero digits: only the few orbit representatives are looked up, and
-    their codes, being rank-least, have few nonzero digits."""
+    their codes, being rank-least, have few nonzero digits. At p = 2 each
+    column is packed in one int, a code's image is the XOR of its set bits'
+    columns, and its residue, quotient and sub codes are each read with one
+    shift and mask, as _close_orbits reads the generator tables; at odd p
+    the columns stay digit lists and the image is summed digit by digit."""
     vertices = space.quiver.vertices
     ends = [(vertices[ti], vertices[si]) for ti, si in space.edge_vertex_indices]
     incident = set().union(*ends)
@@ -683,6 +688,21 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     # where its sub digits end
     offsets = list(itertools.accumulate(widths, initial=0))
     spans = list(zip(offsets[0::3], offsets[1::3], offsets[2::3], offsets[3::3]))
+    if p == 2:
+        packed = [sum(1 << pos for pos, _ in col) for col in columns]
+        reads = [(a, (1 << (b - a)) - 1, b, (1 << (c - b)) - 1, c, (1 << (stop - c)) - 1)
+                 for a, b, c, stop in spans]
+
+        def packed_flags(code):
+            image = 0
+            while code:
+                low = code & -code
+                image ^= packed[low.bit_length() - 1]
+                code ^= low
+            return [(image >> b & qmask, image >> c & smask)
+                    for a, rmask, b, qmask, c, smask in reads
+                    if not image >> a & rmask]
+        return packed_flags
     # no map has more output digits than the space has input digits
     places = [p ** i for i in range(space.field.e * space.point_entries)]
 

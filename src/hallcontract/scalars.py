@@ -5,8 +5,10 @@ is stored as plain integers (A, B, D) with a = A/D, b = B/D, D > 0 and
 gcd(A, B, D) = 1, so each value has exactly one representation and equality
 is field equality. When q is a perfect square the representation is
 normalized to b = 0 so equality stays honest. `Fraction` appears only at the
-edges: constructor input, the first computation of each `half_power`, JSON,
-`repr`, the `.a`/`.b` properties and the hash of a non-integer rational.
+edges: constructor input, the first computation of each `half_power`, reading
+JSON, `repr`, the `.a`/`.b` properties and the hash of a non-integer
+rational. JSON is written from the stored integers, A/D and B/D each over
+one gcd, in the text `str(Fraction)` gives.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class SqrtQScalar:
         return hash((self.q, self._a, self._b, self._d))
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b)}
+        return {"a": _ratio_text(self._a, self._d), "b": _ratio_text(self._b, self._d)}
 
     @classmethod
     def from_json(cls, q: int, payload: dict) -> "SqrtQScalar":
@@ -192,3 +194,10 @@ def _make(q: int, a: int, b: int, d: int, into=None) -> SqrtQScalar:
     _set_b(s, b)
     _set_d(s, d)
     return s
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, over one gcd: "n" or "n/d" in lowest
+    terms."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"

@@ -97,15 +97,18 @@ def random_contractible_datum(rng: random.Random):
     (p0, m0): equal orbit sizes, no loops on the pair, nonzero joining form.
     Off-diagonal entries are multiples of the lcm of the orbit sizes, which
     both satisfies the divisibility condition and keeps the datum realizable
-    as a graph."""
+    as a graph. The label order is drawn too, so p0 and m0 land in either
+    order, anywhere, with other labels between them or not."""
     extra = rng.randint(0, 3)
     labels = ["p0", "m0"] + [f"x{k}" for k in range(extra)]
+    rng.shuffle(labels)
     size = rng.randint(1, 3)
     phi1 = {"p0": size, "m0": size}
     phi2 = {"p0": 0, "m0": 0}
-    for lab in labels[2:]:
-        phi1[lab] = rng.randint(1, 3)
-        phi2[lab] = rng.randint(0, 2)
+    for lab in labels:
+        if lab not in phi1:
+            phi1[lab] = rng.randint(1, 3)
+            phi2[lab] = rng.randint(0, 2)
     n = len(labels)
     form = [[0] * n for _ in range(n)]
     for i, lab in enumerate(labels):
@@ -115,8 +118,8 @@ def random_contractible_datum(rng: random.Random):
             step = _lcm(phi1[labels[i]], phi1[labels[j]])
             value = -step * rng.randint(0, 2)
             form[i][j] = form[j][i] = value
-    step = _lcm(phi1["p0"], phi1["m0"])
-    form[0][1] = form[1][0] = -step * rng.randint(1, 3)
+    i, j = labels.index("p0"), labels.index("m0")
+    form[i][j] = form[j][i] = -size * rng.randint(1, 3)
     datum = CartanDatum.make(labels, form, phi1, phi2)
     return datum, ContractionPair("p0", "m0")
 

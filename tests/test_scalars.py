@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hallcontract.scalars import SqrtQScalar
 
@@ -201,3 +201,25 @@ def test_rationals_compare_and_hash_as_themselves(q, c):
     assert s == Fraction(c) and hash(s) == hash(Fraction(c))
     assert SqrtQScalar(q, c) + 1 != c
     assert {s: 1}[c] == 1
+
+
+@given(st.sampled_from([2, 3, 4, 9]), coefficients, coefficients,
+       coefficients, coefficients)
+@example(2, 0, 0, 0, 0)
+@example(3, -6, Fraction(-4, 6), 1, 0)
+@example(4, Fraction(1, 2), Fraction(-3, 4), 0, 1)
+@example(9, -7, Fraction(2, 3), Fraction(1, 3), 0)
+def test_json_text_is_the_fraction_text(q, a1, b1, a2, b2):
+    """to_json, written from the stored integers, gives the text of
+    str(Fraction) for zero, negative, integral and non-integral parts, and
+    at the square q = 4 and 9 a b folded into a. Sums, products and
+    quotients carry a common denominator no constructor input has."""
+    x, y = SqrtQScalar(q, a1, b1), SqrtQScalar(q, a2, b2)
+    values = [x, x + y, x * y, -x]
+    if not y.is_zero():
+        values.append(x / y)
+    for value in values:
+        assert value.to_json() == {"a": str(value.a), "b": str(value.b)}
+        if math.isqrt(q) ** 2 == q:
+            assert value.to_json()["b"] == "0"
+
