@@ -14,7 +14,7 @@ from .hall import (HallContext, HallElement, HeartContext, TensorElement,
                    char_function, circ, comult_compat, coproduct,
                    diagram_star_oracle, j_shriek, j_star, m_omega,
                    m_star_omega, mu_lower_star, mu_star, psi, res, star,
-                   tensor, tensor_mult, unit, verify_bialgebra,
+                   tensor, tensor_mult, verify_bialgebra,
                    verify_embedding, verify_ideal, verify_pbw, verify_ses,
                    zero_element)
 from .quiver import (Automorphism, ContractedQuiver, Edge, OrbitPair, Quiver,

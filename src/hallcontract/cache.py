@@ -3,15 +3,40 @@
 Keys are descriptive strings (graph hash, field, dimension vector); the file
 name is the sha256 of the key, so renaming inputs can never alias. Writes go
 through a temp file and os.replace, so a crashed run leaves no torn entries.
-The directory comes from $HALL_CACHE_DIR, default ./.hallcache.
+The directory comes from $HALL_CACHE_DIR, default ./.hallcache. An entry
+that cannot be read is a miss; a cache that cannot be written raises
+FileError. read_json is the one reader of JSON files from outside the
+program, cached entries and command-line inputs alike.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
+
+
+class FileError(Exception):
+    """A file from outside the program that cannot be read or written: the
+    message names the path and the reason."""
+
+
+def read_json(path: str):
+    """The JSON value in the file at path, read as UTF-8. A file that cannot
+    be opened (missing, a directory, under a path that is not a directory),
+    is not UTF-8, is not JSON or nests too deep to parse raises FileError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except ValueError as exc:
+        reason = f"not UTF-8 JSON: {exc}"
+    except RecursionError:
+        reason = "JSON nested too deep to parse"
+    raise FileError(f"cannot read {path}: {reason}")
 
 
 class OrbitCache:
@@ -26,29 +51,33 @@ class OrbitCache:
 
     def load(self, key: str):
         try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+            payload = read_json(self._path(key))
+        except FileError:
             return None
         if not isinstance(payload, dict) or payload.get("key") != key:
             return None
         return payload.get("value")
 
     def store(self, key: str, value) -> None:
-        os.makedirs(self.directory, exist_ok=True)
+        """Write the entry; an OSError (the directory is a file, a directory
+        sits at the entry's path, ...) raises FileError."""
         blob = json.dumps({"key": key, "value": value}, sort_keys=True,
                           separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(self.directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(blob)
             os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+            tmp = None
+        except OSError as exc:
+            raise FileError(f"cannot write the cache {self.directory}: "
+                            f"{exc.strerror or exc}") from None
+        finally:
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
 
     def entries(self) -> list[dict]:
         """Key and size of every cached entry, sorted by key."""
@@ -60,22 +89,26 @@ class OrbitCache:
                 continue
             path = os.path.join(self.directory, name)
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                out.append({"key": payload.get("key", "?"),
-                            "bytes": os.path.getsize(path)})
-            except (json.JSONDecodeError, OSError, AttributeError):
+                payload = read_json(path)
+            except FileError:
+                payload = None
+            key = payload.get("key", "?") if isinstance(payload, dict) else None
+            if isinstance(key, str):
+                out.append({"key": key, "bytes": os.path.getsize(path)})
+            else:
                 out.append({"key": f"(unreadable: {name})", "bytes": 0})
         out.sort(key=lambda item: item["key"])
         return out
 
     def purge(self) -> int:
-        """Remove every cache file; returns how many were deleted."""
+        """Remove every cache file (regular files named like an entry or a
+        temp file); returns how many were deleted."""
         if not os.path.isdir(self.directory):
             return 0
         removed = 0
         for name in os.listdir(self.directory):
-            if name.endswith(".json") or name.endswith(".tmp"):
-                os.unlink(os.path.join(self.directory, name))
+            path = os.path.join(self.directory, name)
+            if name.endswith((".json", ".tmp")) and os.path.isfile(path):
+                os.unlink(path)
                 removed += 1
         return removed

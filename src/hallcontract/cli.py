@@ -23,19 +23,21 @@ import click
 from . import cartan as ct
 from . import hall
 from . import quiver as qv
-from .cache import OrbitCache
+from .cache import FileError, OrbitCache, read_json
 from .ffalg import DEFAULT_MAX_POINTS, EnumerationBoundError, UnsupportedFieldError
 from .repspace import grade_key
 
 
 class InputError(Exception):
-    """Unreadable file, malformed JSON, or a value outside the contract."""
+    """A value outside the contract: a flag, or JSON that is not what the
+    command reads."""
 
 
 def _command(fn):
     """Run fn(**params) -> (payload, exit code) under the command-line
     contract: add --format/--out, emit the payload, map an exceeded bound to
-    exit 3 and invalid input to exit 4, and write the wall time to stderr."""
+    exit 3 and invalid input (or a file that cannot be read or written) to
+    exit 4, and write the wall time to stderr."""
     @click.option("--out", type=click.Path(), default=None,
                   help="Write the report here instead of stdout.")
     @click.option("--format", "fmt", type=click.Choice(["json", "table"]),
@@ -48,7 +50,7 @@ def _command(fn):
         except EnumerationBoundError as exc:
             click.echo(f"error: {exc}", err=True)
             code = 3
-        except (InputError, UnsupportedFieldError) as exc:
+        except (InputError, FileError, UnsupportedFieldError) as exc:
             click.echo(f"error: {exc}", err=True)
             code = 4
         else:
@@ -91,20 +93,10 @@ def _as_table(payload) -> str:
     return "\n".join(lines)
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _parse(path, build, what: str):
     """build() applied to the file's JSON; a KeyError, TypeError or
     ValueError from it means the file is not `what`."""
-    payload = _load_json(path)
+    payload = read_json(path)
     try:
         return build(payload)
     except (KeyError, TypeError, ValueError) as exc:

@@ -53,21 +53,8 @@ _MODULI = {
     (11, 1): (0, 1),
     (13, 1): (0, 1),
 }
-
-
-def _prime_power(q):
-    if q < 2:
-        raise UnsupportedFieldError(f"field size must be at least 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e, m = 0, q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise UnsupportedFieldError(f"{q} is not a prime power")
-            return p, e
-    raise UnsupportedFieldError(f"{q} is not a prime power")
+#: (p, e) of each field size q = p^e with a modulus on file
+_SIZES = {p ** e: (p, e) for p, e in _MODULI}
 
 
 class Field:
@@ -84,29 +71,18 @@ class Field:
         return inst
 
     def _build(self, q: int) -> None:
-        p, e = _prime_power(q)
-        if (p, e) not in _MODULI:
-            raise UnsupportedFieldError(f"no modulus on file for q={q} (p={p}, e={e})")
-        self.q = q
-        self.p = p
-        self.e = e
+        if q not in _SIZES:
+            raise UnsupportedFieldError(f"no modulus on file for q={q}")
+        p, e = _SIZES[q]
+        self.q, self.p, self.e = q, p, e
         self.modulus = _MODULI[(p, e)]
         self._add = [[self._encode(self._poly_add(self._decode(a), self._decode(b)))
                       for b in range(q)] for a in range(q)]
         self._mul = [[self._encode(self._poly_mul(self._decode(a), self._decode(b)))
                       for b in range(q)] for a in range(q)]
         self._neg = [self._encode(tuple((-d) % p for d in self._decode(a))) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                # only possible if the modulus were reducible
-                raise UnsupportedFieldError(f"zero divisor in F_{q}: modulus not irreducible")
-        self._inv = inv
+        # every nonzero row holds a 1, as the moduli on file are irreducible
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     def _decode(self, a: int) -> tuple[int, ...]:
         digits = []
@@ -140,22 +116,8 @@ class Field:
                     prod[i - e + j] = (prod[i - e + j] - c * self.modulus[j]) % p
         return tuple(prod[:e])
 
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
     def sub(self, a: int, b: int) -> int:
         return self._add[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
 
     def units(self) -> range:
         return range(1, self.q)

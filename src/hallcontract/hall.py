@@ -60,10 +60,6 @@ class HallContext:
     def q(self) -> int:
         return self.field.q
 
-    @property
-    def zero_key(self) -> tuple:
-        return (0,) * len(self.quiver.vertices)
-
     def space(self, dims) -> RepSpace:
         return self._space(grade_key(self.quiver, dims))
 
@@ -238,10 +234,6 @@ def _char_function(ctx: HallContext, key: tuple, ordinal: int) -> HallElement:
     """char_function at a grade key and an orbit ordinal the caller holds
     checked."""
     return HallElement(ctx, {(key, ordinal): SqrtQScalar.one(ctx.q)})
-
-
-def unit(ctx: HallContext) -> HallElement:
-    return char_function(ctx, ctx.zero_key, 0)
 
 
 def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
@@ -712,7 +704,10 @@ def _site_config(hc: HeartContext, max_dim: int, **extra) -> dict:
 
 
 def _key_pairs_upto(nvertices: int, max_dim: int):
-    """All (tau, omega) key pairs with componentwise tau + omega <= max_dim."""
+    """All (tau, omega) key pairs with componentwise tau + omega <= max_dim,
+    at most DEFAULT_MAX_POINTS of them."""
+    check_count(((max_dim + 1) * (max_dim + 2) // 2) ** nvertices,
+                "grade key pairs", DEFAULT_MAX_POINTS)
     rng = range(max_dim + 1)
     for tk in itertools.product(rng, repeat=nvertices):
         for wk in itertools.product(*(range(max_dim - t + 1) for t in tk)):
@@ -720,6 +715,9 @@ def _key_pairs_upto(nvertices: int, max_dim: int):
 
 
 def _keys_upto(nvertices: int, max_dim: int):
+    """All keys with every entry <= max_dim, at most DEFAULT_MAX_POINTS of
+    them."""
+    check_count((max_dim + 1) ** nvertices, "grade keys", DEFAULT_MAX_POINTS)
     return list(itertools.product(range(max_dim + 1), repeat=nvertices))
 
 
@@ -867,6 +865,7 @@ def verify_bialgebra(ctx: HallContext, max_dim: int = 2) -> dict:
     coassociative, over all basis pairs in range."""
     checks = []
     keys = _keys_upto(len(ctx.quiver.vertices), max_dim)
+    check_count(len(keys) ** 2, "grade key pairs", DEFAULT_MAX_POINTS)
     for (_, f, fname), (_, g, gname) in _basis_pairs(
             ctx, itertools.product(keys, keys)):
         lhs = coproduct(circ(f, g))

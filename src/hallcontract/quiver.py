@@ -231,14 +231,6 @@ class OrbitPair:
     edge: str
     swapped: bool = False
 
-    @property
-    def plus(self) -> str:
-        return self.plus_orbit[0]
-
-    @property
-    def minus(self) -> str:
-        return self.minus_orbit[0]
-
 
 def make_orbit_pair(quiver: Quiver, autom: Automorphism, plus: str, minus: str,
                     edge: str | None = None) -> OrbitPair:

@@ -17,6 +17,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .ffalg import EnumerationBoundError
+
 
 class SqrtQScalar:
     """An element a + b*sqrt(q) of Q(sqrt(q)), exact and immutable."""
@@ -142,18 +144,31 @@ class SqrtQScalar:
         return hash((self.q, self._a, self._b, self._d))
 
     def to_json(self) -> dict:
-        return {"a": _ratio_text(self._a, self._d), "b": _ratio_text(self._b, self._d)}
+        """{"a", "b"} as rational text. An integer too long for str (more
+        than 4,300 digits) raises EnumerationBoundError."""
+        try:
+            return {"a": _ratio_text(self._a, self._d),
+                    "b": _ratio_text(self._b, self._d)}
+        except ValueError:
+            bits = max(abs(self._a), abs(self._b), self._d).bit_length()
+            raise EnumerationBoundError(
+                f"a coefficient of {bits} bits is too long to write") from None
 
     @classmethod
     def from_json(cls, q: int, payload: dict) -> "SqrtQScalar":
         """Read {"a", "b"} as exact rationals: strings such as "3/2" or
-        integers. A float (inexact) or a zero denominator is a ValueError."""
+        "1.5", or integers. A float (inexact), exponent notation (which
+        Fraction would expand to 10**exponent) or a zero denominator is a
+        ValueError."""
         parts = []
         for name in ("a", "b"):
             value = payload[name]
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ValueError(f"coefficient {name!r} must be a rational "
                                  f"string, got {value!r}")
+            if isinstance(value, str) and "e" in value.lower():
+                raise ValueError(f"coefficient {name!r} must not use "
+                                 f"exponent notation, got {value!r}")
             try:
                 parts.append(Fraction(value))
             except ZeroDivisionError:

@@ -95,7 +95,8 @@ def test_c02_graph_and_cartan_contraction_commute():
         agree, mapping, via_graph, _ = qv.cartan_contraction_commutes(quiver, autom, pair)
         assert agree
         # the merged label names the plus vertex, every other label itself
-        assert mapping == {(f"{pair.plus}+{pair.minus}" if x == pair.plus else x): x
+        plus, minus = pair.plus_orbit[0], pair.minus_orbit[0]
+        assert mapping == {(f"{plus}+{minus}" if x == plus else x): x
                            for x in via_graph.labels}
     _done("c02 contraction commutes with taking Cartan data", 5.0, t0)
 

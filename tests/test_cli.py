@@ -9,7 +9,11 @@ lines go to stderr, so stdout can be compared byte for byte across runs.
 import ast
 import importlib.util
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +59,24 @@ def payload_of(result):
     return json.loads(result.stdout)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_hallc(argv, seconds):
+    """hallc argv in a child process held to 1.5 GB of address space and
+    killed after `seconds`: (exit code, stderr, the wall time it reported)."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hallcontract.cli", *argv],
+                          capture_output=True, text=True, timeout=seconds,
+                          preexec_fn=limit_memory,
+                          env=dict(os.environ, PYTHONPATH=path))
+    wall = re.search(r"^wall time: ([0-9.]+)s$", proc.stderr, re.MULTILINE)
+    return proc.returncode, proc.stderr, float(wall.group(1)) if wall else None
+
+
 def a1_context(q=2):
     quiver, _ = qv.Quiver.from_dict(A1)
     return HallContext(quiver, q, cache=OrbitCache())
@@ -96,6 +118,17 @@ def test_unreadable_input_exits_4(tmp_path):
     stub = write_json(tmp_path, "stub.json", {"labels": ["a"]})
     r = runner.invoke(main, ["cartan", "validate", stub])
     assert r.exit_code == 4
+
+    # not UTF-8, nested deeper than the parser goes, a directory, a path
+    # under a file
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"labels": ["\u00e9"]}'.encode("latin-1"))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (latin1, nested, tmp_path, latin1 / "datum.json"):
+        r = runner.invoke(main, ["cartan", "validate", str(path)])
+        assert r.exit_code == 4, (path, r.exception)
+        assert r.stdout == "" and f"error: cannot read {path}" in r.stderr
 
 
 def test_unknown_command_exits_2(tmp_path):
@@ -423,7 +456,7 @@ def test_hall_orbits_failure_modes(tmp_path):
     kron = write_json(tmp_path, "kron.json", KRON)
     for spec in ("p=1,m=1,p=2", "p=1,m=1,m=0", "m=0, m=0,p=1"):
         assert_refused(["hall", "orbits", kron, "--dim", spec, "--q", "2"])
-    for q in ("6", "1", "0"):
+    for q in ("6", "1", "0", "-2", str(10**400)):
         r = runner.invoke(main, ["hall", "orbits", jordan,
                                  "--dim", "1", "--q", q])
         assert r.exit_code == 4, (q, r.exception)
@@ -458,6 +491,16 @@ def test_malformed_quiver_json_exits_4(tmp_path):
         assert r.stdout == "" and "error:" in r.stderr
 
 
+def test_a_field_size_without_a_modulus_exits_4_at_once(tmp_path):
+    """Field sizes are looked up, not factored: a prime q of ten digits
+    is refused as fast as q = 6."""
+    kron = write_json(tmp_path, "kron.json", KRON)
+    code, stderr, wall = run_hallc(["hall", "orbits", kron, "--dim", "1,1",
+                                    "--q", "1000000007"], seconds=20)
+    assert code == 4 and "error: no modulus on file" in stderr
+    assert wall < 1.0
+
+
 def test_hall_orbits_recomputes_a_forged_cache_entry(tmp_path):
     env = {"HALL_CACHE_DIR": str(tmp_path / "cache")}
     quiver, _ = qv.Quiver.from_dict(KRON)
@@ -474,6 +517,63 @@ def test_hall_orbits_recomputes_a_forged_cache_entry(tmp_path):
     p = payload_of(r)
     assert p["count"] == 4
     assert [o["size"] for o in p["orbits"]] == [1, 1, 1, 1]
+
+
+def test_unreadable_cache_entries_are_misses(tmp_path):
+    """An entry that is not UTF-8 or nests past the parser is recomputed:
+    stdout as on a cold run, the entry rewritten; cache info lists it."""
+    env = {"HALL_CACHE_DIR": str(tmp_path / "cache")}
+    argv = ["hall", "orbits", write_json(tmp_path, "kron.json", KRON),
+            "--dim", "1,1", "--q", "3"]
+    cold = runner.invoke(main, argv, env=env)
+    assert cold.exit_code == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    good = entry.read_bytes()
+    for bad in (b"\xff" + good, b"[" * 100_000 + b"]" * 100_000):
+        entry.write_bytes(bad)
+        info = payload_of(runner.invoke(main, ["cache", "info"], env=env))
+        assert (info["entries"], info["bytes"]) == (1, 0)
+        r = runner.invoke(main, argv, env=env)
+        assert r.exit_code == 0, r.exception
+        assert r.stdout == cold.stdout
+        assert entry.read_bytes() == good
+
+
+def test_a_cache_that_cannot_be_written_exits_4(tmp_path):
+    """$HALL_CACHE_DIR naming a file, and a directory at an entry's path:
+    exit 4 naming the directory and the reason, and no temp file left."""
+    kron = write_json(tmp_path, "kron.json", KRON)
+    argv = ["hall", "orbits", kron, "--dim", "1,1", "--q", "2"]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = tmp_path / "cache"
+    runner.invoke(main, argv, env={"HALL_CACHE_DIR": str(cache)})
+    (entry,) = cache.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    for directory, reason in ((blocker, "File exists"), (cache, "Is a directory")):
+        r = runner.invoke(main, argv, env={"HALL_CACHE_DIR": str(directory)})
+        assert r.exit_code == 4, (directory, r.exception)
+        assert r.stdout == ""
+        assert f"error: cannot write the cache {directory}: {reason}" in r.stderr
+    assert list(cache.iterdir()) == [entry]
+    info = payload_of(runner.invoke(main, ["cache", "info"],
+                                    env={"HALL_CACHE_DIR": str(cache)}))
+    assert (info["entries"], info["bytes"]) == (1, 0)
+
+
+def test_cache_purge_removes_regular_files_only(tmp_path):
+    cache = tmp_path / "cache"
+    env = {"HALL_CACHE_DIR": str(cache)}
+    runner.invoke(main, ["hall", "orbits", write_json(tmp_path, "kron.json", KRON),
+                         "--dim", "1,1", "--q", "2"], env=env)
+    (cache / "stale.tmp").write_text("")
+    (cache / "dir.json").mkdir()
+    (cache / "dir.tmp").mkdir()
+    r = runner.invoke(main, ["cache", "purge"], env=env)
+    assert r.exit_code == 0, r.exception
+    assert payload_of(r)["removed"] == 2
+    assert sorted(p.name for p in cache.iterdir()) == ["dir.json", "dir.tmp"]
 
 
 def test_hall_mult_cli(tmp_path):
@@ -533,6 +633,29 @@ def test_huge_dims_exit_3_without_counting_points(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_verify_bialgebra_bounds_its_grade_keys_before_listing_them(tmp_path):
+    """(max_dim + 1)^2 keys at --max-dim 100000 are refused from the count,
+    before any list of them is built."""
+    kron = write_json(tmp_path, "kron.json", KRON)
+    code, stderr, wall = run_hallc(["hall", "verify", "bialgebra", kron,
+                                    "--q", "2", "--max-dim", "100000"], seconds=20)
+    assert code == 3 and "grade keys exceed the bound" in stderr
+    assert wall < 1.0
+
+
+def test_an_output_coefficient_too_long_to_write_exits_3(tmp_path):
+    """A 4,000-digit coefficient is read, but its square has more digits
+    than str writes."""
+    quiver_file = write_json(tmp_path, "a1.json", A1)
+    good = char_function(a1_context(), (1,), 0).to_json()
+    (term,) = good["terms"]
+    f = write_json(tmp_path, "big.json", dict(good, terms=[
+        dict(term, coeff={"a": "1" + "0" * 3999, "b": "0"})]))
+    r = runner.invoke(main, ["hall", "mult", quiver_file, f, f, "--q", "2"])
+    assert r.exit_code == 3, r.exception
+    assert r.stdout == "" and "too long to write" in r.stderr
+
+
 def test_malformed_element_json_exits_4(tmp_path):
     quiver_file = write_json(tmp_path, "a1.json", A1)
     good = char_function(a1_context(), (1,), 0).to_json()
@@ -543,6 +666,10 @@ def test_malformed_element_json_exits_4(tmp_path):
         dict(good, terms=[dict(term, coeff={"a": "1/0", "b": "0"})]),
         dict(good, terms=[dict(term, coeff={"a": 0.1, "b": "0"})]),
         dict(good, terms=[dict(term, coeff={"a": True, "b": "0"})]),
+        # exponent notation, which Fraction would expand to 10**exponent
+        dict(good, terms=[dict(term, coeff={"a": "1e5", "b": "0"})]),
+        dict(good, terms=[dict(term, coeff={"a": "0", "b": "2E-3"})]),
+        dict(good, terms=[dict(term, coeff={"a": "-1.5e1", "b": "0"})]),
         # orbit o0 spelled other than canonically
         dict(good, terms=[dict(term, orbit="o00")]),
         dict(good, terms=[dict(term, orbit="o+0")]),
@@ -958,6 +1085,9 @@ SWAPPED_KRON = dict(KRON, automorphism={"vertices": {"p": "m", "m": "p"},
                                         "edges": {"e": "f", "f": "e"}})
 BAD_QUIVERS = [
     "{oops", "[]", "null", '"kron"',
+    # not UTF-8, and nested past the parser
+    '{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"),
+    "[" * 100_000 + "]" * 100_000,
     {"vertices": "ab", "edges": []},
     {"vertices": ["a", "a"], "edges": []},
     {"vertices": ["a"], "edges": [{"id": "e", "source": "a", "target": "z"}]},
@@ -987,6 +1117,7 @@ def _bad_elements(a1_hash: str) -> list:
         element(term(dim={"1": "a"})), element(term(dim={"2": 1})),
         element(term(dim=[1])), element(term(dim={"1": 60})),
         element(term(coeff={"a": "1/0", "b": "0"})),
+        element(term(coeff={"a": "1e5", "b": "0"})),
         element(term(coeff={"a": "x"})), element(term(coeff="1")),
         element(term(), term()),
     ]
@@ -1001,7 +1132,10 @@ def fuzz_files(tmp_path_factory):
 
     def put(name, payload):
         path = root / name
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         return str(path)
 
     paths = {name: put(f"{name}.json", payload) for name, payload in (

@@ -35,7 +35,6 @@ from hallcontract.hall import (
     star,
     tensor,
     tensor_mult,
-    unit,
     verify_bialgebra,
     verify_embedding,
     verify_ideal,
@@ -53,6 +52,11 @@ from conftest import a1_quiver, jordan_quiver, kronecker_quiver
 
 def sq(ctx, a=0, b=0):
     return SqrtQScalar(ctx.q, Fraction(a), Fraction(b))
+
+
+def unit(ctx):
+    """The characteristic function of the zero representation."""
+    return char_function(ctx, (0,) * len(ctx.quiver.vertices), 0)
 
 
 def test_unit_is_neutral(a1_ctx, jordan_ctx):

@@ -2,9 +2,15 @@
 class and method defined in src/hallcontract/ is named outside its own body
 somewhere in src/hallcontract/ or bench/, read from the syntax tree. The
 package's __init__.py does not count: re-exporting a name runs nothing. A
-helper that only tests call belongs in the tests."""
+name that a function binds itself (a parameter, an assignment or loop
+target, an import) is its local, not a reference. Otherwise a function or
+class is named by a plain name, an import or an attribute of an imported
+name (hall.circ), and a method only by an attribute, never of a
+standard-library module (operator.mul names no Field.mul). A helper that
+only tests call belongs in the tests."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -23,18 +29,75 @@ ALLOWED = {
 }
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often the tree reads each name: as a plain name, an attribute or
-    an import."""
-    names = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(scope) -> set:
+    """The names a function binds itself: its parameters, its assignment and
+    loop targets, and its imports (not those of functions nested in it)."""
+    args = scope.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None}
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SCOPES):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _imports(trees) -> tuple[set, set]:
+    """The names the trees' imports bind, and those of them bound to a
+    standard-library module."""
+    bound, stdlib = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    top = alias.name.split(".")[0]
+                    bound.add(alias.asname or top)
+                    if isinstance(node, ast.Import) and top in sys.stdlib_module_names:
+                        stdlib.add(alias.asname or top)
+    return bound, stdlib
+
+
+def _root(node: ast.Attribute):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _references(tree: ast.AST, imported: set, stdlib: set) -> tuple[Counter, Counter]:
+    """How often the tree names each function or class, and each method.
+    A function or class is named by a plain name read that is not a local of
+    the innermost function around it, by an import, or as an attribute of an
+    imported name (hall.circ); a method by an attribute of anything but a
+    standard-library module."""
+    names, methods = Counter(), Counter()
+
+    def visit(node, local):
+        if isinstance(node, _SCOPES):
+            local = _bound(node)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id not in local):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            if _root(node) in imported:
+                names[node.attr] += 1
+            if not (isinstance(node.value, ast.Name) and node.value.id in stdlib):
+                methods[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rsplit(".", 1)[-1]] += 1
-    return names
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, set())
+    return names, methods
 
 
 def _is_click_command(node) -> bool:
@@ -46,18 +109,25 @@ def _is_click_command(node) -> bool:
 def _unreferenced():
     """(file name, definition) of every definition in src/hallcontract/
     whose name src/hallcontract/ (but for __init__.py) and bench/ read
-    nowhere outside its own body."""
+    nowhere outside its own body; a method counts only attribute reads."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
-    definitions = [(path.name, node)
+    definitions = [(path.name, node, isinstance(parent, ast.ClassDef))
                    for path, tree in trees.items() if path.parent == PACKAGE
-                   for node in ast.walk(tree)
+                   for parent in ast.walk(tree)
+                   for node in ast.iter_child_nodes(parent)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                         ast.ClassDef))]
-    references = sum((_references(tree) for path, tree in trees.items()
-                      if path != PACKAGE / "__init__.py"), Counter())
-    return [(name, node) for name, node in definitions
-            if references[node.name] == _references(node)[node.name]]
+    imports = _imports(trees.values())
+    names, methods = Counter(), Counter()
+    for path, tree in trees.items():
+        if path != PACKAGE / "__init__.py":
+            tree_names, tree_methods = _references(tree, *imports)
+            names += tree_names
+            methods += tree_methods
+    return [(name, node) for name, node, is_method in definitions
+            if (methods if is_method else names)[node.name]
+            == _references(node, *imports)[is_method][node.name]]
 
 
 def test_every_production_definition_is_named_by_production():

@@ -92,14 +92,15 @@ def test_make_orbit_pair_resolves_edges_and_roles():
     autom = identity_automorphism(quiver)
 
     pair = make_orbit_pair(quiver, autom, "p", "m")
-    assert (pair.plus, pair.minus, pair.edge, pair.swapped) == ("p", "m", "e", False)
+    assert (pair.plus_orbit, pair.minus_orbit, pair.edge, pair.swapped) == (
+        ("p",), ("m",), "e", False)
 
     pair = make_orbit_pair(quiver, autom, "p", "m", "f")
     assert pair.edge == "f"
 
     # no edge leaves the m side, so the roles flip and the flip is recorded
     pair = make_orbit_pair(quiver, autom, "m", "p")
-    assert (pair.plus, pair.minus, pair.swapped) == ("p", "m", True)
+    assert (pair.plus_orbit, pair.minus_orbit, pair.swapped) == (("p",), ("m",), True)
 
     with pytest.raises(ValueError):
         make_orbit_pair(quiver, autom, "p", "p")
@@ -112,7 +113,8 @@ def test_make_orbit_pair_with_a_named_edge():
     # a named edge given against its direction swaps the roles, not the edge
     quiver = kronecker_quiver()
     pair = make_orbit_pair(quiver, identity_automorphism(quiver), "m", "p", "f")
-    assert (pair.plus, pair.minus, pair.edge, pair.swapped) == ("p", "m", "f", True)
+    assert (pair.plus_orbit, pair.minus_orbit, pair.edge, pair.swapped) == (
+        ("p",), ("m",), "f", True)
 
     looped = Quiver(("p", "m"), quiver.edges + (Edge("l", "p", "p"),))
     with pytest.raises(ValueError, match="edge 'l' does not join the two orbits"):

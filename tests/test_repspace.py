@@ -3,10 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
 
 import pytest
 
-from hallcontract.cache import OrbitCache
+from hallcontract.cache import FileError, OrbitCache
 from hallcontract import repspace
 from hallcontract.ffalg import (EnumerationBoundError, Field, Mat, block2x2,
                                 gl_generators, gl_order)
@@ -535,16 +536,32 @@ def test_malformed_cache_entries_are_misses(tmp_path):
     malformed = ["[1, 2]", '"text"', {"key": key}, {"key": key, "value": [1, 2]},
                  {"key": key, "value": {"index": packed_index(first.index),
                                         "sizes": first.sizes}}]
-    for entry in malformed:
-        with open(cache._path(key), "w", encoding="utf-8") as fh:
-            fh.write(entry if isinstance(entry, str) else json.dumps(entry))
+    # not UTF-8, and nested past the parser
+    undecodable = b"\xff" + json.dumps({"key": key}).encode()
+    nested = b"[" * 100_000 + b"]" * 100_000
+    for entry in malformed + [undecodable, nested]:
+        if not isinstance(entry, bytes):
+            entry = (entry if isinstance(entry, str) else json.dumps(entry)).encode()
+        with open(cache._path(key), "wb") as fh:
+            fh.write(entry)
         table = orbits(space, cache=cache)
         assert (table.index, table.sizes, table.rep_ranks) == (
             first.index, first.sizes, first.rep_ranks)
-    with open(cache._path(key), "w", encoding="utf-8") as fh:
-        fh.write("[1, 2]")
+    # cache info lists each unreadable entry, a directory and a key that is
+    # no string among them
+    for name, entry in (("list", b"[1, 2]"), ("latin1", undecodable),
+                        ("nested", nested), ("number", b'{"key": 5}')):
+        (tmp_path / f"{name}.json").write_bytes(entry)
+    os.remove(cache._path(key))
+    os.mkdir(cache._path(key))
     assert cache.load(key) is None
-    assert cache.entries()[0]["key"].startswith("(unreadable")
+    assert cache.entries() == [
+        {"key": f"(unreadable: {name})", "bytes": 0}
+        for name in sorted(["list.json", "latin1.json", "nested.json",
+                            "number.json", os.path.basename(cache._path(key))])]
+    # a directory at the entry's path is a miss that cannot be rewritten
+    with pytest.raises(FileError, match="Is a directory"):
+        orbits(space, cache=cache)
 
 
 def test_entries_that_do_not_fit_the_space_are_recomputed(tmp_path):

@@ -70,6 +70,14 @@ def test_json_roundtrip():
     assert SqrtQScalar.from_json(3, s.to_json()) == s
     payload = s.to_json()
     assert payload == {"a": "-7/3", "b": "1/6"}
+    # an integer, n/d or a plain decimal; no exponent
+    assert SqrtQScalar.from_json(3, {"a": "7", "b": " 0.25 "}) == SqrtQScalar(
+        3, 7, Fraction(1, 4))
+    assert SqrtQScalar.from_json(3, {"a": -2, "b": "-1.5"}) == SqrtQScalar(
+        3, -2, Fraction(-3, 2))
+    for text in ("1e5", "2E-3", "1e999999999"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            SqrtQScalar.from_json(3, {"a": text, "b": "0"})
 
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
