@@ -36,8 +36,8 @@ class InputError(Exception):
 def _command(fn):
     """Run fn(**params) -> (payload, exit code) under the command-line
     contract: add --format/--out, emit the payload, map an exceeded bound to
-    exit 3 and invalid input (or a file that cannot be read or written) to
-    exit 4, and write the wall time to stderr."""
+    exit 3 and invalid input (or a file that cannot be read or written,
+    --out included) to exit 4, and write the wall time to stderr."""
     @click.option("--out", type=click.Path(), default=None,
                   help="Write the report here instead of stdout.")
     @click.option("--format", "fmt", type=click.Choice(["json", "table"]),
@@ -47,14 +47,13 @@ def _command(fn):
         t0 = time.perf_counter()
         try:
             payload, code = fn(**params)
+            _emit(payload, out, fmt)
         except EnumerationBoundError as exc:
             click.echo(f"error: {exc}", err=True)
             code = 3
         except (InputError, FileError, UnsupportedFieldError) as exc:
             click.echo(f"error: {exc}", err=True)
             code = 4
-        else:
-            _emit(payload, out, fmt)
         click.echo(f"wall time: {time.perf_counter() - t0:.3f}s", err=True)
         sys.exit(code)
     return run
@@ -71,13 +70,18 @@ def _invalid_input(*kinds):
 
 
 def _emit(payload, out, fmt):
+    """Write the payload to the file out, or to stdout; a file that cannot
+    be written raises FileError."""
     if fmt == "table":
         text = _as_table(payload)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise FileError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         click.echo(text)
 

@@ -18,6 +18,7 @@ one basis enumeration (_basis, _basis_pairs) and share one site config.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .cache import OrbitCache
@@ -31,14 +32,31 @@ from .repspace import (RepSpace, act, contract_point, enumerate_group,
 from .scalars import SqrtQScalar
 
 
+def _memo(fn):
+    """Memoize fn(owner, *args) by args in owner._memo, the one store each
+    HallContext and HeartContext creates (fn -> {args -> value}), so a value
+    lives exactly as long as its context and no two contexts share one. A
+    call that raises stores nothing."""
+    @functools.wraps(fn)
+    def memoized(owner, *args):
+        try:
+            return owner._memo[fn][args]
+        except KeyError:
+            pass
+        value = owner._memo.setdefault(fn, {})[args] = fn(owner, *args)
+        return value
+    return memoized
+
+
 class HallContext:
-    """Shared machinery for one (quiver, q): interned representation spaces,
-    orbit tables, and memoized structure constants: the flag and extension
-    tables and, built from them on first use, each basis vector's product
-    row with every basis vector (_product_row) and its coproduct row
-    (_coproduct_row). A public method takes a grade as a dict over the
-    vertices or a sequence in vertex order and checks it with grade_key; the
-    Hall layer below passes grade keys to the underscored ones."""
+    """Shared machinery for one (quiver, q). Its memo store holds, each built
+    on first use: the representation spaces and orbit tables, the flag and
+    extension tables, each basis vector's product row with every basis
+    vector (_product_row) and its coproduct row (_coproduct_row), and the
+    oracle's flag walks and group profiles. A public method takes a grade as
+    a dict over the vertices or a sequence in vertex order and checks it
+    with grade_key; the Hall layer below passes grade keys to the
+    underscored ones."""
 
     def __init__(self, quiver: Quiver, q: int, cache: OrbitCache | None = None,
                  max_points: int = DEFAULT_MAX_POINTS):
@@ -47,14 +65,7 @@ class HallContext:
         self.cache = cache
         self.max_points = max_points
         self.cartan = cartan_of(quiver, identity_automorphism(quiver))
-        self._spaces: dict = {}
-        self._tables: dict = {}
-        self._flag_tables: dict = {}
-        self._product_rows: dict = {}
-        self._ext_tables: dict = {}
-        self._coproduct_rows: dict = {}
-        self._oracle_flags: dict = {}
-        self._group_profiles: dict = {}
+        self._memo: dict = {}
 
     @property
     def q(self) -> int:
@@ -63,20 +74,17 @@ class HallContext:
     def space(self, dims) -> RepSpace:
         return self._space(grade_key(self.quiver, dims))
 
+    @_memo
     def _space(self, key: tuple) -> RepSpace:
-        if key not in self._spaces:
-            self._spaces[key] = RepSpace(self.quiver, self.field, key)
-        return self._spaces[key]
+        return RepSpace(self.quiver, self.field, key)
 
     def table(self, dims):
         return self._table(grade_key(self.quiver, dims))
 
+    @_memo
     def _table(self, key: tuple):
-        if key not in self._tables:
-            self._tables[key] = orbits(self._space(key),
-                                       max_points=self.max_points,
-                                       cache=self.cache)
-        return self._tables[key]
+        return orbits(self._space(key), max_points=self.max_points,
+                      cache=self.cache)
 
     def sym_pairing(self, d1, d2) -> int:
         """The symmetric form of the attached Cartan datum on dim vectors."""
@@ -236,13 +244,11 @@ def _char_function(ctx: HallContext, key: tuple, ordinal: int) -> HallElement:
     return HallElement(ctx, {(key, ordinal): SqrtQScalar.one(ctx.q)})
 
 
+@_memo
 def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of stable graded U in its representative
     with dim U = wkey, quotient in orbit t, restriction in orbit w}, counted
     by the flag kernel on the representatives' codes."""
-    memo_key = (tkey, wkey)
-    if memo_key in ctx._flag_tables:
-        return ctx._flag_tables[memo_key]
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     big_space, big_table = ctx._space(nkey), ctx._table(nkey)
     ttable, wtable = ctx._table(tkey), ctx._table(wkey)
@@ -252,7 +258,6 @@ def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
         for qcode, scode in flags(rank):
             bucket = out.setdefault((ttable.index[qcode], wtable.index[scode]), {})
             bucket[big] = bucket.get(big, 0) + 1
-    ctx._flag_tables[memo_key] = out
     return out
 
 
@@ -262,23 +267,19 @@ def _product_grade(ctx: HallContext, tkey: tuple, wkey: tuple) -> tuple:
             SqrtQScalar.half_power(ctx.q, -m_omega(ctx.quiver, tkey, wkey)))
 
 
+@_memo
 def _product_row(ctx: HallContext, left: tuple, right: tuple,
                  twisted: bool) -> tuple:
     """The product of the basis vectors at left and right (each a (dims
     key, ordinal) pair) as a tuple of ((dims key, big orbit), value): the
     flag counts of their flag-table bucket, times q^{-m/2} when twisted.
-    Memoized on the context, built after _flag_table's bounds."""
-    memo_key = (twisted, left, right)
-    row = ctx._product_rows.get(memo_key)
-    if row is None:
-        (tk, t), (wk, w) = left, right
-        bucket = _flag_table(ctx, tk, wk).get((t, w), {})
-        nk, twist = _product_grade(ctx, tk, wk)
-        if not twisted:
-            twist = SqrtQScalar.one(ctx.q)
-        row = ctx._product_rows[memo_key] = tuple(
-            ((nk, big), twist * count) for big, count in bucket.items())
-    return row
+    Built after _flag_table's bounds."""
+    (tk, t), (wk, w) = left, right
+    bucket = _flag_table(ctx, tk, wk).get((t, w), {})
+    nk, twist = _product_grade(ctx, tk, wk)
+    if not twisted:
+        twist = SqrtQScalar.one(ctx.q)
+    return tuple(((nk, big), twist * count) for big, count in bucket.items())
 
 
 def _convolve(f1: HallElement, f2: HallElement, twisted: bool) -> HallElement:
@@ -366,40 +367,36 @@ def _group_sum(coeffs: dict, profile: dict):
     return total
 
 
+@_memo
 def _oracle_flags(ctx: HallContext, tkey: tuple, wkey: tuple) -> list:
     """big orbit -> [(group profile of the quotient point, of the sub point)
     for each stable graded U in its representative with dim U = wkey]."""
-    memo_key = (tkey, wkey)
-    if memo_key in ctx._oracle_flags:
-        return ctx._oracle_flags[memo_key]
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     big_space, big_table = ctx._space(nkey), ctx._table(nkey)
-    omega = ctx._space(wkey).dims
+    tspace, wspace = ctx._space(tkey), ctx._space(wkey)
     out = []
     for big in range(big_table.count):
         y = big_table.representative(big)
-        out.append([(_group_profile(ctx, tkey, quotient_point(big_space, y, U)),
-                     _group_profile(ctx, wkey, sub_point(big_space, y, U)))
-                    for U in stable_subspaces(big_space, y, omega,
-                                              ctx.max_points)])
-    ctx._oracle_flags[memo_key] = out
+        ranks = [(tspace.point_rank(quotient_point(big_space, y, U)),
+                  wspace.point_rank(sub_point(big_space, y, U)))
+                 for U in stable_subspaces(big_space, y, wspace.dims, ctx.max_points)]
+        out.append([(_group_profile(ctx, tkey, t), _group_profile(ctx, wkey, w))
+                    for t, w in ranks])
     return out
 
 
-def _group_profile(ctx: HallContext, key: tuple, x: tuple) -> dict:
-    """Orbit ordinal -> number of g in G with g.x in that orbit, by applying
-    every group element to x. The caller has bounded the group order by
-    ORACLE_MAX_FLAGS, far below enumerate_group's own bound."""
-    space = ctx._space(key)
-    memo_key = (key, space.point_rank(x))
-    if memo_key in ctx._group_profiles:
-        return ctx._group_profiles[memo_key]
-    table = ctx._table(key)
+@_memo
+def _group_profile(ctx: HallContext, key: tuple, rank: int) -> dict:
+    """Orbit ordinal -> number of g in G with g.x in that orbit, for the
+    point x of that rank, by applying every group element to x. The caller
+    has bounded the group order by ORACLE_MAX_FLAGS, far below
+    enumerate_group's own bound."""
+    space, table = ctx._space(key), ctx._table(key)
+    x = space.point_from_rank(rank)
     profile: dict = {}
     for g in enumerate_group(space):
         o = table.ordinal_of(act(space, g, x))
         profile[o] = profile.get(o, 0) + 1
-    ctx._group_profiles[memo_key] = profile
     return profile
 
 
@@ -425,13 +422,11 @@ def tensor(f1: HallElement, f2: HallElement) -> TensorElement:
     return TensorElement(f1.ctx, terms)
 
 
+@_memo
 def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of block-triangular extensions of the
     representative pair landing in it}, derived from the flag table by
     Riedtmann's formula ext = flag |Aut T| |Aut W| q^{t.w} / |Aut L|."""
-    memo_key = (tkey, wkey)
-    if memo_key in ctx._ext_tables:
-        return ctx._ext_tables[memo_key]
     flag_table = _flag_table(ctx, tkey, wkey)  # its bounds first
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     aut = {}
@@ -450,7 +445,6 @@ def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
                     f"flag count {flags} at {tkey}+{wkey}, pair {(t, w)}, orbit "
                     f"{big} gives a non-integral extension count")
             counter[big] = count
-    ctx._ext_tables[memo_key] = out
     return out
 
 
@@ -480,18 +474,16 @@ def _res(f: HallElement, tk: tuple, wk: tuple) -> TensorElement:
     return TensorElement(ctx, terms)
 
 
+@_memo
 def _coproduct_row(ctx: HallContext, key: tuple) -> tuple:
     """The coproduct of the basis vector at key = (dims key, ordinal) as a
     tuple of ((left key, right key), value): its res over every split of
-    its grade in turn. Memoized on the context."""
-    row = ctx._coproduct_rows.get(key)
-    if row is None:
-        nk, f = key[0], _char_function(ctx, *key)
-        items: list = []
-        for tk in itertools.product(*(range(n + 1) for n in nk)):
-            items += _res(f, tk, tuple(n - t for n, t in zip(nk, tk))).terms.items()
-        row = ctx._coproduct_rows[key] = tuple(items)
-    return row
+    its grade in turn."""
+    nk, f = key[0], _char_function(ctx, *key)
+    items: list = []
+    for tk in itertools.product(*(range(n + 1) for n in nk)):
+        items += _res(f, tk, tuple(n - t for n, t in zip(nk, tk))).terms.items()
+    return tuple(items)
 
 
 def coproduct(f: HallElement) -> TensorElement:
@@ -526,7 +518,8 @@ def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
 class HeartContext:
     """A contraction site on a quiver with identity automorphism: the
     contracted quiver's Hall context, the heart orbits (contraction edge
-    invertible), and the orbit correspondence between the two sides."""
+    invertible), and the orbit correspondence between the two sides, which
+    its own memo store holds per grade key."""
 
     def __init__(self, ctx: HallContext, plus: str, minus: str,
                  edge: str | None = None):
@@ -537,7 +530,6 @@ class HeartContext:
         self.con = contract_quiver(ctx.quiver, autom, pair)
         self.plus_vertex = pair.plus_orbit[0]
         self.minus_vertex = pair.minus_orbit[0]
-        self.orbit_size = len(pair.minus_orbit)
         self.hat = HallContext(self.con.quiver, ctx.q, cache=ctx.cache,
                                max_points=ctx.max_points)
         # the contracted quiver keeps every vertex but the minus one, so keys
@@ -547,7 +539,7 @@ class HeartContext:
         self._drop = tuple(big[v] for v in self.con.quiver.vertices)
         self._lift = tuple(hat[self.plus_vertex if v == self.minus_vertex else v]
                            for v in ctx.quiver.vertices)
-        self._maps: dict = {}
+        self._memo: dict = {}
 
     def is_balanced(self, big_key: tuple) -> bool:
         return self.minus_dim(big_key) == big_key[self._plus]
@@ -567,11 +559,10 @@ class HeartContext:
             raise ValueError("dimension vector is not balanced at the contraction")
         return tuple(big_key[i] for i in self._drop)
 
+    @_memo
     def orbit_maps(self, big_key: tuple) -> tuple[dict, dict]:
         """(heart orbit -> contracted orbit, inverse). Built from the orbit
         representatives; the bijectivity is checked, not assumed."""
-        if big_key in self._maps:
-            return self._maps[big_key]
         hat_key = self.drop_key(big_key)
         space = self.ctx._space(big_key)
         table = self.ctx._table(big_key)
@@ -588,9 +579,7 @@ class HeartContext:
             raise AssertionError(
                 f"heart orbits at {big_key} do not biject onto the contracted "
                 f"orbits: got {values}, expected 0..{hat_table.count - 1}")
-        from_hat = {v: k for k, v in to_hat.items()}
-        self._maps[big_key] = (to_hat, from_hat)
-        return self._maps[big_key]
+        return to_hat, {v: k for k, v in to_hat.items()}
 
     def heart_ordinals(self, big_key: tuple):
         """The heart orbits at big_key, as a set-like view."""
@@ -599,8 +588,8 @@ class HeartContext:
 
 def mu_star(hc: HeartContext, fhat: HallElement, twisted: bool = True) -> HallElement:
     """Pull back along the contraction map: the coefficient moves to the
-    matching heart orbit, scaled by q^{-n^2 s/2} where n is the merged-vertex
-    dimension and s the contracted orbit size (1 at this layer)."""
+    matching heart orbit, scaled by q^{-n^2/2} where n is the merged-vertex
+    dimension."""
     if fhat.ctx is not hc.hat:
         raise ValueError("context mismatch")
     terms: dict = {}
@@ -609,7 +598,7 @@ def mu_star(hc: HeartContext, fhat: HallElement, twisted: bool = True) -> HallEl
         _, from_hat = hc.orbit_maps(bk)
         if twisted:
             n = hc.minus_dim(bk)
-            c = c * SqrtQScalar.half_power(hc.ctx.q, -n * n * hc.orbit_size)
+            c = c * SqrtQScalar.half_power(hc.ctx.q, -n * n)
         _accum(terms, (bk, from_hat[o]), c)
     return HallElement(hc.ctx, terms)
 
@@ -626,7 +615,7 @@ def mu_lower_star(hc: HeartContext, f: HallElement) -> HallElement:
         if o not in to_hat:
             raise ValueError("element is not supported on the heart")
         n = hc.minus_dim(bk)
-        c = c * SqrtQScalar.half_power(hc.ctx.q, n * n * hc.orbit_size)
+        c = c * SqrtQScalar.half_power(hc.ctx.q, n * n)
         _accum(terms, (hc.drop_key(bk), to_hat[o]), c)
     return HallElement(hc.hat, terms)
 
@@ -744,12 +733,11 @@ def verify_embedding(hc: HeartContext, max_dim: int = 2) -> dict:
     ctx, hat = hc.ctx, hc.hat
     nhat = len(hat.quiver.vertices)
     checks = []
-    phi1 = hc.orbit_size
     for tk, wk in _key_pairs_upto(nhat, max_dim):
         t_big, w_big = hc.lift_key(tk), hc.lift_key(wk)
         lhs_m = m_omega(hat.quiver, tk, wk)
         rhs_m = m_omega(ctx.quiver, t_big, w_big)
-        predicted = -2 * hc.minus_dim(t_big) * hc.minus_dim(w_big) * phi1
+        predicted = -2 * hc.minus_dim(t_big) * hc.minus_dim(w_big)
         checks.append(_check(
             f"twist identity at {tk}+{wk}", "contraction-twist-exponent",
             lhs_m - rhs_m == predicted,
@@ -787,7 +775,7 @@ def verify_pbw(hc: HeartContext, max_dim: int = 2) -> dict:
             f"untwisted transport of {name}", "pbw-transport-untwisted",
             plain == expected, transported=plain, expected=expected))
         twisted = psi(hc, f)
-        twist = SqrtQScalar.half_power(ctx.q, -n * n * hc.orbit_size)
+        twist = SqrtQScalar.half_power(ctx.q, -n * n)
         checks.append(_check(
             f"twisted transport of {name}", "pbw-transport-twisted",
             twisted == expected.scale(twist), transported=twisted))

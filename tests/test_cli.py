@@ -562,6 +562,25 @@ def test_a_cache_that_cannot_be_written_exits_4(tmp_path):
     assert (info["entries"], info["bytes"]) == (1, 0)
 
 
+def test_an_out_path_that_cannot_be_written_exits_4(tmp_path):
+    """--out under a missing directory and under a regular file: exit 4 with
+    one error line naming the path and the reason, nothing on stdout, and
+    nothing created."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    env = {"HALL_CACHE_DIR": str(tmp_path / "cache")}
+    for out, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                        (blocker / "x.json", "Not a directory")):
+        r = runner.invoke(main, ["cache", "info", "--out", str(out)], env=env)
+        assert r.exit_code == 4, (out, r.exception)
+        assert r.stdout == ""
+        assert [line for line in r.stderr.splitlines()
+                if not line.startswith("wall time:")] == [
+            f"error: cannot write {out}: {reason}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+    assert blocker.read_text() == ""
+
+
 def test_cache_purge_removes_regular_files_only(tmp_path):
     cache = tmp_path / "cache"
     env = {"HALL_CACHE_DIR": str(cache)}

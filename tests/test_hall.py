@@ -1,9 +1,11 @@
 """Hall algebra products, coproducts, and the contraction transport."""
 
+import gc
 import itertools
 import json
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -128,7 +130,7 @@ def test_oracle_respects_its_bound(jordan_ctx, monkeypatch):
 
     refused()
     warm = diagram_star_oracle(f, f)
-    assert ((2,), (2,)) in jordan_ctx._oracle_flags
+    assert ((2,), (2,)) in jordan_ctx._memo[hall._oracle_flags.__wrapped__]
     refused()
     assert diagram_star_oracle(f, f) == warm
 
@@ -205,6 +207,28 @@ def test_oracle_shares_no_state_with_the_flag_table():
     assert diagram_star_oracle(f, f).to_json() == expected
 
 
+def test_memos_live_exactly_as_long_as_their_context():
+    """Every memoized function files its values in its own context's store,
+    and dropping the contexts frees them with everything memoized, so two
+    bench jobs or two hallc runs never share a table."""
+    ctx = HallContext(kronecker_quiver(), 2, cache=OrbitCache())
+    assert verify_bialgebra(ctx, max_dim=1)["status"] == "pass"
+    f, g = char_function(ctx, (1, 0), 0), char_function(ctx, (0, 1), 0)
+    assert diagram_star_oracle(f, g) == star(f, g)
+    heart = HeartContext(ctx, "p", "m", "e")
+    heart.orbit_maps((1, 1))
+    assert {fn.__name__ for fn in ctx._memo} == {
+        "_space", "_table", "_flag_table", "_product_row", "_ext_table",
+        "_coproduct_row", "_oracle_flags", "_group_profile"}
+    assert {fn.__name__ for fn in heart._memo} == {"orbit_maps"}
+    assert heart.hat._memo and heart.hat._memo is not ctx._memo
+    refs = [weakref.ref(x) for x in (ctx, heart, heart.hat, ctx.table((1, 1)),
+                                     ctx.space((1, 1)))]
+    del ctx, f, g, heart
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
 def _seeded_element(ctx, rng, keys):
     """Up to three basis vectors at the grade keys: the first with
     coefficient 1 (multiplied by nothing), the others a + b sqrt(q), b
@@ -244,7 +268,8 @@ def test_memoized_structure_constants_are_invisible(quiver, q):
     the next call's result unchanged."""
     warm = HallContext(quiver, q, cache=OrbitCache())
     assert verify_bialgebra(warm, max_dim=1)["status"] == "pass"
-    assert warm._product_rows and warm._coproduct_rows
+    assert warm._memo[hall._product_row.__wrapped__]
+    assert warm._memo[hall._coproduct_row.__wrapped__]
     for seed in range(4):
         fresh = HallContext(quiver, q, cache=OrbitCache())
         assert _structure_outputs(warm, seed) == _structure_outputs(fresh, seed)
@@ -548,7 +573,7 @@ def test_pushforward_agrees_with_fiber_averaging(kron_heart):
         space = ctx.space(big_key)
         hat_space = hat.space(hat_key)
         n = kron_heart.minus_dim(big_key)
-        twist = SqrtQScalar.half_power(ctx.q, n * n * kron_heart.orbit_size)
+        twist = SqrtQScalar.half_power(ctx.q, n * n)
         f = zero_element(ctx)
         for o in sorted(kron_heart.heart_ordinals(big_key)):
             f = f + char_function(ctx, big_key, o).scale(2 + o)
