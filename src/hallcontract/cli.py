@@ -375,8 +375,8 @@ def hall_orbits(quiver_file, dim_spec, q, bounds):
         orbits_out.append({
             "id": table.orbit_id(k), "size": table.sizes[k],
             "representative": space.point_to_dict(table.representative(k))})
-    payload = {"command": "hall orbits", "q": q,
-               "quiver": ctx.quiver.content_hash(), "dims": space.dims,
+    payload = {"command": "hall orbits", "q": q, "quiver": ctx.quiver.content_hash(),
+               "dims": dict(zip(ctx.quiver.vertices, space.key)),
                "total_points": space.total_points,
                "count": table.count, "orbits": orbits_out}
     return payload, 0

@@ -252,7 +252,7 @@ def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     big_space, big_table = ctx._space(nkey), ctx._table(nkey)
     ttable, wtable = ctx._table(tkey), ctx._table(wkey)
-    flags = stable_flag_codes(big_space, ctx._space(wkey).dims, ctx.max_points)
+    flags = stable_flag_codes(big_space, wkey, ctx.max_points)
     out: dict = {}
     for big, rank in enumerate(big_table.rep_ranks):
         for qcode, scode in flags(rank):
@@ -379,7 +379,7 @@ def _oracle_flags(ctx: HallContext, tkey: tuple, wkey: tuple) -> list:
         y = big_table.representative(big)
         ranks = [(tspace.point_rank(quotient_point(big_space, y, U)),
                   wspace.point_rank(sub_point(big_space, y, U)))
-                 for U in stable_subspaces(big_space, y, wspace.dims, ctx.max_points)]
+                 for U in stable_subspaces(big_space, y, wkey, ctx.max_points)]
         out.append([(_group_profile(ctx, tkey, t), _group_profile(ctx, wkey, w))
                     for t, w in ranks])
     return out
@@ -833,8 +833,14 @@ def verify_ses(hc: HeartContext, max_dim: int = 2) -> dict:
     for ((tk, o1), f, fname), ((wk, o2), g, gname) in _basis_pairs(
             ctx, _lifted_key_pairs(hc, max_dim)):
         prod = circ(f, g)
-        lhs = project(prod)
-        rhs = circ(project(f), project(g))
+        try:
+            lhs, pf, pg = [project(h) for h in (prod, f, g)]
+        except ValueError as exc:  # mu_lower_star refuses a non-heart term
+            checks.append(_check(
+                f"projection of {fname}*{gname} is heart-supported",
+                "restriction-kernel", False, refused=str(exc)))
+            continue
+        rhs = circ(pf, pg)
         checks.append(_check(
             f"projection multiplicative on {fname}*{gname}",
             "quotient-algebra-map", lhs == rhs,

@@ -127,12 +127,6 @@ class Automorphism:
         return (all(self.vperm.get(v, v) == v for v in quiver.vertices)
                 and all(self.eperm.get(e.id, e.id) == e.id for e in quiver.edges))
 
-    def apply_vertex(self, v: str) -> str:
-        return self.vperm[v]
-
-    def apply_edge(self, edge_id: str) -> str:
-        return self.eperm[edge_id]
-
 
 def identity_automorphism(quiver: Quiver) -> Automorphism:
     return Automorphism({v: v for v in quiver.vertices},
@@ -181,13 +175,13 @@ def check_admissible(quiver: Quiver, autom: Automorphism) -> list[str]:
     except ValueError as exc:
         return [str(exc)]
     for e in quiver.edges:
-        image = quiver.edge(autom.apply_edge(e.id))
-        if image.source != autom.apply_vertex(e.source):
+        image = quiver.edge(autom.eperm[e.id])
+        if image.source != autom.vperm[e.source]:
             problems.append(f"a({e.id}) starts at {image.source}, "
-                            f"expected a({e.source}) = {autom.apply_vertex(e.source)}")
-        if image.target != autom.apply_vertex(e.target):
+                            f"expected a({e.source}) = {autom.vperm[e.source]}")
+        if image.target != autom.vperm[e.target]:
             problems.append(f"a({e.id}) ends at {image.target}, "
-                            f"expected a({e.target}) = {autom.apply_vertex(e.target)}")
+                            f"expected a({e.target}) = {autom.vperm[e.target]}")
     orbit_index = _orbit_index(vertex_orbits(quiver, autom))
     for e in quiver.edges:
         if not e.is_loop() and orbit_index[e.source] == orbit_index[e.target]:
@@ -264,10 +258,10 @@ def make_orbit_pair(quiver: Quiver, autom: Automorphism, plus: str, minus: str,
 
 def _edge_orbit_size(autom: Automorphism, edge_id: str) -> int:
     size = 1
-    cur = autom.apply_edge(edge_id)
+    cur = autom.eperm[edge_id]
     while cur != edge_id:
         size += 1
-        cur = autom.apply_edge(cur)
+        cur = autom.eperm[cur]
     return size
 
 
@@ -335,7 +329,7 @@ def contract_quiver(quiver: Quiver, autom: Automorphism, pair: OrbitPair) -> Con
     hks = []
     cur = pair.edge
     for _ in range(phi1):
-        cur = autom.apply_edge(cur)
+        cur = autom.eperm[cur]
         hks.append(cur)
     if len(set(hks)) != phi1 or hks[-1] != pair.edge:
         raise ValueError("contraction edge orbit is not aligned with the vertex orbit")
@@ -347,14 +341,14 @@ def contract_quiver(quiver: Quiver, autom: Automorphism, pair: OrbitPair) -> Con
     new_edges: list[Edge] = []
     provenance: dict[str, tuple] = {}
     eperm: dict[str, str] = {}  # a maps each composite to the composite of the images
-    a = autom.apply_edge
+    a = autom.eperm
 
     for e in quiver.edges:
         if e.source in minus_set or e.target in minus_set:
             continue
         new_edges.append(e)
         provenance[e.id] = ("kept", e.id)
-        eperm[e.id] = a(e.id)
+        eperm[e.id] = a[e.id]
     for h_id in hks:
         h = quiver.edge(h_id)
         v = h.target
@@ -362,16 +356,16 @@ def contract_quiver(quiver: Quiver, autom: Automorphism, pair: OrbitPair) -> Con
             new_id = f"{l1.id}*{h_id}"
             new_edges.append(Edge(new_id, h.source, l1.target))
             provenance[new_id] = ("post", l1.id, h_id)
-            eperm[new_id] = f"{a(l1.id)}*{a(h_id)}"
+            eperm[new_id] = f"{a[l1.id]}*{a[h_id]}"
         for l2 in quiver.in_edges(v):
             if l2.id == h_id:
                 continue
             new_id = f"~{h_id}*{l2.id}"
             new_edges.append(Edge(new_id, l2.source, h.source))
             provenance[new_id] = ("pre", h_id, l2.id)
-            eperm[new_id] = f"~{a(h_id)}*{a(l2.id)}"
+            eperm[new_id] = f"~{a[h_id]}*{a[l2.id]}"
 
-    vperm = {v: autom.apply_vertex(v) for v in new_vertices}
+    vperm = {v: autom.vperm[v] for v in new_vertices}
     contracted = Quiver(new_vertices, tuple(new_edges))
     new_autom = Automorphism(vperm, eperm)
     leftover = check_admissible(contracted, new_autom)

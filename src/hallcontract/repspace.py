@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import base64
 import itertools
+import math
 import operator
 import struct
 from collections import Counter
@@ -71,14 +72,14 @@ def grade_key(quiver: Quiver, dims) -> tuple:
 
 
 class RepSpace:
-    """E_{V,Omega}: the matrices attached to each edge for a fixed grading."""
+    """E_{V,Omega}: the matrices attached to each edge for a fixed grading.
+    A graded subspace U of it is a tuple of Subspaces in vertex order."""
 
     def __init__(self, quiver: Quiver, field: Field, dims):
         self.quiver = quiver
         self.field = field
         #: the dimension vector in vertex order, checked by grade_key
         self.key = grade_key(quiver, dims)
-        self.dims = dict(zip(quiver.vertices, self.key))
         vindex = quiver.vertex_index
         self.edge_vertex_indices = tuple(
             (vindex[e.target], vindex[e.source]) for e in quiver.edges)
@@ -101,11 +102,11 @@ class RepSpace:
                 f"{q}^{n} points exceed the bound {max_points}")
 
     def __repr__(self):
-        return (f"RepSpace(q={self.field.q}, "
-                f"dims={{{', '.join(f'{v}: {n}' for v, n in self.dims.items())}}})")
+        dims = ", ".join(f"{v}: {n}" for v, n in zip(self.quiver.vertices, self.key))
+        return f"RepSpace(q={self.field.q}, dims={{{dims}}})"
 
     def cache_key(self) -> str:
-        dims_part = ",".join(f"{v}={self.dims[v]}" for v in self.quiver.vertices)
+        dims_part = ",".join(f"{v}={n}" for v, n in zip(self.quiver.vertices, self.key))
         return f"orbits:v2:q{self.field.q}:{self.quiver.content_hash()}:{dims_part}"
 
     def point_rank(self, x: tuple) -> int:
@@ -160,10 +161,7 @@ def act(space: RepSpace, g: tuple, x: tuple) -> tuple:
 
 
 def group_order(space: RepSpace) -> int:
-    order = 1
-    for v in space.quiver.vertices:
-        order *= gl_order(space.dims[v], space.field.q)
-    return order
+    return math.prod(gl_order(n, space.field.q) for n in space.key)
 
 
 def group_generators(space: RepSpace) -> list[tuple[int, Mat]]:
@@ -175,13 +173,12 @@ def group_generators(space: RepSpace) -> list[tuple[int, Mat]]:
                      in zip(space.edge_vertex_indices, space.edge_shapes)
                      if rows * cols for i in (ti, si)})
     return [(vi, gamma) for vi in acting for gamma in
-            gl_generators(space.field, space.dims[space.quiver.vertices[vi]])]
+            gl_generators(space.field, space.key[vi])]
 
 
 def enumerate_group(space: RepSpace):
     check_count(group_order(space), "group elements", DEFAULT_MAX_POINTS)
-    factors = [enumerate_gl(space.field, space.dims[v])
-               for v in space.quiver.vertices]
+    factors = [enumerate_gl(space.field, n) for n in space.key]
     return [tuple(combo) for combo in itertools.product(*factors)]
 
 
@@ -494,7 +491,7 @@ def _divides_group_order(space: RepSpace, s: int) -> bool:
     mod s: the order itself has about log2(q)*sum(n^2) bits."""
     q = space.field.q
     residue = 1 % s
-    for n in space.dims.values():
+    for n in space.key:
         qn, qk = pow(q, n, s), 1 % s
         for _ in range(n):
             residue = residue * (qn - qk) % s
@@ -558,8 +555,8 @@ def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
     the l1 of a post edge l1*h gets xhat(l1*h) g_h^{-1}, and the l2 of a
     pre edge ~h*l2 gets g_h xhat(~h*l2); h itself gets g_h."""
     if target_space is None:
-        target_space = RepSpace(con.quiver, space.field,
-                                {v: space.dims[v] for v in con.quiver.vertices})
+        target_space = RepSpace(con.quiver, space.field, [
+            space.key[space.quiver.vertex_index[v]] for v in con.quiver.vertices])
     total = 1
     for h in con.contraction_edges:
         rows, cols = space.edge_shapes[space.edge_index[h]]
@@ -586,13 +583,13 @@ def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
         yield tuple(mats)
 
 
-def _graded_pieces(space: RepSpace, x: tuple, U: dict):
+def _graded_pieces(space: RepSpace, x: tuple, U: tuple):
     for m, (ti, si) in zip(x, space.edge_vertex_indices):
-        yield m, U[space.quiver.vertices[si]], U[space.quiver.vertices[ti]]
+        yield m, U[si], U[ti]
 
 
-def is_stable(space: RepSpace, x: tuple, U: dict) -> bool:
-    """Whether the graded subspace U (vertex -> Subspace) satisfies
+def is_stable(space: RepSpace, x: tuple, U: tuple) -> bool:
+    """Whether the graded subspace U (see RepSpace) satisfies
     x_h(U_{h'}) <= U_{h''} for every edge."""
     for m, Us, Ut in _graded_pieces(space, x, U):
         for j in range(Us.dim):
@@ -601,15 +598,14 @@ def is_stable(space: RepSpace, x: tuple, U: dict) -> bool:
     return True
 
 
-def _graded_subspaces(space: RepSpace, sub_dims: dict,
+def _graded_subspaces(space: RepSpace, sub_key: tuple,
                       max_count: int = DEFAULT_MAX_POINTS):
-    """Every graded subspace (vertex -> Subspace) with the given dimension
-    vector, in product order over the vertices; none when a dimension is out
-    of range. The bound is checked on the call, before any enumeration, and
-    on exponents first: there are at least q^(k(n-k)) k-subspaces of F_q^n,
-    so a huge count is refused without computing it."""
-    q, nk = space.field.q, [(space.dims[v], sub_dims.get(v, 0))
-                            for v in space.quiver.vertices]
+    """Every graded subspace (see RepSpace) with the grade key sub_key, in
+    product order over the vertices; none when a dimension is out of range.
+    The bound is checked on the call, before any enumeration, and on
+    exponents first: there are at least q^(k(n-k)) k-subspaces of F_q^n, so
+    a huge count is refused without computing it."""
+    q, nk = space.field.q, list(zip(space.key, sub_key))
     if any(k < 0 or k > n for n, k in nk):
         return iter(())
     bits = sum(k * (n - k) for n, k in nk) * (q.bit_length() - 1)
@@ -621,14 +617,14 @@ def _graded_subspaces(space: RepSpace, sub_dims: dict,
         total *= gaussian_binomial(n, k, q)
     check_count(total, "graded subspaces", max_count)
     per_vertex = [enumerate_subspaces(space.field, n, k, max_count) for n, k in nk]
-    return (dict(zip(space.quiver.vertices, combo))
-            for combo in itertools.product(*per_vertex))
+    return itertools.product(*per_vertex)
 
 
-def stable_subspaces(space: RepSpace, x: tuple, sub_dims: dict,
-                     max_count: int = DEFAULT_MAX_POINTS) -> list[dict]:
-    """All x-stable graded subspaces with the given dimension vector."""
-    return [U for U in _graded_subspaces(space, sub_dims, max_count)
+def stable_subspaces(space: RepSpace, x: tuple, sub_dims,
+                     max_count: int = DEFAULT_MAX_POINTS) -> list[tuple]:
+    """All x-stable graded subspaces (see RepSpace) with the dimension vector
+    sub_dims, checked by grade_key."""
+    return [U for U in _graded_subspaces(space, grade_key(space.quiver, sub_dims), max_count)
             if is_stable(space, x, U)]
 
 
@@ -650,12 +646,12 @@ def _flag_maps(U: Subspace) -> tuple[Mat, Mat, Mat, Mat]:
     return residue, free, pivots, U.basis
 
 
-def stable_flag_codes(space: RepSpace, sub_dims: dict,
+def stable_flag_codes(space: RepSpace, sub_dims,
                       max_count: int = DEFAULT_MAX_POINTS):
     """The flag kernel: a function taking a point code of the space to
     [(quotient code, sub code)] over the point's stable graded subspaces U
-    with the given dimension vector, in the order of stable_subspaces. The
-    codes are the ranks of quotient_point and sub_point in their spaces.
+    with dimension vector sub_dims (grade_key checks it), in the order of
+    stable_subspaces; the codes are the ranks of quotient_point and sub_point.
 
     For a fixed U three maps of a point x have the form x_h -> L x_h R, with
     L read off U at h's target t and R off U at its source s (_flag_maps):
@@ -671,12 +667,11 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     columns, and its residue, quotient and sub codes are each read with one
     shift and mask, as _close_orbits reads the generator tables; at odd p
     the columns stay digit lists and the image is summed digit by digit."""
-    vertices = space.quiver.vertices
-    ends = [(vertices[ti], vertices[si]) for ti, si in space.edge_vertex_indices]
+    ends = space.edge_vertex_indices
     incident = set().union(*ends)
     p = space.field.p
     slots = []
-    for U in _graded_subspaces(space, sub_dims, max_count):
+    for U in _graded_subspaces(space, grade_key(space.quiver, sub_dims), max_count):
         # per vertex that ends an edge: residue map, free-row inclusion,
         # pivot reader, basis
         maps = {v: _flag_maps(U[v]) for v in incident}
@@ -723,8 +718,9 @@ def stable_flag_codes(space: RepSpace, sub_dims: dict,
     return flags
 
 
-def sub_point(space: RepSpace, x: tuple, U: dict) -> tuple:
-    """The restriction of x to a stable graded subspace, in echelon coordinates."""
+def sub_point(space: RepSpace, x: tuple, U: tuple) -> tuple:
+    """The restriction of x to a stable graded subspace U (see RepSpace), in
+    echelon coordinates."""
     mats = []
     for m, Us, Ut in _graded_pieces(space, x, U):
         cols = []
@@ -739,8 +735,9 @@ def sub_point(space: RepSpace, x: tuple, U: dict) -> tuple:
     return tuple(mats)
 
 
-def quotient_point(space: RepSpace, x: tuple, U: dict) -> tuple:
-    """The induced point on the quotient, in the free-row coordinates of U."""
+def quotient_point(space: RepSpace, x: tuple, U: tuple) -> tuple:
+    """The induced point on the quotient by a stable graded subspace U (see
+    RepSpace), in the free-row coordinates of U."""
     mats = []
     for m, Us, Ut in _graded_pieces(space, x, U):
         cols = []

@@ -873,6 +873,10 @@ def _double_pushforward(monkeypatch):
     monkeypatch.setattr(hall, "mu_lower_star", lambda hc, f: real(hc, f).scale(2))
 
 
+def _identity_restriction(monkeypatch):
+    monkeypatch.setattr(hall, "j_star", lambda hc, f: f)
+
+
 def _double_tensor_product(monkeypatch):
     real = hall.tensor_mult
     monkeypatch.setattr(hall, "tensor_mult", lambda t1, t2: real(t1, t2).scale(2))
@@ -893,6 +897,7 @@ NEGATIVE_CONTROLS = [
     ("pbw", "pbw-transport-twisted", _untwisted_psi, 2),
     ("ses", "heart-subalgebra-split", _swap_complement_split, 5),
     ("ses", "restrict-after-extend", _double_extension_by_zero, 3),
+    ("ses", "restriction-kernel", _identity_restriction, 6),
     ("embedding", "embedding-injective-roundtrip", _double_pushforward, 3),
     ("ses", "quotient-algebra-map", _double_pushforward, 5),
     ("bialgebra", "coproduct-algebra-map", _double_tensor_product, 49),
@@ -921,10 +926,11 @@ def test_negative_controls_fail_their_check(tmp_path, monkeypatch, suite,
 # it gets a parameter above. contraction-twist-exponent reads m_omega, as
 # circ does, so a wrong exponent on the contracted quiver also fails
 # embedding-multiplicative: the check is evidence about circ only while it
-# reads that same exponent. No j_star mutation fails restriction-kernel
-# alone: one that returns zero fails three ids, and one that keeps every
-# term makes mu_lower_star raise instead of reporting.
-UNCONTROLLED_CHECK_IDS = {"contraction-twist-exponent", "restriction-kernel"}
+# reads that same exponent. The "j* keeps heart" restriction-kernel site
+# has no control of its own either: restrict-after-extend on the same
+# vector implies it, because j_shriek returns f unchanged, so a j_star
+# that drops a heart term fails both and no mutation fails it alone.
+UNCONTROLLED_CHECK_IDS = {"contraction-twist-exponent"}
 
 
 def test_every_check_id_has_a_negative_control_or_is_listed():

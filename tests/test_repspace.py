@@ -891,14 +891,14 @@ def test_stable_line_counts():
     assert len(stable_subspaces(space, identity, {"1": 1})) == 3
     for U in stable_subspaces(space, nilpotent, {"1": 1}):
         assert is_stable(space, nilpotent, U)
-        assert {v: s.dim for v, s in U.items()} == {"1": 1}
+        assert tuple(s.dim for s in U) == (1,)
 
 
 def _flags_by_mat(space, x, sub_dims):
     """(quotient code, sub code) of every stable U, through the Mat geometry."""
     sub_space = RepSpace(space.quiver, space.field, sub_dims)
     quotient_space = RepSpace(space.quiver, space.field,
-                              {v: n - sub_dims[v] for v, n in space.dims.items()})
+                              [n - k for n, k in zip(space.key, sub_space.key)])
     return [(quotient_space.point_rank(quotient_point(space, x, U)),
              sub_space.point_rank(sub_point(space, x, U)))
             for U in stable_subspaces(space, x, sub_dims)]
@@ -909,7 +909,10 @@ def test_flag_kernel_matches_the_mat_geometry():
     vector (zero and full ones included), the kernel lists the quotient and
     sub codes of stable_subspaces + quotient_point + sub_point, in order.
     The spaces cover q = 2, 3, 4, 5, 8, 9, 27 (e = 1, 2, 3), codes of one
-    and three digits, and spaces without entries."""
+    and three digits, and spaces without entries. The kernel reads the sub
+    dimension vector as a sequence, the Mat route as the equivalent dict;
+    on Kronecker, one that misses or misnames a vertex, or has the wrong
+    length, is refused by both."""
     one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
     spaces = (jordan_space(1), jordan_space(3), kron_space((2, 2)),
               kron_space((1, 2), q=3), jordan_space(2, q=3),
@@ -923,13 +926,19 @@ def test_flag_kernel_matches_the_mat_geometry():
     for space in spaces:
         table = orbits(space)
         vertices = space.quiver.vertices
-        for split in itertools.product(*(range(space.dims[v] + 1) for v in vertices)):
+        for split in itertools.product(*(range(n + 1) for n in space.key)):
             sub_dims = dict(zip(vertices, split))
-            flags = stable_flag_codes(space, sub_dims)
+            flags = stable_flag_codes(space, split)
             for rank in table.rep_ranks:
                 x = space.point_from_rank(rank)
                 assert flags(rank) == _flags_by_mat(space, x, sub_dims), (
                     space, sub_dims, rank)
+    kron = kron_space((1, 1))
+    for bad in ({"p": 1}, {"pp": 1}, (1,)):
+        with pytest.raises(ValueError, match="must cover exactly the vertices"):
+            stable_subspaces(kron, kron.point_from_rank(0), bad)
+        with pytest.raises(ValueError, match="must cover exactly the vertices"):
+            stable_flag_codes(kron, bad)
 
 
 def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
@@ -941,7 +950,7 @@ def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
               jordan_space(2, q=4), jordan_space(2, q=9))
     tables = [orbits(space).to_payload() for space in spaces]
     splits = [[dict(zip(space.quiver.vertices, split)) for split in
-               itertools.product(*(range(n + 1) for n in space.dims.values()))]
+               itertools.product(*(range(n + 1) for n in space.key))]
               for space in spaces]
     expected = [[[_flags_by_mat(space, space.point_from_rank(rank), sub_dims)
                   for rank in table["rep_ranks"]] for sub_dims in space_splits]
@@ -986,7 +995,7 @@ def test_extensions_recover_sub_and_quotient():
     xw = (Mat(f, ((0,),)),)
     ys = list(extensions_over(space, space, xt, xw, big))
     assert len(ys) == extension_count(space, space) == 2
-    U = {"1": Subspace.spanned_by(f, 2, [(0, 1)])}
+    U = (Subspace.spanned_by(f, 2, [(0, 1)]),)
     for y in ys:
         assert is_stable(big, y, U)
         assert sub_point(big, y, U) == xw
