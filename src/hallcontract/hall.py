@@ -6,14 +6,17 @@ finitely supported coefficient maps over (dimension vector, orbit id);
 HallElement and TensorElement (its tensor square) share one sparse-vector
 base for their linear operations, JSON and repr. The product is the
 push-pull convolution evaluated through stable graded subspaces, twisted by
-q^{-m/2}; the flags are counted on integer point codes by the repspace flag
-kernel, never on matrices. Restriction sums over block-triangular
-extensions, twisted by q^{-m*/2}, whose counts follow from the same flag
-counts by Riedtmann's formula. diagram_star_oracle recomputes the product on
-Mat points. A contraction site equips the algebra with the heart subspace
-(contraction edges invertible), the transport maps to and from the
-contracted quiver's Hall algebra, and the verification suites, which walk
-one basis enumeration (_basis, _basis_pairs) and share one site config.
+q^{-m/2}. Restriction sums over block-triangular extensions, twisted by
+q^{-m*/2}. Flag and extension counts of a split are joined by Riedtmann's
+formula, so each split is counted from one side, on integer point codes
+and never on matrices: by the repspace flag kernel over candidate
+subspaces, or by its extension code counter, whichever exact counts say is
+cheaper (_extension_route); the other table follows. diagram_star_oracle
+recomputes the product on Mat points. A contraction site equips the algebra
+with the heart subspace (contraction edges invertible), the transport maps
+to and from the contracted quiver's Hall algebra, and the verification
+suites, which walk one basis enumeration (_basis, _basis_pairs) and share
+one site config.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .ffalg import DEFAULT_MAX_POINTS, Field, check_count
 from .quiver import (Quiver, cartan_of, contract_quiver, identity_automorphism,
                      make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
-                       grade_key, group_order, is_heart, orbits,
+                       extension_code_counts, extension_count, grade_key,
+                       graded_subspace_count, group_order, is_heart, orbits,
                        quotient_point, stable_flag_codes, stable_subspaces,
                        sub_point)
 from .scalars import SqrtQScalar
@@ -244,11 +248,45 @@ def _char_function(ctx: HallContext, key: tuple, ordinal: int) -> HallElement:
     return HallElement(ctx, {(key, ordinal): SqrtQScalar.one(ctx.q)})
 
 
+#: Extension codes the extension route reads in the time the candidate
+#: route takes one step of its work (see _extension_route).
+_CODES_PER_STEP = 16
+
+
+def _extension_route(ctx: HallContext, tkey: tuple, wkey: tuple) -> bool:
+    """Whether the split (tkey, wkey) is counted from the extension side of
+    Riedtmann's formula, after the bounds both sides share: the orbit tables
+    of the split, then the number of candidate graded subspaces (a flag
+    count is at most that), from exponents first. It is, when the extension
+    route's n_t n_w q^E codes (E = sum over edges h of w_{h''} t_{h'}) are
+    at most _CODES_PER_STEP times the candidate route's steps: per candidate
+    subspace, three maps over the big code's base-p digits and one
+    evaluation per big representative (stable_flag_codes)."""
+    nkey = tuple(a + b for a, b in zip(tkey, wkey))
+    big_space, reps = ctx._space(nkey), ctx._table(nkey).count
+    pairs = ctx._table(tkey).count * ctx._table(wkey).count
+    candidates = graded_subspace_count(big_space, wkey, ctx.max_points)
+    codes = pairs * extension_count(ctx._space(tkey), ctx._space(wkey))
+    digits = ctx.field.e * big_space.point_entries
+    return codes <= _CODES_PER_STEP * candidates * (3 * digits + reps)
+
+
 @_memo
 def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of stable graded U in its representative
-    with dim U = wkey, quotient in orbit t, restriction in orbit w}, counted
-    by the flag kernel on the representatives' codes."""
+    with dim U = wkey, quotient in orbit t, restriction in orbit w}. On the
+    candidate route (see _extension_route) it is counted by the flag kernel
+    on the representatives' codes; on the extension route it is derived
+    from _ext_table by Riedtmann's formula read backwards,
+    flag = ext |Aut L| / (|Aut T| |Aut W| q^{t.w})."""
+    if _extension_route(ctx, tkey, wkey):
+        return _riedtmann(ctx, tkey, wkey, _ext_table(ctx, tkey, wkey), False)
+    return _flag_codes_table(ctx, tkey, wkey)
+
+
+def _flag_codes_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
+    """The flag table of a split as the candidate route counts it, by the
+    flag kernel on the big representatives' codes."""
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     big_space, big_table = ctx._space(nkey), ctx._table(nkey)
     ttable, wtable = ctx._table(tkey), ctx._table(wkey)
@@ -425,9 +463,23 @@ def tensor(f1: HallElement, f2: HallElement) -> TensorElement:
 @_memo
 def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of block-triangular extensions of the
-    representative pair landing in it}, derived from the flag table by
-    Riedtmann's formula ext = flag |Aut T| |Aut W| q^{t.w} / |Aut L|."""
-    flag_table = _flag_table(ctx, tkey, wkey)  # its bounds first
+    representative pair landing in it}. On the extension route (see
+    _extension_route) it is counted on codes by extension_code_counts; on
+    the candidate route it is derived from _flag_table by Riedtmann's
+    formula ext = flag |Aut T| |Aut W| q^{t.w} / |Aut L|."""
+    if _extension_route(ctx, tkey, wkey):
+        nkey = tuple(a + b for a, b in zip(tkey, wkey))
+        return extension_code_counts(ctx._table(nkey), ctx._table(tkey),
+                                     ctx._table(wkey))
+    return _riedtmann(ctx, tkey, wkey, _flag_table(ctx, tkey, wkey), True)
+
+
+def _riedtmann(ctx: HallContext, tkey: tuple, wkey: tuple, table: dict,
+               to_ext: bool) -> dict:
+    """The extension table of a split from its flag table (to_ext), or the
+    flag table from its extension table, by Riedtmann's formula
+    ext |Aut L| = flag |Aut T| |Aut W| q^{t.w}; each division is checked
+    exact."""
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     aut = {}
     for key in (tkey, wkey, nkey):
@@ -435,15 +487,18 @@ def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
         aut[key] = [order // size for size in ctx._table(key).sizes]
     hom = ctx.q ** sum(a * b for a, b in zip(tkey, wkey))
     out: dict = {}
-    for (t, w), bucket in flag_table.items():
-        scale = aut[tkey][t] * aut[wkey][w] * hom
+    for (t, w), bucket in table.items():
+        pair = aut[tkey][t] * aut[wkey][w] * hom
         counter = out[(t, w)] = {}
-        for big, flags in bucket.items():
-            count, rest = divmod(flags * scale, aut[nkey][big])
+        for big, n in bucket.items():
+            num, den = pair, aut[nkey][big]
+            if not to_ext:
+                num, den = den, num
+            count, rest = divmod(n * num, den)
             if rest:
                 raise AssertionError(
-                    f"flag count {flags} at {tkey}+{wkey}, pair {(t, w)}, orbit "
-                    f"{big} gives a non-integral extension count")
+                    f"count {n} at {tkey}+{wkey}, pair {(t, w)}, orbit {big} "
+                    f"gives a non-integral {'extension' if to_ext else 'flag'} count")
             counter[big] = count
     return out
 

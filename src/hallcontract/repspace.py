@@ -22,11 +22,16 @@ stability residue, the quotient point and the sub point are linear in the
 point, so the kernel evaluates a code on the columns of its nonzero digits
 (at p = 2 the XOR of packed columns, at odd p a sum over digit lists) to
 get the codes of its quotient and sub points; it reads only orbit
-representatives, so it builds no tables. act() and the Mat flag
-geometry (stable_subspaces, quotient_point, sub_point) are not on these
-paths; they stay as the route of the tests and of the Hall layer's oracle.
-Extensions are enumerated here too, as an independent cross-check of the
-structure constants the Hall layer derives.
+representatives, so it builds no tables. The extension code counter
+extension_code_counts is the other side of Riedtmann's formula: a block
+point [[x_t, 0], [M, x_w]] has as code the sum of the codes of x_t, x_w and
+M, each moved to its own base-q places of a big code (_block_places), so
+it counts the orbits of a pair's extensions by reading the big table's
+index. act() and the Mat flag geometry (stable_subspaces, quotient_point,
+sub_point) are not on these paths; they stay as the route of the tests and
+of the Hall layer's oracle. Extensions are enumerated as Mat points here
+too (extensions_over), as an independent cross-check of the structure
+constants the Hall layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
 are indexed by vertices, not vertex orbits. A RepSpace takes no automorphism
@@ -286,6 +291,63 @@ def _columns(space: RepSpace, slots: list):
                                 pos += 1
             top -= e * L.rows * R.cols
     return columns, widths
+
+
+def _block_places(big: RepSpace, sub_key: tuple) -> tuple:
+    """Where a block point [[x_t, 0], [M, x_w]] of big puts its entries in a
+    code, quotient coordinates first as in extensions_over and x_w of grade
+    key sub_key: the place values q**i of x_t's entries, of x_w's and of
+    M's, each list least significant first in the order of its own code."""
+    q, pos = big.field.q, big.point_entries
+    places = ([], [], [])
+    for (ti, si), (rows, cols) in zip(big.edge_vertex_indices, big.edge_shapes):
+        trows, tcols = rows - sub_key[ti], cols - sub_key[si]
+        for r, c in itertools.product(range(rows), range(cols)):
+            pos -= 1
+            if r >= trows:
+                places[1 if c >= tcols else 2].append(q ** pos)
+            elif c < tcols:
+                places[0].append(q ** pos)
+    return tuple(p[::-1] for p in places)
+
+
+def _placed(code: int, places: list, q: int) -> int:
+    """A code moved digit by digit to the given places (least significant
+    first)."""
+    out = i = 0
+    while code:
+        code, d = divmod(code, q)
+        out += d * places[i]
+        i += 1
+    return out
+
+
+def extension_code_counts(big: OrbitTable, quotient: OrbitTable,
+                          sub: OrbitTable) -> dict:
+    """(t, w) -> {big orbit -> number of M with [[x_t, 0], [M, x_w]] in it},
+    x_t the representative of quotient's orbit t and x_w that of sub's
+    orbit w: the extension table of the split, counted on codes.
+
+    A block point's code is the sum of the codes of x_t, x_w and M, each
+    moved to its own places in a big code (_block_places). The places are
+    disjoint, so the sum has no carry at any q. Each pair adds its base code
+    to the codes of every M, listed once, and reads big.index there; no
+    point is decoded, encoded or acted on. The work needs no bound of its
+    own: (t, w, M) -> block point is injective, so it reads at most
+    big.space.total_points codes."""
+    q = big.space.field.q
+    tplaces, wplaces, mplaces = _block_places(big.space, sub.space.key)
+    mcodes = [0]
+    for place in mplaces:
+        mcodes = [m + d for d in range(0, q * place, place) for m in mcodes]
+    read = big.index.__getitem__
+    wbases = [_placed(rank, wplaces, q) for rank in sub.rep_ranks]
+    out = {}
+    for t, rank in enumerate(quotient.rep_ranks):
+        tbase = _placed(rank, tplaces, q)
+        for w, wbase in enumerate(wbases):
+            out[(t, w)] = dict(Counter(map(read, map((tbase + wbase).__add__, mcodes))))
+    return out
 
 
 def _generator_slots(space: RepSpace) -> list:
@@ -598,25 +660,34 @@ def is_stable(space: RepSpace, x: tuple, U: tuple) -> bool:
     return True
 
 
-def _graded_subspaces(space: RepSpace, sub_key: tuple,
-                      max_count: int = DEFAULT_MAX_POINTS):
-    """Every graded subspace (see RepSpace) with the grade key sub_key, in
-    product order over the vertices; none when a dimension is out of range.
-    The bound is checked on the call, before any enumeration, and on
-    exponents first: there are at least q^(k(n-k)) k-subspaces of F_q^n, so
-    a huge count is refused without computing it."""
+def graded_subspace_count(space: RepSpace, sub_key: tuple,
+                          max_count: int = DEFAULT_MAX_POINTS) -> int:
+    """The number of graded subspaces (see RepSpace) with the grade key
+    sub_key, 0 when a dimension is out of range, refused past max_count. The
+    bound is checked on exponents first: there are at least q^(k(n-k))
+    k-subspaces of F_q^n, so a huge count is refused without computing it."""
     q, nk = space.field.q, list(zip(space.key, sub_key))
     if any(k < 0 or k > n for n, k in nk):
-        return iter(())
+        return 0
     bits = sum(k * (n - k) for n, k in nk) * (q.bit_length() - 1)
     if bits >= max_count.bit_length():
         raise EnumerationBoundError(
             f"at least 2^{bits} graded subspaces exceed the bound {max_count}")
-    total = 1
-    for n, k in nk:
-        total *= gaussian_binomial(n, k, q)
+    total = math.prod(gaussian_binomial(n, k, q) for n, k in nk)
     check_count(total, "graded subspaces", max_count)
-    per_vertex = [enumerate_subspaces(space.field, n, k, max_count) for n, k in nk]
+    return total
+
+
+def _graded_subspaces(space: RepSpace, sub_key: tuple,
+                      max_count: int = DEFAULT_MAX_POINTS):
+    """Every graded subspace (see RepSpace) with the grade key sub_key, in
+    product order over the vertices; none when a dimension is out of range.
+    The bound (graded_subspace_count) is checked on the call, before any
+    enumeration."""
+    if not graded_subspace_count(space, sub_key, max_count):
+        return iter(())
+    per_vertex = [enumerate_subspaces(space.field, n, k, max_count)
+                  for n, k in zip(space.key, sub_key)]
     return itertools.product(*per_vertex)
 
 

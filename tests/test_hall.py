@@ -289,8 +289,8 @@ def test_memoized_structure_constants_are_invisible(quiver, q):
 def test_star_and_the_oracle_share_no_flag_code(monkeypatch):
     """star, circ and coproduct count flags on codes only, never through
     the Mat flag geometry; the oracle uses that geometry only, never the
-    flag kernel. Each route, with the other's code made to raise, gives the
-    products the other gave."""
+    flag kernel or the extension code counter. Each route, with the other's
+    code made to raise, gives the products the other gave."""
     quiver = kronecker_quiver()
     basis_keys = [(0, 1), (1, 0), (1, 1)]
 
@@ -319,8 +319,8 @@ def test_star_and_the_oracle_share_no_flag_code(monkeypatch):
             circ(f, g)
             coproduct(f + g)
     for module in ("hall", "repspace"):
-        monkeypatch.setattr(f"hallcontract.{module}.stable_flag_codes",
-                            refuse("stable_flag_codes"))
+        for name in ("stable_flag_codes", "extension_code_counts"):
+            monkeypatch.setattr(f"hallcontract.{module}.{name}", refuse(name))
     ctx = HallContext(quiver, 3, cache=OrbitCache())
     assert [diagram_star_oracle(f, g).terms
             for f, g in itertools.product(basis(ctx), repeat=2)] == products
@@ -340,8 +340,10 @@ def test_exponent_bookkeeping():
 @pytest.mark.parametrize("ctx_name, bound", [
     ("a1_ctx3", 3), ("jordan_ctx", 3), ("kron_ctx", 2)])
 def test_extension_counts_follow_from_flag_counts(request, ctx_name, bound):
-    """The extension table derived by Riedtmann's formula equals a direct
-    count of block-triangular extensions of every representative pair."""
+    """The extension table equals a direct count of block-triangular
+    extensions of every representative pair, built as Mat points. The table
+    may come from either route: counted on codes by the extension route, or
+    derived from the flag table by Riedtmann's formula."""
     ctx = request.getfixturevalue(ctx_name)
     nvert = len(ctx.quiver.vertices)
     for tk in itertools.product(range(bound + 1), repeat=nvert):
@@ -359,6 +361,86 @@ def test_extension_counts_follow_from_flag_counts(request, ctx_name, bound):
                         o = big.ordinal_of(y)
                         counter[o] = counter.get(o, 0) + 1
             assert _ext_table(ctx, tk, wk) == direct, (tk, wk)
+
+
+def _quiver(vertices, edges):
+    return Quiver(tuple(vertices), tuple(Edge(f"h{i}", s, t)
+                                         for i, (s, t) in enumerate(edges)))
+
+
+#: (quiver, q, top grade): every split of every grade up to the top one,
+#: leaving out spaces of more than 300,000 points.
+ROUTE_GRID = [
+    *((jordan_quiver(), q, top) for q, top in ((2, (4,)), (3, (3,)), (4, (2,)),
+                                               (5, (2,)), (9, (2,)))),
+    *((kronecker_quiver(), q, top) for q, top in ((2, (3, 3)), (3, (2, 2)),
+                                                  (4, (2, 2)))),
+    *((_quiver("pm", [("p", "m")] * 3), q, (2, 2)) for q in (2, 3)),
+    *((_quiver("pm", [("p", "m"), ("m", "p")]), q, (2, 2)) for q in (2, 3)),
+    (_quiver("abc", [("a", "b"), ("b", "c")]), 2, (2, 2, 2)),
+    (_quiver("abc", [("a", "b"), ("b", "c")]), 3, (1, 1, 1)),
+    (_quiver("apm", [("a", "p"), ("a", "a"), ("p", "m"), ("p", "m")]), 2,
+     (1, 1, 1)),
+    (a1_quiver(), 2, (5,)), (a1_quiver(), 7, (3,)),
+    (_quiver("1", [("1", "1")] * 2), 2, (2,)),
+    (_quiver("1", [("1", "1")] * 2), 3, (1,)),
+]
+
+
+def test_both_routes_give_one_flag_and_extension_table():
+    """Each split's flag and extension tables are the same from either side
+    of Riedtmann's formula: the candidate route's flag kernel with the
+    extension table derived, and the extension route's code counter with
+    the flag table derived. Each route's builder is called directly, on all
+    660 splits of the grid."""
+    splits = 0
+    for quiver, q, top in ROUTE_GRID:
+        ctx = HallContext(quiver, q)
+        for nk in itertools.product(*(range(n + 1) for n in top)):
+            if ctx.space(nk).total_points > 300_000:
+                continue
+            for tk in itertools.product(*(range(n + 1) for n in nk)):
+                wk = tuple(n - t for n, t in zip(nk, tk))
+                flags = hall._flag_codes_table(ctx, tk, wk)
+                exts = repspace.extension_code_counts(
+                    ctx.table(nk), ctx.table(tk), ctx.table(wk))
+                where = (quiver.vertices, q, tk, wk)
+                assert hall._riedtmann(ctx, tk, wk, exts, False) == flags, where
+                assert hall._riedtmann(ctx, tk, wk, flags, True) == exts, where
+                splits += 1
+    assert splits == 660
+
+
+def test_the_route_is_chosen_by_counts():
+    """On Kronecker q = 3 (2, 3) the split onto w = (0, 3) has one candidate
+    subspace but 3^12 extensions, and takes the candidate route; w = (1, 1)
+    takes the extension route. Forcing every split down either route
+    changes no product, coproduct, restriction or tensor product."""
+    ctx = HallContext(kronecker_quiver(), 3)
+    assert not hall._extension_route(ctx, (2, 0), (0, 3))
+    assert hall._extension_route(ctx, (1, 2), (1, 1))
+
+    def outputs(quiver, q, keys):
+        ctx = HallContext(quiver, q, cache=OrbitCache())
+        basis = [char_function(ctx, k, o) for k in keys
+                 for o in range(ctx.table(k).count)]
+        out = []
+        for f, g in itertools.product(basis, repeat=2):
+            fg = circ(f, g)
+            tau, omega = (next(iter(h.terms))[0] for h in (f, g))
+            out += [x.to_json() for x in (
+                fg, star(f, g), coproduct(fg), res(fg, tau, omega),
+                tensor_mult(coproduct(f), coproduct(g)))]
+        return out
+
+    for quiver, q, keys in ((kronecker_quiver(), 3,
+                             list(itertools.product(range(2), repeat=2))),
+                            (jordan_quiver(), 2, [(0,), (1,), (2,)])):
+        chosen = outputs(quiver, q, keys)
+        for weight in (0, 10 ** 30):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hall, "_CODES_PER_STEP", weight)
+                assert outputs(quiver, q, keys) == chosen, (quiver, weight)
 
 
 def test_restriction_values(a1_ctx, jordan_ctx):

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from hallcontract.cache import FileError, OrbitCache
-from hallcontract import repspace
+from hallcontract import hall, repspace
 from hallcontract.ffalg import (EnumerationBoundError, Field, Mat, block2x2,
                                 gl_generators, gl_order)
 from hallcontract.quiver import (Edge, Quiver, contract_quiver,
@@ -35,7 +35,8 @@ from hallcontract.repspace import (
     sub_point,
 )
 from hallcontract.ffalg import Subspace
-from hallcontract.hall import HallContext, _flag_table, char_function, diagram_star_oracle
+from hallcontract.hall import (HallContext, _ext_table, _flag_table, char_function,
+                               diagram_star_oracle)
 
 from conftest import a1_quiver, jordan_quiver, kronecker_quiver, packed_index
 
@@ -945,7 +946,9 @@ def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
     """Orbit tables and flag tables are built on codes from L and R matrices
     alone: with act, point_from_rank and point_rank refused they equal what
     the Mat route gives. The spaces cover q = 2, 3, 4, 9 and codes of one
-    and of two orbit-closure lookup chunks."""
+    and of two orbit-closure lookup chunks. A split that takes the
+    extension route reads codes only too: its flag and extension tables,
+    built with the same refusals, equal the candidate route's."""
     spaces = (kron_space((2, 2)), jordan_space(3), kron_space((1, 3), q=3),
               jordan_space(2, q=4), jordan_space(2, q=9))
     tables = [orbits(space).to_payload() for space in spaces]
@@ -956,7 +959,10 @@ def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
                   for rank in table["rep_ranks"]] for sub_dims in space_splits]
                 for space, table, space_splits in zip(spaces, tables, splits)]
     ctx = HallContext(kronecker_quiver(), 3)
-    flag_table = _flag_table(ctx, (1, 1), (1, 0))
+    split = ((1, 1), (1, 0))
+    assert hall._extension_route(ctx, *split)
+    flag_table = hall._flag_codes_table(ctx, *split)
+    ext_table = hall._riedtmann(ctx, *split, flag_table, True)
 
     def refused(*args, **kwargs):
         raise AssertionError("a point was decoded, encoded or acted on")
@@ -970,7 +976,8 @@ def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
                  for rank in built.rep_ranks]
                 for sub_dims in space_splits] == flags
     ctx = HallContext(kronecker_quiver(), 3)
-    assert _flag_table(ctx, (1, 1), (1, 0)) == flag_table
+    assert _ext_table(ctx, *split) == ext_table
+    assert _flag_table(ctx, *split) == flag_table
 
 
 def test_flag_kernel_bound_is_the_stable_subspace_bound():
