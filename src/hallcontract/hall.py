@@ -7,11 +7,9 @@ HallElement and TensorElement (its tensor square) share one sparse-vector
 base for their linear operations, JSON and repr. The product is the
 push-pull convolution evaluated through stable graded subspaces, twisted by
 q^{-m/2}. Restriction sums over block-triangular extensions, twisted by
-q^{-m*/2}. Flag and extension counts of a split are joined by Riedtmann's
-formula, so each split is counted from one side, on integer point codes
-and never on matrices: by the repspace flag kernel over candidate
-subspaces, or by its extension code counter, whichever exact counts say is
-cheaper (_extension_route); the other table follows. diagram_star_oracle
+q^{-m*/2}. Each split is counted one way: its extension counts on integer
+point codes by the repspace extension code counter, never on matrices, and
+its flag counts from those by Riedtmann's formula. diagram_star_oracle
 recomputes the product on Mat points. A contraction site equips the algebra
 with the heart subspace (contraction edges invertible), the transport maps
 to and from the contracted quiver's Hall algebra, and the verification
@@ -29,10 +27,9 @@ from .ffalg import DEFAULT_MAX_POINTS, Field, check_count
 from .quiver import (Quiver, cartan_of, contract_quiver, identity_automorphism,
                      make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
-                       extension_code_counts, extension_count, grade_key,
-                       graded_subspace_count, group_order, is_heart, orbits,
-                       quotient_point, stable_flag_codes, stable_subspaces,
-                       sub_point)
+                       extension_code_counts, grade_key, graded_subspace_count,
+                       group_order, is_heart, orbits, quotient_point,
+                       stable_subspaces, sub_point)
 from .scalars import SqrtQScalar
 
 
@@ -54,13 +51,13 @@ def _memo(fn):
 
 class HallContext:
     """Shared machinery for one (quiver, q). Its memo store holds, each built
-    on first use: the representation spaces and orbit tables, the flag and
-    extension tables, each basis vector's product row with every basis
-    vector (_product_row) and its coproduct row (_coproduct_row), and the
-    oracle's flag walks and group profiles. A public method takes a grade as
-    a dict over the vertices or a sequence in vertex order and checks it
-    with grade_key; the Hall layer below passes grade keys to the
-    underscored ones."""
+    on first use: the representation spaces and orbit tables, the |Aut|
+    list of each grade, the flag and extension tables, each basis vector's
+    product row with every basis vector (_product_row) and its coproduct
+    row (_coproduct_row), and the oracle's flag walks and group profiles. A
+    public method takes a grade as a dict over the vertices or a sequence in
+    vertex order and checks it with grade_key; the Hall layer below passes
+    grade keys to the underscored ones."""
 
     def __init__(self, quiver: Quiver, q: int, cache: OrbitCache | None = None,
                  max_points: int = DEFAULT_MAX_POINTS):
@@ -248,54 +245,28 @@ def _char_function(ctx: HallContext, key: tuple, ordinal: int) -> HallElement:
     return HallElement(ctx, {(key, ordinal): SqrtQScalar.one(ctx.q)})
 
 
-#: Extension codes the extension route reads in the time the candidate
-#: route takes one step of its work (see _extension_route).
-_CODES_PER_STEP = 16
-
-
-def _extension_route(ctx: HallContext, tkey: tuple, wkey: tuple) -> bool:
-    """Whether the split (tkey, wkey) is counted from the extension side of
-    Riedtmann's formula, after the bounds both sides share: the orbit tables
-    of the split, then the number of candidate graded subspaces (a flag
-    count is at most that), from exponents first. It is, when the extension
-    route's n_t n_w q^E codes (E = sum over edges h of w_{h''} t_{h'}) are
-    at most _CODES_PER_STEP times the candidate route's steps: per candidate
-    subspace, three maps over the big code's base-p digits and one
-    evaluation per big representative (stable_flag_codes)."""
-    nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    big_space, reps = ctx._space(nkey), ctx._table(nkey).count
-    pairs = ctx._table(tkey).count * ctx._table(wkey).count
-    candidates = graded_subspace_count(big_space, wkey, ctx.max_points)
-    codes = pairs * extension_count(ctx._space(tkey), ctx._space(wkey))
-    digits = ctx.field.e * big_space.point_entries
-    return codes <= _CODES_PER_STEP * candidates * (3 * digits + reps)
-
-
 @_memo
 def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of stable graded U in its representative
-    with dim U = wkey, quotient in orbit t, restriction in orbit w}. On the
-    candidate route (see _extension_route) it is counted by the flag kernel
-    on the representatives' codes; on the extension route it is derived
-    from _ext_table by Riedtmann's formula read backwards,
-    flag = ext |Aut L| / (|Aut T| |Aut W| q^{t.w})."""
-    if _extension_route(ctx, tkey, wkey):
-        return _riedtmann(ctx, tkey, wkey, _ext_table(ctx, tkey, wkey), False)
-    return _flag_codes_table(ctx, tkey, wkey)
-
-
-def _flag_codes_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
-    """The flag table of a split as the candidate route counts it, by the
-    flag kernel on the big representatives' codes."""
+    with dim U = wkey, quotient in orbit t, restriction in orbit w}, from
+    _ext_table by Riedtmann's formula
+    flag = ext |Aut L| / (|Aut T| |Aut W| q^{t.w}); each division is
+    checked exact."""
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    big_space, big_table = ctx._space(nkey), ctx._table(nkey)
-    ttable, wtable = ctx._table(tkey), ctx._table(wkey)
-    flags = stable_flag_codes(big_space, wkey, ctx.max_points)
+    exts = _ext_table(ctx, tkey, wkey)
+    taut, waut, naut = (_aut_orders(ctx, key) for key in (tkey, wkey, nkey))
+    hom = ctx.q ** sum(a * b for a, b in zip(tkey, wkey))
     out: dict = {}
-    for big, rank in enumerate(big_table.rep_ranks):
-        for qcode, scode in flags(rank):
-            bucket = out.setdefault((ttable.index[qcode], wtable.index[scode]), {})
-            bucket[big] = bucket.get(big, 0) + 1
+    for (t, w), bucket in exts.items():
+        pair = taut[t] * waut[w] * hom
+        counter = out[(t, w)] = {}
+        for big, n in bucket.items():
+            count, rest = divmod(n * naut[big], pair)
+            if rest:
+                raise AssertionError(
+                    f"count {n} at {tkey}+{wkey}, pair {(t, w)}, orbit {big} "
+                    "gives a non-integral flag count")
+            counter[big] = count
     return out
 
 
@@ -352,14 +323,15 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement) -> HallElement:
     subspace together with every pair of graded isomorphisms onto the
     standard quotient and sub spaces, divided by the two group orders.
 
-    Shared with star(): the orbit tables and the enumeration of candidate
-    graded subspaces (enumerate_subspaces, under one bound check), nothing
-    else. star() counts flags on point codes through the flag kernel; this
-    route finds them on Mat points through stable_subspaces, quotient_point
-    and sub_point, never reads the flag table, uses no Riedtmann factor,
-    and sums each quotient and sub point over its whole group by Mat act()
-    rather than assuming it stays in its orbit, so exact agreement with
-    star() is a real consistency check.
+    Shared with star(): the orbit tables and the one bound on candidate
+    graded subspaces (graded_subspace_count), nothing else. star() derives
+    flag counts by Riedtmann's formula from extensions counted on point
+    codes, and enumerates no subspace; this route enumerates the candidate
+    subspaces and finds the flags on Mat points through stable_subspaces,
+    quotient_point and sub_point, never reads the flag table, uses no
+    Riedtmann factor, and sums each quotient and sub point over its whole
+    group by Mat act() rather than assuming it stays in its orbit, so exact
+    agreement with star() is a real consistency check.
     Memoized on the context: the flags of each grade pair with their
     points' group profiles, and each point's group profile. The bound
     ORACLE_MAX_FLAGS on |G_t| |G_w| is checked on every call, before any
@@ -463,44 +435,23 @@ def tensor(f1: HallElement, f2: HallElement) -> TensorElement:
 @_memo
 def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of block-triangular extensions of the
-    representative pair landing in it}. On the extension route (see
-    _extension_route) it is counted on codes by extension_code_counts; on
-    the candidate route it is derived from _flag_table by Riedtmann's
-    formula ext = flag |Aut T| |Aut W| q^{t.w} / |Aut L|."""
-    if _extension_route(ctx, tkey, wkey):
-        nkey = tuple(a + b for a, b in zip(tkey, wkey))
-        return extension_code_counts(ctx._table(nkey), ctx._table(tkey),
-                                     ctx._table(wkey))
-    return _riedtmann(ctx, tkey, wkey, _flag_table(ctx, tkey, wkey), True)
-
-
-def _riedtmann(ctx: HallContext, tkey: tuple, wkey: tuple, table: dict,
-               to_ext: bool) -> dict:
-    """The extension table of a split from its flag table (to_ext), or the
-    flag table from its extension table, by Riedtmann's formula
-    ext |Aut L| = flag |Aut T| |Aut W| q^{t.w}; each division is checked
-    exact."""
+    representative pair landing in it}, counted on codes by
+    extension_code_counts. Built after the orbit tables of the split and
+    the bound on its candidate graded subspaces, from exponents first: a
+    flag count is at most that, and the oracle enumerates them."""
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    aut = {}
-    for key in (tkey, wkey, nkey):
-        order = group_order(ctx._space(key))
-        aut[key] = [order // size for size in ctx._table(key).sizes]
-    hom = ctx.q ** sum(a * b for a, b in zip(tkey, wkey))
-    out: dict = {}
-    for (t, w), bucket in table.items():
-        pair = aut[tkey][t] * aut[wkey][w] * hom
-        counter = out[(t, w)] = {}
-        for big, n in bucket.items():
-            num, den = pair, aut[nkey][big]
-            if not to_ext:
-                num, den = den, num
-            count, rest = divmod(n * num, den)
-            if rest:
-                raise AssertionError(
-                    f"count {n} at {tkey}+{wkey}, pair {(t, w)}, orbit {big} "
-                    f"gives a non-integral {'extension' if to_ext else 'flag'} count")
-            counter[big] = count
-    return out
+    big_space, big_table = ctx._space(nkey), ctx._table(nkey)
+    ttable, wtable = ctx._table(tkey), ctx._table(wkey)
+    graded_subspace_count(big_space, wkey, ctx.max_points)
+    return extension_code_counts(big_table, ttable, wtable)
+
+
+@_memo
+def _aut_orders(ctx: HallContext, key: tuple) -> list:
+    """|Aut| of each orbit's representative at a grade key, in ordinal
+    order: the group order over the orbit size."""
+    order = group_order(ctx._space(key))
+    return [order // size for size in ctx._table(key).sizes]
 
 
 def res(f: HallElement, tau, omega) -> TensorElement:

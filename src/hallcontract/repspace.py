@@ -4,34 +4,29 @@ A point assigns to each edge h a matrix of shape dims(target) x dims(source);
 the group prod_v GL(dims(v)) acts by (g.x)_h = g_{h''} x_h g_{h'}^{-1}. Points
 are enumerated exactly, and each orbit is found by closing its rank-least
 point under the group generators. The closure runs on integer point codes
-(ranks), never on matrices. Maps of the form x_h -> L_h x_h R_h are
-F_p-linear on a code's base-p digits; _columns reads each one off the L
-and R matrices alone as sparse basis columns, the images of the basis
-codes. A generator gamma at one vertex is such a map: the closure compiles
-all generators (_generator_tables) into two tables, on the low and the
-high half of a code's digits, and reads them inline. A generator is clean
-when each of its output digits draws on one half only: every generator at
+(ranks), never on matrices. A map of the form x_h -> L_h x_h R_h is
+F_p-linear on a code's base-p digits; _columns reads one off the L and R
+matrices alone as sparse basis columns, the images of the basis codes. A
+generator gamma at one vertex is such a map: the closure compiles all
+generators (_generator_tables) into two tables, on the low and the high
+half of a code's digits, and reads them inline. A generator is clean when
+each of its output digits draws on one half only: every generator at
 p = 2, the diagonal when the cut falls between F_q entries (always at
 prime q; at q = p**e it mixes an entry's e digits), and every generator
-when the cut falls between edges. Its image code is
-then stored whole and read with one shift and mask, at odd p as at p = 2.
-Only a mixed generator at odd p is read through reducer lookups that bring
-its digits back mod p. Each part of the flag kernel
-stable_flag_codes is such a map too: for a fixed graded subspace the
-stability residue, the quotient point and the sub point are linear in the
-point, so the kernel evaluates a code on the columns of its nonzero digits
-(at p = 2 the XOR of packed columns, at odd p a sum over digit lists) to
-get the codes of its quotient and sub points; it reads only orbit
-representatives, so it builds no tables. The extension code counter
-extension_code_counts is the other side of Riedtmann's formula: a block
-point [[x_t, 0], [M, x_w]] has as code the sum of the codes of x_t, x_w and
-M, each moved to its own base-q places of a big code (_block_places), so
-it counts the orbits of a pair's extensions by reading the big table's
-index. act() and the Mat flag geometry (stable_subspaces, quotient_point,
-sub_point) are not on these paths; they stay as the route of the tests and
-of the Hall layer's oracle. Extensions are enumerated as Mat points here
-too (extensions_over), as an independent cross-check of the structure
-constants the Hall layer derives.
+when the cut falls between edges. Its image code is then stored whole and
+read with one shift and mask, at odd p as at p = 2. Only a mixed generator
+at odd p is read through reducer lookups that bring its digits back mod p.
+
+The extension code counter extension_code_counts counts the structure
+constants of a split: a block point [[x_t, 0], [M, x_w]] has as code the
+sum of the codes of x_t, x_w and M, each moved to its own base-q places of
+a big code (_block_places), so it counts the orbits of a pair's extensions
+by reading the big table's index. The Hall layer derives flag counts from
+these by Riedtmann's formula. act() and the Mat flag geometry
+(stable_subspaces, quotient_point, sub_point) are not on these paths; they
+stay as the route of the tests and of the Hall layer's oracle. Extensions
+are enumerated as Mat points here too (extensions_over), as an independent
+cross-check of the structure constants the Hall layer derives.
 
 Only the identity automorphism is supported at this layer; the graded pieces
 are indexed by vertices, not vertex orbits. A RepSpace takes no automorphism
@@ -51,9 +46,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ffalg import (DEFAULT_MAX_POINTS, EnumerationBoundError, Field, Mat,
-                    Subspace, block2x2, check_count, enumerate_gl,
-                    enumerate_subspaces, gaussian_binomial, gl_generators,
-                    gl_order)
+                    block2x2, check_count, enumerate_gl, enumerate_subspaces,
+                    gaussian_binomial, gl_generators, gl_order)
 from .quiver import ContractedQuiver, Quiver
 
 
@@ -252,9 +246,9 @@ def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
                  for f in range(1 << (width * bits)))
 
 
-def _columns(space: RepSpace, slots: list):
+def _columns(space: RepSpace, slots: list) -> list:
     """The images of every basis code of the space under F_q-linear maps, as
-    sparse columns, and the width of each map's output in base-p digits.
+    sparse columns.
 
     A slot lists one (L_h, R_h) pair of Mats per edge and maps a point x to
     the point (L_h x_h R_h)_h, coded as a point is: the basis code with
@@ -290,7 +284,7 @@ def _columns(space: RepSpace, slots: list):
                                     col.append((pos, digit))
                                 pos += 1
             top -= e * L.rows * R.cols
-    return columns, widths
+    return columns
 
 
 def _block_places(big: RepSpace, sub_key: tuple) -> tuple:
@@ -334,9 +328,15 @@ def extension_code_counts(big: OrbitTable, quotient: OrbitTable,
     to the codes of every M, listed once, and reads big.index there; no
     point is decoded, encoded or acted on. The work needs no bound of its
     own: (t, w, M) -> block point is injective, so it reads at most
-    big.space.total_points codes."""
+    big.space.total_points codes.
+
+    When M holds every entry of a big point (x_t, x_w and the zero block
+    have none), every big point is a block point of the one pair (0, 0),
+    and each big orbit is counted by its size, with no code listed."""
     q = big.space.field.q
     tplaces, wplaces, mplaces = _block_places(big.space, sub.space.key)
+    if len(mplaces) == big.space.point_entries:
+        return {(0, 0): dict(enumerate(big.sizes))}
     mcodes = [0]
     for place in mplaces:
         mcodes = [m + d for d in range(0, q * place, place) for m in mcodes]
@@ -388,7 +388,7 @@ def _generator_tables(space: RepSpace):
     n = space.field.e * space.point_entries
     low = -(-n // 2)
     slots = _generator_slots(space)
-    columns, _ = _columns(space, slots)
+    columns = _columns(space, slots)
     halves = (columns[:low], columns[low:])
     # touched[i]: the output digits that half i's columns draw on
     touched = [sorted({pos for col in half for pos, _ in col}) for half in halves]
@@ -697,96 +697,6 @@ def stable_subspaces(space: RepSpace, x: tuple, sub_dims,
     sub_dims, checked by grade_key."""
     return [U for U in _graded_subspaces(space, grade_key(space.quiver, sub_dims), max_count)
             if is_stable(space, x, U)]
-
-
-@lru_cache(maxsize=None)
-def _flag_maps(U: Subspace) -> tuple[Mat, Mat, Mat, Mat]:
-    """The matrices the flag kernel reads off a subspace U of F_q^n: the
-    residue map (e_r modulo U, on U's free rows), the inclusion of the free
-    rows, the pivot reader (a member's echelon coordinates) and the echelon
-    basis."""
-    field, n, basis = U.field, U.ambient, U.basis.data
-    pivot_of = {r: l for l, r in enumerate(U.pivots)}
-    residue = Mat(field, [[field._neg[basis[fr][pivot_of[r]]] if r in pivot_of
-                           else int(r == fr) for r in range(n)]
-                          for fr in U.free_rows], cols=n)
-    free = Mat(field, [[int(r == fr) for fr in U.free_rows] for r in range(n)],
-               cols=len(U.free_rows))
-    pivots = Mat(field, [[int(r == pr) for r in range(n)] for pr in U.pivots],
-                 cols=n)
-    return residue, free, pivots, U.basis
-
-
-def stable_flag_codes(space: RepSpace, sub_dims,
-                      max_count: int = DEFAULT_MAX_POINTS):
-    """The flag kernel: a function taking a point code of the space to
-    [(quotient code, sub code)] over the point's stable graded subspaces U
-    with dimension vector sub_dims (grade_key checks it), in the order of
-    stable_subspaces; the codes are the ranks of quotient_point and sub_point.
-
-    For a fixed U three maps of a point x have the form x_h -> L x_h R, with
-    L read off U at h's target t and R off U at its source s (_flag_maps):
-    the residues of x_h(U_s) modulo U_t, all zero iff U is stable (L the
-    residue map of U_t, R the basis of U_s), the quotient point (the same
-    L, R the inclusion of U_s's free rows) and the sub point (L the pivot
-    reader of U_t, R the basis of U_s). The maps of every candidate are
-    kept as sparse basis columns (_columns), their output digits end to end,
-    and a code is evaluated on them directly, from the columns of its
-    nonzero digits: only the few orbit representatives are looked up, and
-    their codes, being rank-least, have few nonzero digits. At p = 2 each
-    column is packed in one int, a code's image is the XOR of its set bits'
-    columns, and its residue, quotient and sub codes are each read with one
-    shift and mask, as _close_orbits reads the generator tables; at odd p
-    the columns stay digit lists and the image is summed digit by digit."""
-    ends = space.edge_vertex_indices
-    incident = set().union(*ends)
-    p = space.field.p
-    slots = []
-    for U in _graded_subspaces(space, grade_key(space.quiver, sub_dims), max_count):
-        # per vertex that ends an edge: residue map, free-row inclusion,
-        # pivot reader, basis
-        maps = {v: _flag_maps(U[v]) for v in incident}
-        slots += [[(maps[t][0], maps[s][3]) for t, s in ends],
-                  [(maps[t][0], maps[s][1]) for t, s in ends],
-                  [(maps[t][2], maps[s][3]) for t, s in ends]]
-    columns, widths = _columns(space, slots)
-    # per candidate: where its residue, quotient and sub digits start, and
-    # where its sub digits end
-    offsets = list(itertools.accumulate(widths, initial=0))
-    spans = list(zip(offsets[0::3], offsets[1::3], offsets[2::3], offsets[3::3]))
-    if p == 2:
-        packed = [sum(1 << pos for pos, _ in col) for col in columns]
-        reads = [(a, (1 << (b - a)) - 1, b, (1 << (c - b)) - 1, c, (1 << (stop - c)) - 1)
-                 for a, b, c, stop in spans]
-
-        def packed_flags(code):
-            image = 0
-            while code:
-                low = code & -code
-                image ^= packed[low.bit_length() - 1]
-                code ^= low
-            return [(image >> b & qmask, image >> c & smask)
-                    for a, rmask, b, qmask, c, smask in reads
-                    if not image >> a & rmask]
-        return packed_flags
-    # no map has more output digits than the space has input digits
-    places = [p ** i for i in range(space.field.e * space.point_entries)]
-
-    def code_of(digits):
-        return sum(a % p * w for a, w in zip(digits, places))
-
-    def flags(code):
-        image = [0] * offsets[-1]
-        j = 0
-        while code:
-            code, d = divmod(code, p)
-            if d:
-                for pos, v in columns[j]:
-                    image[pos] += d * v
-            j += 1
-        return [(code_of(image[b:c]), code_of(image[c:stop]))
-                for a, b, c, stop in spans if not any(x % p for x in image[a:b])]
-    return flags
 
 
 def sub_point(space: RepSpace, x: tuple, U: tuple) -> tuple:

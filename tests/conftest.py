@@ -40,6 +40,25 @@ def packed_index(ordinals, width=1):
     return base64.b64encode(raw).decode("ascii")
 
 
+def flag_table_by_mat(ctx, tkey, wkey):
+    """The flag table of the split (tkey, wkey) counted through the Mat
+    geometry: for each big representative y, its stable graded subspaces U
+    (stable_subspaces), each under the orbits of quotient_point(y, U) and
+    sub_point(y, U)."""
+    nkey = tuple(a + b for a, b in zip(tkey, wkey))
+    space, big = ctx.space(nkey), ctx.table(nkey)
+    ttable, wtable = ctx.table(tkey), ctx.table(wkey)
+    out = {}
+    for o in range(big.count):
+        y = big.representative(o)
+        for U in hc.stable_subspaces(space, y, wkey):
+            pair = (ttable.ordinal_of(hc.quotient_point(space, y, U)),
+                    wtable.ordinal_of(hc.sub_point(space, y, U)))
+            bucket = out.setdefault(pair, {})
+            bucket[o] = bucket.get(o, 0) + 1
+    return out
+
+
 def a1_quiver():
     return qv.Quiver(("1",), ())
 

@@ -49,7 +49,7 @@ from hallcontract.repspace import (enumerate_points, extensions_over,
                                    fiber_of_contraction)
 from hallcontract.scalars import SqrtQScalar
 
-from conftest import a1_quiver, jordan_quiver, kronecker_quiver
+from conftest import a1_quiver, flag_table_by_mat, jordan_quiver, kronecker_quiver
 
 
 def sq(ctx, a=0, b=0):
@@ -178,20 +178,6 @@ def test_a_coproduct_past_the_bound_is_refused_promptly():
     assert time.perf_counter() - start < 1.5
 
 
-def test_flag_maps_are_built_only_where_an_edge_reads_them(monkeypatch):
-    """A1 has no edge, so its flag kernel reads no vertex's flag maps: the
-    refused coproduct above builds none, not even the 1200 x 1200 ones of
-    its split (0, 1200)."""
-    calls = []
-    flag_maps = repspace._flag_maps
-    monkeypatch.setattr(repspace, "_flag_maps",
-                        lambda U: calls.append(U.ambient) or flag_maps(U))
-    f = char_function(HallContext(a1_quiver(), 2), (1200,), 0)
-    with pytest.raises(EnumerationBoundError, match=r"^at least 2\^1199 "):
-        coproduct(f)
-    assert calls == []
-
-
 def test_oracle_shares_no_state_with_the_flag_table():
     """One flag count, corrupted before any product on a fresh context,
     moves star but not the oracle, which is computed after it."""
@@ -219,7 +205,7 @@ def test_memos_live_exactly_as_long_as_their_context():
     heart.orbit_maps((1, 1))
     assert {fn.__name__ for fn in ctx._memo} == {
         "_space", "_table", "_flag_table", "_product_row", "_ext_table",
-        "_coproduct_row", "_oracle_flags", "_group_profile"}
+        "_aut_orders", "_coproduct_row", "_oracle_flags", "_group_profile"}
     assert {fn.__name__ for fn in heart._memo} == {"orbit_maps"}
     assert heart.hat._memo and heart.hat._memo is not ctx._memo
     refs = [weakref.ref(x) for x in (ctx, heart, heart.hat, ctx.table((1, 1)),
@@ -289,8 +275,8 @@ def test_memoized_structure_constants_are_invisible(quiver, q):
 def test_star_and_the_oracle_share_no_flag_code(monkeypatch):
     """star, circ and coproduct count flags on codes only, never through
     the Mat flag geometry; the oracle uses that geometry only, never the
-    flag kernel or the extension code counter. Each route, with the other's
-    code made to raise, gives the products the other gave."""
+    extension code counter. Each route, with the other's code made to
+    raise, gives the products the other gave."""
     quiver = kronecker_quiver()
     basis_keys = [(0, 1), (1, 0), (1, 1)]
 
@@ -319,8 +305,8 @@ def test_star_and_the_oracle_share_no_flag_code(monkeypatch):
             circ(f, g)
             coproduct(f + g)
     for module in ("hall", "repspace"):
-        for name in ("stable_flag_codes", "extension_code_counts"):
-            monkeypatch.setattr(f"hallcontract.{module}.{name}", refuse(name))
+        monkeypatch.setattr(f"hallcontract.{module}.extension_code_counts",
+                            refuse("extension_code_counts"))
     ctx = HallContext(quiver, 3, cache=OrbitCache())
     assert [diagram_star_oracle(f, g).terms
             for f, g in itertools.product(basis(ctx), repeat=2)] == products
@@ -340,10 +326,11 @@ def test_exponent_bookkeeping():
 @pytest.mark.parametrize("ctx_name, bound", [
     ("a1_ctx3", 3), ("jordan_ctx", 3), ("kron_ctx", 2)])
 def test_extension_counts_follow_from_flag_counts(request, ctx_name, bound):
-    """The extension table equals a direct count of block-triangular
-    extensions of every representative pair, built as Mat points. The table
-    may come from either route: counted on codes by the extension route, or
-    derived from the flag table by Riedtmann's formula."""
+    """The extension table, counted on codes, equals a direct count of
+    block-triangular extensions of every representative pair, built as Mat
+    points. The splits include those whose M holds every entry of a big
+    point, and Kronecker (0,1)+(1,0), whose x_t and x_w have no entries
+    but whose zero block does."""
     ctx = request.getfixturevalue(ctx_name)
     nvert = len(ctx.quiver.vertices)
     for tk in itertools.product(range(bound + 1), repeat=nvert):
@@ -372,9 +359,11 @@ def _quiver(vertices, edges):
 #: leaving out spaces of more than 300,000 points.
 ROUTE_GRID = [
     *((jordan_quiver(), q, top) for q, top in ((2, (4,)), (3, (3,)), (4, (2,)),
-                                               (5, (2,)), (9, (2,)))),
+                                               (5, (2,)), (9, (2,)), (8, (1,)),
+                                               (27, (1,)))),
     *((kronecker_quiver(), q, top) for q, top in ((2, (3, 3)), (3, (2, 2)),
-                                                  (4, (2, 2)))),
+                                                  (4, (2, 2)), (8, (1, 1)),
+                                                  (9, (1, 1)))),
     *((_quiver("pm", [("p", "m")] * 3), q, (2, 2)) for q in (2, 3)),
     *((_quiver("pm", [("p", "m"), ("m", "p")]), q, (2, 2)) for q in (2, 3)),
     (_quiver("abc", [("a", "b"), ("b", "c")]), 2, (2, 2, 2)),
@@ -388,11 +377,10 @@ ROUTE_GRID = [
 
 
 def test_both_routes_give_one_flag_and_extension_table():
-    """Each split's flag and extension tables are the same from either side
-    of Riedtmann's formula: the candidate route's flag kernel with the
-    extension table derived, and the extension route's code counter with
-    the flag table derived. Each route's builder is called directly, on all
-    660 splits of the grid."""
+    """Each split's flag table, derived by Riedtmann's formula from the
+    extension table counted on codes, equals the flag table counted through
+    the Mat geometry (stable_subspaces, quotient_point, sub_point), on all
+    684 splits of the grid."""
     splits = 0
     for quiver, q, top in ROUTE_GRID:
         ctx = HallContext(quiver, q)
@@ -401,46 +389,10 @@ def test_both_routes_give_one_flag_and_extension_table():
                 continue
             for tk in itertools.product(*(range(n + 1) for n in nk)):
                 wk = tuple(n - t for n, t in zip(nk, tk))
-                flags = hall._flag_codes_table(ctx, tk, wk)
-                exts = repspace.extension_code_counts(
-                    ctx.table(nk), ctx.table(tk), ctx.table(wk))
-                where = (quiver.vertices, q, tk, wk)
-                assert hall._riedtmann(ctx, tk, wk, exts, False) == flags, where
-                assert hall._riedtmann(ctx, tk, wk, flags, True) == exts, where
+                assert hall._flag_table(ctx, tk, wk) == flag_table_by_mat(
+                    ctx, tk, wk), (quiver.vertices, q, tk, wk)
                 splits += 1
-    assert splits == 660
-
-
-def test_the_route_is_chosen_by_counts():
-    """On Kronecker q = 3 (2, 3) the split onto w = (0, 3) has one candidate
-    subspace but 3^12 extensions, and takes the candidate route; w = (1, 1)
-    takes the extension route. Forcing every split down either route
-    changes no product, coproduct, restriction or tensor product."""
-    ctx = HallContext(kronecker_quiver(), 3)
-    assert not hall._extension_route(ctx, (2, 0), (0, 3))
-    assert hall._extension_route(ctx, (1, 2), (1, 1))
-
-    def outputs(quiver, q, keys):
-        ctx = HallContext(quiver, q, cache=OrbitCache())
-        basis = [char_function(ctx, k, o) for k in keys
-                 for o in range(ctx.table(k).count)]
-        out = []
-        for f, g in itertools.product(basis, repeat=2):
-            fg = circ(f, g)
-            tau, omega = (next(iter(h.terms))[0] for h in (f, g))
-            out += [x.to_json() for x in (
-                fg, star(f, g), coproduct(fg), res(fg, tau, omega),
-                tensor_mult(coproduct(f), coproduct(g)))]
-        return out
-
-    for quiver, q, keys in ((kronecker_quiver(), 3,
-                             list(itertools.product(range(2), repeat=2))),
-                            (jordan_quiver(), 2, [(0,), (1,), (2,)])):
-        chosen = outputs(quiver, q, keys)
-        for weight in (0, 10 ** 30):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(hall, "_CODES_PER_STEP", weight)
-                assert outputs(quiver, q, keys) == chosen, (quiver, weight)
+    assert splits == 684
 
 
 def test_restriction_values(a1_ctx, jordan_ctx):

@@ -8,12 +8,13 @@ import os
 import pytest
 
 from hallcontract.cache import FileError, OrbitCache
-from hallcontract import hall, repspace
+from hallcontract import repspace
 from hallcontract.ffalg import (EnumerationBoundError, Field, Mat, block2x2,
                                 gl_generators, gl_order)
 from hallcontract.quiver import (Edge, Quiver, contract_quiver,
                                  identity_automorphism, make_orbit_pair)
 from hallcontract.repspace import (
+    OrbitTable,
     RepSpace,
     _divides_group_order,
     _generator_tables,
@@ -30,7 +31,6 @@ from hallcontract.repspace import (
     is_stable,
     orbits,
     quotient_point,
-    stable_flag_codes,
     stable_subspaces,
     sub_point,
 )
@@ -38,7 +38,8 @@ from hallcontract.ffalg import Subspace
 from hallcontract.hall import (HallContext, _ext_table, _flag_table, char_function,
                                diagram_star_oracle)
 
-from conftest import a1_quiver, jordan_quiver, kronecker_quiver, packed_index
+from conftest import (a1_quiver, flag_table_by_mat, jordan_quiver, kronecker_quiver,
+                      packed_index)
 
 
 def jordan_space(n, q=2):
@@ -893,105 +894,70 @@ def test_stable_line_counts():
     for U in stable_subspaces(space, nilpotent, {"1": 1}):
         assert is_stable(space, nilpotent, U)
         assert tuple(s.dim for s in U) == (1,)
-
-
-def _flags_by_mat(space, x, sub_dims):
-    """(quotient code, sub code) of every stable U, through the Mat geometry."""
-    sub_space = RepSpace(space.quiver, space.field, sub_dims)
-    quotient_space = RepSpace(space.quiver, space.field,
-                              [n - k for n, k in zip(space.key, sub_space.key)])
-    return [(quotient_space.point_rank(quotient_point(space, x, U)),
-             sub_space.point_rank(sub_point(space, x, U)))
-            for U in stable_subspaces(space, x, sub_dims)]
-
-
-def test_flag_kernel_matches_the_mat_geometry():
-    """On every orbit representative of every space, for every sub dimension
-    vector (zero and full ones included), the kernel lists the quotient and
-    sub codes of stable_subspaces + quotient_point + sub_point, in order.
-    The spaces cover q = 2, 3, 4, 5, 8, 9, 27 (e = 1, 2, 3), codes of one
-    and three digits, and spaces without entries. The kernel reads the sub
-    dimension vector as a sequence, the Mat route as the equivalent dict;
-    on Kronecker, one that misses or misnames a vertex, or has the wrong
-    length, is refused by both."""
-    one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
-    spaces = (jordan_space(1), jordan_space(3), kron_space((2, 2)),
-              kron_space((1, 2), q=3), jordan_space(2, q=3),
-              RepSpace(one_edge, Field(3), {"a": 3, "b": 1}),
-              jordan_space(2, q=4), kron_space((1, 1), q=4),
-              jordan_space(2, q=5), kron_space((1, 1), q=9),
-              jordan_space(1, q=8), jordan_space(1, q=27),
-              kron_space((1, 1), q=8),
-              jordan_space(0, q=5), kron_space((0, 2)),
-              RepSpace(a1_quiver(), Field(3), {"1": 2}))
-    for space in spaces:
-        table = orbits(space)
-        vertices = space.quiver.vertices
-        for split in itertools.product(*(range(n + 1) for n in space.key)):
-            sub_dims = dict(zip(vertices, split))
-            flags = stable_flag_codes(space, split)
-            for rank in table.rep_ranks:
-                x = space.point_from_rank(rank)
-                assert flags(rank) == _flags_by_mat(space, x, sub_dims), (
-                    space, sub_dims, rank)
     kron = kron_space((1, 1))
     for bad in ({"p": 1}, {"pp": 1}, (1,)):
         with pytest.raises(ValueError, match="must cover exactly the vertices"):
             stable_subspaces(kron, kron.point_from_rank(0), bad)
-        with pytest.raises(ValueError, match="must cover exactly the vertices"):
-            stable_flag_codes(kron, bad)
 
 
 def test_orbit_and_flag_tables_never_act_on_points(monkeypatch):
-    """Orbit tables and flag tables are built on codes from L and R matrices
-    alone: with act, point_from_rank and point_rank refused they equal what
-    the Mat route gives. The spaces cover q = 2, 3, 4, 9 and codes of one
-    and of two orbit-closure lookup chunks. A split that takes the
-    extension route reads codes only too: its flag and extension tables,
-    built with the same refusals, equal the candidate route's."""
+    """Orbit tables, extension tables and flag tables are built on codes
+    alone: with act, point_from_rank and point_rank refused, the orbit
+    tables equal those built before the refusal, and the extension and
+    flag tables of every split of each space equal those built before it,
+    the flag tables being the Mat geometry's. The spaces cover q = 2, 3, 4,
+    9 and codes of one and of two orbit-closure lookup chunks."""
     spaces = (kron_space((2, 2)), jordan_space(3), kron_space((1, 3), q=3),
               jordan_space(2, q=4), jordan_space(2, q=9))
     tables = [orbits(space).to_payload() for space in spaces]
-    splits = [[dict(zip(space.quiver.vertices, split)) for split in
+    splits = [[(tk, tuple(n - t for n, t in zip(space.key, tk))) for tk in
                itertools.product(*(range(n + 1) for n in space.key))]
               for space in spaces]
-    expected = [[[_flags_by_mat(space, space.point_from_rank(rank), sub_dims)
-                  for rank in table["rep_ranks"]] for sub_dims in space_splits]
-                for space, table, space_splits in zip(spaces, tables, splits)]
-    ctx = HallContext(kronecker_quiver(), 3)
-    split = ((1, 1), (1, 0))
-    assert hall._extension_route(ctx, *split)
-    flag_table = hall._flag_codes_table(ctx, *split)
-    ext_table = hall._riedtmann(ctx, *split, flag_table, True)
+    expected = []
+    for space, space_splits in zip(spaces, splits):
+        ctx = HallContext(space.quiver, space.field.q)
+        expected.append([(_ext_table(ctx, *split), flag_table_by_mat(ctx, *split))
+                         for split in space_splits])
 
     def refused(*args, **kwargs):
         raise AssertionError("a point was decoded, encoded or acted on")
     monkeypatch.setattr("hallcontract.repspace.act", refused)
     monkeypatch.setattr(RepSpace, "point_from_rank", refused)
     monkeypatch.setattr(RepSpace, "point_rank", refused)
-    for space, table, space_splits, flags in zip(spaces, tables, splits, expected):
-        built = orbits(space)
-        assert built.to_payload() == table
-        assert [[stable_flag_codes(space, sub_dims)(rank)
-                 for rank in built.rep_ranks]
-                for sub_dims in space_splits] == flags
-    ctx = HallContext(kronecker_quiver(), 3)
-    assert _ext_table(ctx, *split) == ext_table
-    assert _flag_table(ctx, *split) == flag_table
+    for space, table, space_splits, tables_of_splits in zip(
+            spaces, tables, splits, expected):
+        assert orbits(space).to_payload() == table
+        ctx = HallContext(space.quiver, space.field.q)
+        assert [(_ext_table(ctx, *split), _flag_table(ctx, *split))
+                for split in space_splits] == tables_of_splits
 
 
 def test_flag_kernel_bound_is_the_stable_subspace_bound():
-    space = jordan_space(4)
-    x = space.point_from_rank(0)
-    for sub_dims, bound in (({"1": 2}, 34), ({"1": 2}, 35), ({"1": 1}, 14),
-                            ({"1": 5}, 0)):
+    """_ext_table, which _flag_table reads, refuses a split exactly where
+    stable_subspaces refuses the big space's graded subspaces under the
+    same bound, with the same message; the orbit tables are within the
+    bound. A1 spaces have one point; one edge a -> b at (1, 4) has 16."""
+    one_edge = Quiver(("a", "b"), (Edge("e", "a", "b"),))
+    cases = [(a1_quiver(), (4,), (2,), bound) for bound in (34, 35)]
+    cases += [(a1_quiver(), (4,), (1,), bound) for bound in (14, 15)]
+    cases += [(one_edge, (1, 4), wk, bound) for wk in ((0, 2), (1, 2))
+              for bound in (34, 35)]
+    refusals = 0
+    for quiver, nk, wk, bound in cases:
+        space = RepSpace(quiver, Field(2), nk)
+        tk = tuple(n - w for n, w in zip(nk, wk))
+        ctx = HallContext(quiver, 2, max_points=bound)
         try:
-            expected = len(stable_subspaces(space, x, sub_dims, bound))
-        except EnumerationBoundError:
-            with pytest.raises(EnumerationBoundError):
-                stable_flag_codes(space, sub_dims, bound)
+            stable_subspaces(space, space.point_from_rank(0), wk, bound)
+        except EnumerationBoundError as exc:
+            refusals += 1
+            with pytest.raises(EnumerationBoundError) as refusal:
+                _ext_table(ctx, tk, wk)
+            assert str(refusal.value) == str(exc)
         else:
-            assert len(stable_flag_codes(space, sub_dims, bound)(0)) == expected
+            assert _ext_table(ctx, tk, wk) == _ext_table(HallContext(quiver, 2),
+                                                         tk, wk)
+    assert refusals == 4
 
 
 def test_extensions_recover_sub_and_quotient():
@@ -1022,6 +988,25 @@ def test_extension_counts(monkeypatch):
         list(extensions_over(kron_space((3, 3)), kron_space((3, 3)),
                              kron_space((3, 3)).point_from_rank(0),
                              kron_space((3, 3)).point_from_rank(0)))
+
+
+def test_extension_code_counts_of_a_split_into_one_block(kron_ctx, kron_ctx3):
+    """When M holds every entry of a big point, the extension table is the
+    big orbit sizes under the one pair (0, 0), read without big.index:
+    Kronecker (3,0)+(0,3) at q = 2 and (2,0)+(0,3) at q = 3, and three edges
+    p -> m at q = 3, (2,0)+(0,2). Kronecker (0,1)+(1,0) has no entries in
+    x_t or x_w but a nonempty zero block, so its one block point is zero."""
+    three = Quiver(("p", "m"), tuple(Edge(f"h{i}", "p", "m") for i in range(3)))
+    for ctx, tk, wk in ((kron_ctx, (3, 0), (0, 3)), (kron_ctx3, (2, 0), (0, 3)),
+                        (HallContext(three, 3, cache=OrbitCache()), (2, 0), (0, 2))):
+        big = ctx.table(tuple(a + b for a, b in zip(tk, wk)))
+        unread = OrbitTable(big.space, None, big.sizes, big.rep_ranks)
+        assert repspace.extension_code_counts(
+            unread, ctx.table(tk), ctx.table(wk)) == {(0, 0): dict(enumerate(big.sizes))}
+    big = kron_ctx.table((1, 1))
+    assert big.count > 1
+    assert repspace.extension_code_counts(
+        big, kron_ctx.table((0, 1)), kron_ctx.table((1, 0))) == {(0, 0): {0: 1}}
 
 
 def test_extension_refuses_two_fields_also_with_big_given():
