@@ -9,8 +9,11 @@ push-pull convolution evaluated through stable graded subspaces, twisted by
 q^{-m/2}. Restriction sums over block-triangular extensions, twisted by
 q^{-m*/2}. Each split is counted one way: its extension counts on integer
 point codes by the repspace extension code counter, never on matrices, and
-its flag counts from those by Riedtmann's formula. diagram_star_oracle
-recomputes the product on Mat points. A contraction site equips the algebra
+its flag counts from those by Riedtmann's formula written in orbit sizes and
+Gaussian binomials, so the product forms no group order. Only
+diagram_star_oracle, which recomputes the product on Mat points, forms
+one. Every per-grade fact is read off the grade's orbit table, which holds
+its representation space too. A contraction site equips the algebra
 with the heart subspace (contraction edges invertible), the transport maps
 to and from the contracted quiver's Hall algebra, and the verification
 suites, which walk one basis enumeration (_basis, _basis_pairs) and share
@@ -51,13 +54,14 @@ def _memo(fn):
 
 class HallContext:
     """Shared machinery for one (quiver, q). Its memo store holds, each built
-    on first use: the representation spaces and orbit tables, the |Aut|
-    list of each grade, the flag and extension tables, each basis vector's
-    product row with every basis vector (_product_row) and its coproduct
-    row (_coproduct_row), and the oracle's flag walks and group profiles. A
-    public method takes a grade as a dict over the vertices or a sequence in
-    vertex order and checks it with grade_key; the Hall layer below passes
-    grade keys to the underscored ones."""
+    on first use: one orbit table per grade, which also holds the grade's
+    representation space, the flag and extension tables, each basis
+    vector's product row with every basis vector (_product_row) and its
+    coproduct row (_coproduct_row), and the oracle's flag walks and group
+    profiles. A public method takes a grade as a dict over the vertices or a
+    sequence in vertex order and checks it with grade_key; the Hall layer
+    below passes grade keys to the underscored ones and reads each space off
+    its orbit table."""
 
     def __init__(self, quiver: Quiver, q: int, cache: OrbitCache | None = None,
                  max_points: int = DEFAULT_MAX_POINTS):
@@ -73,18 +77,14 @@ class HallContext:
         return self.field.q
 
     def space(self, dims) -> RepSpace:
-        return self._space(grade_key(self.quiver, dims))
-
-    @_memo
-    def _space(self, key: tuple) -> RepSpace:
-        return RepSpace(self.quiver, self.field, key)
+        return RepSpace(self.quiver, self.field, dims)
 
     def table(self, dims):
         return self._table(grade_key(self.quiver, dims))
 
     @_memo
     def _table(self, key: tuple):
-        return orbits(self._space(key), max_points=self.max_points,
+        return orbits(self.space(key), max_points=self.max_points,
                       cache=self.cache)
 
     def sym_pairing(self, d1, d2) -> int:
@@ -250,18 +250,22 @@ def _flag_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     """(t, w) -> {big orbit -> number of stable graded U in its representative
     with dim U = wkey, quotient in orbit t, restriction in orbit w}, from
     _ext_table by Riedtmann's formula
-    flag = ext |Aut L| / (|Aut T| |Aut W| q^{t.w}); each division is
-    checked exact."""
+    flag = ext |Aut L| / (|Aut T| |Aut W| q^{t.w}). As |Aut X| = |G_X| / |O_X|
+    and |G_L| / (|G_T| |G_W| q^{t.w}) = prod_v [n_v, w_v]_q, the graded
+    subspace count _ext_table bounds, this is
+    flag = ext |O_T| |O_W| prod_v [n_v, w_v]_q / |O_L|, read off the orbit
+    tables with no group order formed; each division is checked exact."""
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
     exts = _ext_table(ctx, tkey, wkey)
-    taut, waut, naut = (_aut_orders(ctx, key) for key in (tkey, wkey, nkey))
-    hom = ctx.q ** sum(a * b for a, b in zip(tkey, wkey))
+    tsizes, wsizes = ctx._table(tkey).sizes, ctx._table(wkey).sizes
+    big_table = ctx._table(nkey)
+    subspaces = graded_subspace_count(big_table.space, wkey, ctx.max_points)
     out: dict = {}
     for (t, w), bucket in exts.items():
-        pair = taut[t] * waut[w] * hom
+        pair = tsizes[t] * wsizes[w] * subspaces
         counter = out[(t, w)] = {}
         for big, n in bucket.items():
-            count, rest = divmod(n * naut[big], pair)
+            count, rest = divmod(n * pair, big_table.sizes[big])
             if rest:
                 raise AssertionError(
                     f"count {n} at {tkey}+{wkey}, pair {(t, w)}, orbit {big} "
@@ -343,7 +347,7 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement) -> HallElement:
              for wk in sorted({k for k, _ in f2.terms})]
     orders = {}
     for tk, wk in pairs:
-        ot, ow = group_order(ctx._space(tk)), group_order(ctx._space(wk))
+        ot, ow = (group_order(ctx._table(k).space) for k in (tk, wk))
         check_count(ot * ow, "flag isomorphisms", ORACLE_MAX_FLAGS)
         orders[(tk, wk)] = ot * ow
     zero = SqrtQScalar.zero(ctx.q)
@@ -382,8 +386,9 @@ def _oracle_flags(ctx: HallContext, tkey: tuple, wkey: tuple) -> list:
     """big orbit -> [(group profile of the quotient point, of the sub point)
     for each stable graded U in its representative with dim U = wkey]."""
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    big_space, big_table = ctx._space(nkey), ctx._table(nkey)
-    tspace, wspace = ctx._space(tkey), ctx._space(wkey)
+    big_table = ctx._table(nkey)
+    big_space = big_table.space
+    tspace, wspace = ctx._table(tkey).space, ctx._table(wkey).space
     out = []
     for big in range(big_table.count):
         y = big_table.representative(big)
@@ -401,7 +406,8 @@ def _group_profile(ctx: HallContext, key: tuple, rank: int) -> dict:
     point x of that rank, by applying every group element to x. The caller
     has bounded the group order by ORACLE_MAX_FLAGS, far below
     enumerate_group's own bound."""
-    space, table = ctx._space(key), ctx._table(key)
+    table = ctx._table(key)
+    space = table.space
     x = space.point_from_rank(rank)
     profile: dict = {}
     for g in enumerate_group(space):
@@ -440,18 +446,10 @@ def _ext_table(ctx: HallContext, tkey: tuple, wkey: tuple) -> dict:
     the bound on its candidate graded subspaces, from exponents first: a
     flag count is at most that, and the oracle enumerates them."""
     nkey = tuple(a + b for a, b in zip(tkey, wkey))
-    big_space, big_table = ctx._space(nkey), ctx._table(nkey)
+    big_table = ctx._table(nkey)
     ttable, wtable = ctx._table(tkey), ctx._table(wkey)
-    graded_subspace_count(big_space, wkey, ctx.max_points)
+    graded_subspace_count(big_table.space, wkey, ctx.max_points)
     return extension_code_counts(big_table, ttable, wtable)
-
-
-@_memo
-def _aut_orders(ctx: HallContext, key: tuple) -> list:
-    """|Aut| of each orbit's representative at a grade key, in ordinal
-    order: the group order over the orbit size."""
-    order = group_order(ctx._space(key))
-    return [order // size for size in ctx._table(key).sizes]
 
 
 def res(f: HallElement, tau, omega) -> TensorElement:
@@ -570,10 +568,8 @@ class HeartContext:
         """(heart orbit -> contracted orbit, inverse). Built from the orbit
         representatives; the bijectivity is checked, not assumed."""
         hat_key = self.drop_key(big_key)
-        space = self.ctx._space(big_key)
-        table = self.ctx._table(big_key)
-        hat_space = self.hat._space(hat_key)
-        hat_table = self.hat._table(hat_key)
+        table, hat_table = self.ctx._table(big_key), self.hat._table(hat_key)
+        space, hat_space = table.space, hat_table.space
         to_hat: dict = {}
         for k in range(table.count):
             rep = table.representative(k)

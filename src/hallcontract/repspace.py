@@ -609,16 +609,14 @@ def contract_point(space: RepSpace, con: ContractedQuiver, x: tuple,
 
 
 def fiber_of_contraction(space: RepSpace, con: ContractedQuiver, xhat: tuple,
-                         target_space: RepSpace | None = None):
-    """All heart points contracting onto xhat: one per invertible assignment
-    g_h to the contraction edges h, of which there must be at most
-    DEFAULT_MAX_POINTS. Each other original edge is read off the new edge
-    that records it in con.provenance: a kept edge copies its xhat matrix,
-    the l1 of a post edge l1*h gets xhat(l1*h) g_h^{-1}, and the l2 of a
-    pre edge ~h*l2 gets g_h xhat(~h*l2); h itself gets g_h."""
-    if target_space is None:
-        target_space = RepSpace(con.quiver, space.field, [
-            space.key[space.quiver.vertex_index[v]] for v in con.quiver.vertices])
+                         target_space: RepSpace):
+    """All heart points contracting onto xhat, a point of target_space (the
+    contracted grade's space): one per invertible assignment g_h to the
+    contraction edges h, of which there must be at most DEFAULT_MAX_POINTS.
+    Each other original edge is read off the new edge that records it in
+    con.provenance: a kept edge copies its xhat matrix, the l1 of a post
+    edge l1*h gets xhat(l1*h) g_h^{-1}, and the l2 of a pre edge ~h*l2 gets
+    g_h xhat(~h*l2); h itself gets g_h."""
     total = 1
     for h in con.contraction_edges:
         rows, cols = space.edge_shapes[space.edge_index[h]]

@@ -169,13 +169,35 @@ def test_hall_bounds_refuse_before_counting(monkeypatch):
 
 def test_a_coproduct_past_the_bound_is_refused_promptly():
     """The coproduct of A1 at dim 1200 over F_2 computes its split (0, 1200),
-    whose one graded subspace is the whole space (group order |GL_1200|,
-    Gaussian binomial [1200, 1200] = 1), before (1, 1199) is refused."""
+    whose one graded subspace is the whole space (Gaussian binomial
+    [1200, 1200] = 1, one point on each side), before (1, 1199) is
+    refused."""
     f = char_function(HallContext(a1_quiver(), 2), (1200,), 0)
     start = time.perf_counter()
     with pytest.raises(EnumerationBoundError, match=r"^at least 2\^1199 "):
         coproduct(f)
     assert time.perf_counter() - start < 1.5
+
+
+@pytest.mark.parametrize("quiver, big, unit_key", [
+    (a1_quiver(), (3000,), (0,)), (kronecker_quiver(), (3000, 0), (0, 0))])
+def test_unit_products_form_no_group_order(monkeypatch, quiver, big, unit_key):
+    """circ and star of a one-point grade at dim 3000 over F_2 with the
+    unit, on either side, return the element unchanged and promptly: the
+    flag count reads orbit sizes and the one graded subspace, and forms no
+    |GL_3000(F_2)|."""
+    def forbidden(*args):
+        raise AssertionError("a group order was formed")
+    for target in ("repspace.group_order", "hall.group_order",
+                   "ffalg.gl_order", "repspace.gl_order"):
+        monkeypatch.setattr(f"hallcontract.{target}", forbidden)
+    ctx = HallContext(quiver, 2)
+    f, one = char_function(ctx, big, 0), char_function(ctx, unit_key, 0)
+    for op in (circ, star):
+        for args in ((f, one), (one, f)):
+            start = time.perf_counter()
+            assert op(*args) == f, (op.__name__, args)
+            assert time.perf_counter() - start < 0.5
 
 
 def test_oracle_shares_no_state_with_the_flag_table():
@@ -204,8 +226,8 @@ def test_memos_live_exactly_as_long_as_their_context():
     heart = HeartContext(ctx, "p", "m", "e")
     heart.orbit_maps((1, 1))
     assert {fn.__name__ for fn in ctx._memo} == {
-        "_space", "_table", "_flag_table", "_product_row", "_ext_table",
-        "_aut_orders", "_coproduct_row", "_oracle_flags", "_group_profile"}
+        "_table", "_flag_table", "_product_row", "_ext_table",
+        "_coproduct_row", "_oracle_flags", "_group_profile"}
     assert {fn.__name__ for fn in heart._memo} == {"orbit_maps"}
     assert heart.hat._memo and heart.hat._memo is not ctx._memo
     refs = [weakref.ref(x) for x in (ctx, heart, heart.hat, ctx.table((1, 1)),
@@ -376,7 +398,7 @@ ROUTE_GRID = [
 ]
 
 
-def test_both_routes_give_one_flag_and_extension_table():
+def test_riedtmann_flag_tables_match_the_mat_geometry():
     """Each split's flag table, derived by Riedtmann's formula from the
     extension table counted on codes, equals the flag table counted through
     the Mat geometry (stable_subspaces, quotient_point, sub_point), on all

@@ -142,3 +142,26 @@ def test_every_production_definition_is_named_by_production():
 
 def test_the_allow_list_names_only_unreferenced_definitions():
     assert ALLOWED <= {node.name for _, node in _unreferenced()}
+
+
+#: The Mat group and flag geometry, which only the Hall layer's oracle reads.
+ORACLE_ONLY = {"group_order", "enumerate_group", "act", "stable_subspaces",
+               "quotient_point", "sub_point"}
+ORACLE_FUNCTIONS = {"diagram_star_oracle", "_oracle_flags", "_group_profile"}
+
+
+def test_only_the_oracle_names_the_group_or_the_flag_geometry():
+    """No function or method of hall.py but the oracle's three names a group
+    order, a group element or a Mat flag, as a plain name or an attribute:
+    the production product reads orbit sizes and subspace counts only."""
+    tree = ast.parse((PACKAGE / "hall.py").read_text(encoding="utf-8"))
+    offenders = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name not in ORACLE_FUNCTIONS):
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name in ORACLE_ONLY:
+                    offenders.add(f"{node.name}:{name}")
+    assert not offenders, "names oracle-only geometry: " + ", ".join(sorted(offenders))
