@@ -3,7 +3,9 @@
 Keys are descriptive strings (graph hash, field, dimension vector); the file
 name is the sha256 of the key, so renaming inputs can never alias. Writes go
 through a temp file and os.replace, so a crashed run leaves no torn entries.
-The directory comes from $HALL_CACHE_DIR, default ./.hallcache. An entry
+The directory comes from $HALL_CACHE_DIR, default ./.hallcache; listing and
+purging touch only the names the cache owns, so other files there are
+left alone. An entry
 that cannot be read is a miss; a cache that cannot be written raises
 FileError. read_json is the one reader of JSON files from outside the
 program, cached entries and command-line inputs alike.
@@ -15,6 +17,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 
@@ -37,6 +40,15 @@ def read_json(path: str):
     except RecursionError:
         reason = "JSON nested too deep to parse"
     raise FileError(f"cannot read {path}: {reason}")
+
+
+#: mkstemp prefix and suffix of the temp file store() writes an entry to
+#: before renaming it into place.
+_TEMP_PREFIX, _TEMP_SUFFIX = "hallcache-", ".tmp"
+#: The names the cache owns: its entries, <sha256 hex>.json (the "entry"
+#: group), and its temp files. entries() and purge() touch no other file.
+_OWNED = re.compile(r"(?P<entry>[0-9a-f]{64}\.json)|" + re.escape(_TEMP_PREFIX)
+                    + r"\w+" + re.escape(_TEMP_SUFFIX))
 
 
 class OrbitCache:
@@ -66,7 +78,8 @@ class OrbitCache:
         tmp = None
         try:
             os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=_TEMP_PREFIX,
+                                        suffix=_TEMP_SUFFIX)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(blob)
             os.replace(tmp, self._path(key))
@@ -85,7 +98,8 @@ class OrbitCache:
             return []
         out = []
         for name in sorted(os.listdir(self.directory)):
-            if not name.endswith(".json"):
+            owned = _OWNED.fullmatch(name)
+            if not (owned and owned["entry"]):
                 continue
             path = os.path.join(self.directory, name)
             try:
@@ -101,14 +115,14 @@ class OrbitCache:
         return out
 
     def purge(self) -> int:
-        """Remove every cache file (regular files named like an entry or a
-        temp file); returns how many were deleted."""
+        """Remove every regular file the cache owns (an entry or a temp
+        file); returns how many were deleted."""
         if not os.path.isdir(self.directory):
             return 0
         removed = 0
         for name in os.listdir(self.directory):
             path = os.path.join(self.directory, name)
-            if name.endswith((".json", ".tmp")) and os.path.isfile(path):
+            if _OWNED.fullmatch(name) and os.path.isfile(path):
                 os.unlink(path)
                 removed += 1
         return removed

@@ -203,14 +203,10 @@ class Mat:
         out = []
         for arow in self.data:
             row = [0] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    mrow = mul[a]
-                    brow = other.data[k]
-                    for j in ocols:
-                        b = brow[j]
-                        if b:
-                            row[j] = add[row[j]][mrow[b]]
+            for a, brow in zip(arow, other.data):
+                mrow = mul[a]
+                for j in ocols:
+                    row[j] = add[row[j]][mrow[brow[j]]]
             out.append(tuple(row))
         return _mat(self.field, tuple(out), other.cols)
 
@@ -224,8 +220,7 @@ class Mat:
         for i, arow in enumerate(self.data):
             acc = 0
             for a, x in zip(arow, v):
-                if a and x:
-                    acc = add[acc][mul[a][x]]
+                acc = add[acc][mul[a][x]]
             out[i] = acc
         return tuple(out)
 
@@ -432,14 +427,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def gl_order(n: int, q: int) -> int:
-    """Order of GL_n(F_q): q^(n(n-1)/2) prod_{k=1..n} (q^k - 1). The factors
-    are multiplied pairwise, level by level: big-int multiplication is
-    subquadratic on numbers of like size, while a running product would
-    multiply its huge partial product by a small factor n times."""
-    factors = [q ** k - 1 for k in range(1, n + 1)]
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return q ** (n * (n - 1) // 2) * math.prod(factors)
+    """Order of GL_n(F_q): q^(n(n-1)/2) prod_{k=1..n} (q^k - 1)."""
+    return q ** (n * (n - 1) // 2) * math.prod(q ** k - 1 for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

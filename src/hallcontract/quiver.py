@@ -248,21 +248,12 @@ def make_orbit_pair(quiver: Quiver, autom: Automorphism, plus: str, minus: str,
     else:
         raise ValueError("no edge joins the two orbits" if edge is None
                          else f"edge {edge!r} does not join the two orbits")
-    size = _edge_orbit_size(autom, e.id)
+    size = len(_orbits_of(autom.eperm, [e.id])[0])
     if size != len(plus_orbit):
         raise ValueError(
             f"edge {e.id!r} has an automorphism orbit of size {size}, "
             f"expected {len(plus_orbit)}; contraction needs an aligned edge orbit")
     return OrbitPair(plus_orbit, minus_orbit, e.id, swapped)
-
-
-def _edge_orbit_size(autom: Automorphism, edge_id: str) -> int:
-    size = 1
-    cur = autom.eperm[edge_id]
-    while cur != edge_id:
-        size += 1
-        cur = autom.eperm[cur]
-    return size
 
 
 def check_contraction_assumptions(quiver: Quiver, autom: Automorphism,
@@ -325,14 +316,11 @@ def contract_quiver(quiver: Quiver, autom: Automorphism, pair: OrbitPair) -> Con
     if bad:
         raise ValueError("contraction assumptions fail: " + "; ".join(bad))
 
-    phi1 = len(pair.plus_orbit)
-    hks = []
-    cur = pair.edge
-    for _ in range(phi1):
-        cur = autom.eperm[cur]
-        hks.append(cur)
-    if len(set(hks)) != phi1 or hks[-1] != pair.edge:
+    (orbit,) = _orbits_of(autom.eperm, [pair.edge])
+    if len(orbit) != len(pair.plus_orbit):
         raise ValueError("contraction edge orbit is not aligned with the vertex orbit")
+    # a(e), a^2(e), ..., e: the order fixes the new edges' order
+    hks = orbit[1:] + orbit[:1]
     minus_set = set(pair.minus_orbit)
     hk_at_target = {quiver.edge(h).target: h for h in hks}
     assert set(hk_at_target) == minus_set

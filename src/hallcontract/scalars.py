@@ -6,9 +6,9 @@ gcd(A, B, D) = 1, so each value has exactly one representation and equality
 is field equality. When q is a perfect square the representation is
 normalized to b = 0 so equality stays honest. `Fraction` appears only at the
 edges: constructor input, the first computation of each `half_power`, reading
-JSON, `repr`, the `.a`/`.b` properties and the hash of a non-integer
-rational. JSON is written from the stored integers, A/D and B/D each over
-one gcd, in the text `str(Fraction)` gives.
+JSON, `repr`, the `.a`/`.b` properties and the hash of a rational. JSON is
+written from the stored integers, A/D and B/D each over one gcd, in the
+text `str(Fraction)` gives.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class SqrtQScalar:
 
     def __hash__(self):
         if self._b == 0:
-            return hash(self._a) if self._d == 1 else hash(self.a)
+            return hash(self.a)
         return hash((self.q, self._a, self._b, self._d))
 
     def to_json(self) -> dict:
@@ -199,10 +199,9 @@ def _make(q: int, a: int, b: int, d: int, into=None) -> SqrtQScalar:
     no coercion and no perfect-square fold, which every operation on folded
     values keeps. Fills `into` (the constructor's instance) or a new one;
     the slot setters get past the immutability guard."""
-    if d != 1:
-        g = math.gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
     s = _new(SqrtQScalar) if into is None else into
     _set_q(s, q)
     _set_a(s, a)

@@ -582,17 +582,38 @@ def test_an_out_path_that_cannot_be_written_exits_4(tmp_path):
 
 
 def test_cache_purge_removes_regular_files_only(tmp_path):
+    """A stale temp file goes with the entry; directories under names the
+    cache owns stay."""
     cache = tmp_path / "cache"
     env = {"HALL_CACHE_DIR": str(cache)}
     runner.invoke(main, ["hall", "orbits", write_json(tmp_path, "kron.json", KRON),
                          "--dim", "1,1", "--q", "2"], env=env)
-    (cache / "stale.tmp").write_text("")
-    (cache / "dir.json").mkdir()
-    (cache / "dir.tmp").mkdir()
+    dir_entry = "0" * 64 + ".json"
+    (cache / "hallcache-stale.tmp").write_text("")
+    (cache / dir_entry).mkdir()
+    (cache / "hallcache-dir.tmp").mkdir()
     r = runner.invoke(main, ["cache", "purge"], env=env)
     assert r.exit_code == 0, r.exception
     assert payload_of(r)["removed"] == 2
-    assert sorted(p.name for p in cache.iterdir()) == ["dir.json", "dir.tmp"]
+    assert sorted(p.name for p in cache.iterdir()) == [dir_entry, "hallcache-dir.tmp"]
+
+
+def test_cache_commands_leave_files_the_cache_does_not_own(tmp_path):
+    """With the cache in a directory of quiver and note files, cache info
+    counts only the entry and cache purge removes only it."""
+    env = {"HALL_CACHE_DIR": str(tmp_path)}
+    kron = write_json(tmp_path, "kron.json", KRON)
+    write_json(tmp_path, "notes.json", {"note": "not a cache entry"})
+    others = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    r = runner.invoke(main, ["hall", "orbits", kron, "--dim", "1,1", "--q", "2"],
+                      env=env)
+    assert r.exit_code == 0, r.exception
+    info = payload_of(runner.invoke(main, ["cache", "info"], env=env))
+    assert info["entries"] == 1
+    r = runner.invoke(main, ["cache", "purge"], env=env)
+    assert r.exit_code == 0, r.exception
+    assert payload_of(r)["removed"] == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == others
 
 
 def test_hall_mult_cli(tmp_path):

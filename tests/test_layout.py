@@ -144,6 +144,23 @@ def test_the_allow_list_names_only_unreferenced_definitions():
     assert ALLOWED <= {node.name for _, node in _unreferenced()}
 
 
+def _naming(module: str, functions, names: set) -> set:
+    """The offenders "function:name": each function or method of the module
+    that functions(its name) selects, with each of names it names as a
+    plain name or an attribute."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    offenders = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and functions(node.name)):
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name in names:
+                    offenders.add(f"{node.name}:{name}")
+    return offenders
+
+
 #: The Mat group and flag geometry, which only the Hall layer's oracle reads.
 ORACLE_ONLY = {"group_order", "enumerate_group", "act", "stable_subspaces",
                "quotient_point", "sub_point"}
@@ -154,14 +171,30 @@ def test_only_the_oracle_names_the_group_or_the_flag_geometry():
     """No function or method of hall.py but the oracle's three names a group
     order, a group element or a Mat flag, as a plain name or an attribute:
     the production product reads orbit sizes and subspace counts only."""
-    tree = ast.parse((PACKAGE / "hall.py").read_text(encoding="utf-8"))
-    offenders = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name not in ORACLE_FUNCTIONS):
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name)
-                        else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name in ORACLE_ONLY:
-                    offenders.add(f"{node.name}:{name}")
+    offenders = _naming("hall.py", lambda name: name not in ORACLE_FUNCTIONS,
+                        ORACLE_ONLY)
     assert not offenders, "names oracle-only geometry: " + ", ".join(sorted(offenders))
+
+
+#: The point-code kernel of repspace.py: orbit tables, their cached form,
+#: extension counts and the subspace count bound.
+CODE_KERNEL = {"_columns", "_generator_slots", "_generator_tables",
+               "_close_orbits", "_block_places", "_placed",
+               "extension_code_counts", "graded_subspace_count", "orbits",
+               "_cached_table", "_cached_payload"}
+#: The point-level Mat routes, which the kernel never takes.
+POINT_ROUTES = {"act", "enumerate_group", "group_order", "enumerate_points",
+                "stable_subspaces", "is_stable", "quotient_point", "sub_point",
+                "extensions_over", "point_from_rank"}
+
+
+def test_the_code_kernel_names_no_point_route():
+    """No function of repspace.py's code kernel names a group element, a
+    point enumeration, a Mat flag or a decoded point: it reads codes and
+    compiled tables only."""
+    tree = ast.parse((PACKAGE / "repspace.py").read_text(encoding="utf-8"))
+    assert CODE_KERNEL <= {node.name for node in tree.body
+                           if isinstance(node, ast.FunctionDef)}
+    offenders = _naming("repspace.py", CODE_KERNEL.__contains__, POINT_ROUTES)
+    assert not offenders, "the code kernel names a point route: " + ", ".join(
+        sorted(offenders))

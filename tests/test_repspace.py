@@ -551,16 +551,18 @@ def test_malformed_cache_entries_are_misses(tmp_path):
             first.index, first.sizes, first.rep_ranks)
     # cache info lists each unreadable entry, a directory and a key that is
     # no string among them
+    # under names the cache owns, as an entry of some other key would be
+    stray = {name: hashlib.sha256(name.encode()).hexdigest() + ".json"
+             for name in ("list", "latin1", "nested", "number")}
     for name, entry in (("list", b"[1, 2]"), ("latin1", undecodable),
                         ("nested", nested), ("number", b'{"key": 5}')):
-        (tmp_path / f"{name}.json").write_bytes(entry)
+        (tmp_path / stray[name]).write_bytes(entry)
     os.remove(cache._path(key))
     os.mkdir(cache._path(key))
     assert cache.load(key) is None
     assert cache.entries() == [
         {"key": f"(unreadable: {name})", "bytes": 0}
-        for name in sorted(["list.json", "latin1.json", "nested.json",
-                            "number.json", os.path.basename(cache._path(key))])]
+        for name in sorted([*stray.values(), os.path.basename(cache._path(key))])]
     # a directory at the entry's path is a miss that cannot be rewritten
     with pytest.raises(FileError, match="Is a directory"):
         orbits(space, cache=cache)
