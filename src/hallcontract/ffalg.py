@@ -291,10 +291,8 @@ def _rref(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
                 break
         else:
             continue
-        prow = rows[pivot]
-        if prow[col] != 1:
-            scale = mul[inv[prow[col]]]
-            prow = [scale[x] for x in prow]
+        scale = mul[inv[rows[pivot][col]]]
+        prow = [scale[x] for x in rows[pivot]]
         rows[pivot], rows[r] = rows[r], prow
         for i, row in enumerate(rows):
             c = row[col]
@@ -425,7 +423,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
 def gl_order(n: int, q: int) -> int:
     """Order of GL_n(F_q): q^(n(n-1)/2) prod_{k=1..n} (q^k - 1)."""
     return q ** (n * (n - 1) // 2) * math.prod(q ** k - 1 for k in range(1, n + 1))

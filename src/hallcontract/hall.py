@@ -26,7 +26,7 @@ import functools
 import itertools
 
 from .cache import OrbitCache
-from .ffalg import DEFAULT_MAX_POINTS, Field, check_count
+from .ffalg import DEFAULT_MAX_POINTS, Field, Mat, check_count
 from .quiver import (Quiver, cartan_of, contract_quiver, identity_automorphism,
                      make_orbit_pair)
 from .repspace import (RepSpace, act, contract_point, enumerate_group,
@@ -155,7 +155,7 @@ class _Terms:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        _same_ctx(self, other)
+        _in_context(self.ctx, other)
         terms = dict(self.terms)
         _accum_row(terms, other.terms.items(), 1)
         return type(self)(self.ctx, terms)
@@ -199,9 +199,17 @@ class HallElement(_Terms):
         return f"P[{key[0]},o{key[1]}]"
 
     def value_at(self, dims, x) -> SqrtQScalar:
-        """Evaluate at a point: the coefficient of the orbit containing x."""
+        """Evaluate at a point: the coefficient of the orbit containing x,
+        which must hold one Mat per edge, over the context's field and of
+        the edge's shape at dims."""
         table = self.ctx.table(dims)
-        return self.terms.get((table.space.key, table.ordinal_of(x)),
+        space = table.space
+        if (not isinstance(x, (tuple, list)) or len(x) != len(space.edge_shapes)
+                or not all(isinstance(m, Mat) and m.field is space.field
+                           and m.shape == shape
+                           for m, shape in zip(x, space.edge_shapes))):
+            raise ValueError(f"not a point of the representation space at {space.key}")
+        return self.terms.get((space.key, table.ordinal_of(x)),
                               SqrtQScalar.zero(self.ctx.q))
 
     @classmethod
@@ -221,8 +229,9 @@ class HallElement(_Terms):
         return cls(ctx, terms)
 
 
-def _same_ctx(f1, f2) -> None:
-    if f1.ctx is not f2.ctx:
+def _in_context(ctx, f) -> None:
+    """The one check that an element f belongs to the context ctx."""
+    if f.ctx is not ctx:
         raise ValueError("context mismatch")
 
 
@@ -233,9 +242,8 @@ def zero_element(ctx: HallContext) -> HallElement:
 def char_function(ctx: HallContext, dims, orbit) -> HallElement:
     """The basis vector P_O: coefficient 1 on one orbit."""
     table = ctx.table(dims)
-    ordinal = table.ordinal_of_id(orbit) if isinstance(orbit, str) else orbit
-    if not 0 <= ordinal < table.count:
-        raise KeyError(f"no orbit {orbit!r} at dims {table.space.key}")
+    ordinal = (table.ordinal_of_id(orbit) if isinstance(orbit, str)
+               else table._checked(orbit))
     return _char_function(ctx, table.space.key, ordinal)
 
 
@@ -297,7 +305,7 @@ def _product_row(ctx: HallContext, left: tuple, right: tuple,
 
 def _convolve(f1: HallElement, f2: HallElement, twisted: bool) -> HallElement:
     """Sum over basis pairs of c1 c2 times their product row."""
-    _same_ctx(f1, f2)
+    _in_context(f1.ctx, f2)
     ctx = f1.ctx
     terms: dict = {}
     for k1, c1 in f1.terms.items():
@@ -341,7 +349,7 @@ def diagram_star_oracle(f1: HallElement, f2: HallElement) -> HallElement:
     ORACLE_MAX_FLAGS on |G_t| |G_w| is checked on every call, before any
     enumeration.
     """
-    _same_ctx(f1, f2)
+    _in_context(f1.ctx, f2)
     ctx = f1.ctx
     pairs = [(tk, wk) for tk in sorted({k for k, _ in f1.terms})
              for wk in sorted({k for k, _ in f2.terms})]
@@ -430,7 +438,7 @@ class TensorElement(_Terms):
 
 
 def tensor(f1: HallElement, f2: HallElement) -> TensorElement:
-    _same_ctx(f1, f2)
+    _in_context(f1.ctx, f2)
     terms: dict = {}
     for k1, c1 in f1.terms.items():
         for k2, c2 in f2.terms.items():
@@ -503,7 +511,7 @@ def tensor_mult(t1: TensorElement, t2: TensorElement) -> TensorElement:
     """Componentwise product with the crossing twist q^{(d2.e1)/2}, where d2
     is the grade of the first element's right factor, e1 of the second
     element's left factor, paired by the symmetric Cartan form."""
-    _same_ctx(t1, t2)
+    _in_context(t1.ctx, t2)
     ctx = t1.ctx
     terms: dict = {}
     for (a, b), c1 in t1.terms.items():
@@ -592,8 +600,7 @@ def mu_star(hc: HeartContext, fhat: HallElement, twisted: bool = True) -> HallEl
     """Pull back along the contraction map: the coefficient moves to the
     matching heart orbit, scaled by q^{-n^2/2} where n is the merged-vertex
     dimension."""
-    if fhat.ctx is not hc.hat:
-        raise ValueError("context mismatch")
+    _in_context(hc.hat, fhat)
     terms: dict = {}
     for (hk, o), c in fhat.terms.items():
         bk = hc.lift_key(hk)
@@ -609,8 +616,7 @@ def mu_lower_star(hc: HeartContext, f: HallElement) -> HallElement:
     """The inverse of mu_star on heart-supported elements: push one fiber
     point down and undo the twist (the fiber sum divided by #GL gives the
     same value, since the fiber is a single gauge orbit)."""
-    if f.ctx is not hc.ctx:
-        raise ValueError("context mismatch")
+    _in_context(hc.ctx, f)
     terms: dict = {}
     for (bk, o), c in f.terms.items():
         to_hat, _ = hc.orbit_maps(bk)
@@ -626,8 +632,7 @@ def j_shriek(hc: HeartContext, f: HallElement) -> HallElement:
     """Extension by zero off the heart. Heart elements are already stored as
     functions on the whole space supported on heart orbits, so this validates
     the support and returns the element unchanged."""
-    if f.ctx is not hc.ctx:
-        raise ValueError("context mismatch")
+    _in_context(hc.ctx, f)
     for (bk, o), _ in f.terms.items():
         if o not in hc.heart_ordinals(bk):
             raise ValueError("element is not supported on the heart")
@@ -636,8 +641,7 @@ def j_shriek(hc: HeartContext, f: HallElement) -> HallElement:
 
 def j_star(hc: HeartContext, f: HallElement) -> HallElement:
     """Restriction to the heart: drop every non-heart term."""
-    if f.ctx is not hc.ctx:
-        raise ValueError("context mismatch")
+    _in_context(hc.ctx, f)
     terms = {}
     for (bk, o), c in f.terms.items():
         if o in hc.heart_ordinals(bk):

@@ -43,7 +43,6 @@ import operator
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .ffalg import (DEFAULT_MAX_POINTS, EnumerationBoundError, Field, Mat,
                     block2x2, check_count, enumerate_gl, enumerate_subspaces,
@@ -201,8 +200,10 @@ class OrbitTable:
         return len(self.sizes)
 
     def _checked(self, k: int) -> int:
-        if not 0 <= k < self.count:
-            raise KeyError(f"no orbit ordinal {k}")
+        """The one check of an orbit ordinal: k must be an int naming an
+        orbit of the table (True and 1.0 are refused, though they equal 1)."""
+        if type(k) is not int or not 0 <= k < self.count:
+            raise KeyError(f"no orbit ordinal {k!r}; the table has {self.count} orbits")
         return k
 
     def orbit_id(self, k: int) -> str:
@@ -217,9 +218,7 @@ class OrbitTable:
             k = None
         if k is None or orbit_id != f"o{k}":
             raise KeyError(f"malformed orbit id {orbit_id!r}")
-        if not 0 <= k < self.count:
-            raise KeyError(f"no orbit {orbit_id!r}; table has {self.count} orbits")
-        return k
+        return self._checked(k)
 
     def ordinal_of(self, x: tuple) -> int:
         return self.index[self.space.point_rank(x)]
@@ -236,7 +235,6 @@ class OrbitTable:
 _CHUNK_BITS = 8
 
 
-@lru_cache(maxsize=None)
 def _reducer(p: int, bits: int, start: int, width: int) -> tuple:
     """Maps width packed bits-wide fields to the sum of their values mod p,
     each at its place p**(start + i) in a code."""

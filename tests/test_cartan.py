@@ -48,6 +48,8 @@ def test_mixed_orbit_datum_is_valid():
     assert datum.value("b", "b") == 0
     assert datum.value("a", "b") == -6
     assert datum.phi1_of("b") == 3
+    with pytest.raises(KeyError, match="unknown label 'z'"):
+        datum.value("a", "z")
 
 
 def test_validation_catches_each_axiom():
@@ -65,6 +67,9 @@ def test_validation_catches_each_axiom():
 
     assert any("must be >= 1" in p for p in validate_cartan(
         CartanDatum.make(("x",), ((0,),), (0,), (0,))))
+
+    assert validate_cartan(CartanDatum.make(("x",), ((4,),), (1,), (-1,))) == [
+        "phi2(x) = -1 must be >= 0"]
 
 
 def test_pair_validation():
@@ -132,8 +137,9 @@ def test_realize_graph_reproduces_the_datum():
 
 
 def test_realize_graph_rejects_invalid_data():
-    with pytest.raises(ValueError):
-        realize_graph(CartanDatum.make(("x",), ((3,),), (1,), (0,)))
+    for build in (realize_graph, build_root_datum):
+        with pytest.raises(ValueError, match="invalid datum"):
+            build(CartanDatum.make(("x",), ((3,),), (1,), (0,)))
 
 
 def test_pairing_is_not_symmetric():
@@ -234,6 +240,8 @@ def test_weyl_element_dict_roundtrip():
     rd = build_root_datum(kronecker_datum())
     s = reflection(rd, "i+")
     assert WeylElement.from_dict(s.to_dict()) == s
+    with pytest.raises(ValueError, match="label mismatch"):
+        s @ WeylElement.identity(("i-", "i+"))
 
 
 def _matmul(a, b):

@@ -369,6 +369,26 @@ def test_quiver_verify_l14_cli(tmp_path):
     assert "already a label" in r.stderr
 
 
+def test_quiver_site_violations_are_reported(tmp_path):
+    """A loop on the minus vertex breaks a contraction assumption, and the
+    vertex swap of the Kronecker quiver is not admissible: contract and
+    verify-l14 print the violations report and exit 1."""
+    looped = write_json(tmp_path, "looped.json", dict(
+        KRON, edges=KRON["edges"] + [{"id": "l", "source": "m", "target": "m"}]))
+    swapped = write_json(tmp_path, "swapped.json", dict(
+        KRON, automorphism={"vertices": {"p": "m", "m": "p"},
+                            "edges": {"e": "f", "f": "e"}}))
+    for command in ("contract", "verify-l14"):
+        for path, violation in ((looped, "loop l sits on contracted vertex m"),
+                                (swapped, "inside one vertex orbit")):
+            r = runner.invoke(main, ["quiver", command, path,
+                                     "--plus-orbit", "p", "--minus-orbit", "m"])
+            assert r.exit_code == 1, (command, path, r.exc_info)
+            p = payload_of(r)
+            assert (p["command"], p["status"]) == (f"quiver {command}", "fail")
+            assert any(violation in v for v in p["violations"]), p
+
+
 def test_quiver_verify_l14_fails_on_a_contraction_right_only_up_to_relabeling(
         tmp_path, monkeypatch):
     """With the merged label put in the minus label's slot, the loop of

@@ -94,6 +94,14 @@ def test_mat_basic_ops():
     assert m.rank() == 2
     assert Mat(f, ((1, 1), (1, 1))).rank() == 1
     assert not Mat(f, ((1, 1), (1, 1))).is_invertible()
+    with pytest.raises(ValueError, match="flat length"):
+        Mat.from_flat(f, 2, 2, (1, 0, 1))
+    with pytest.raises(ValueError, match="field mismatch"):
+        m @ Mat.identity(Field(3), 2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m @ Mat.zeros(f, 3, 1)
+    with pytest.raises(ValueError, match="vector length"):
+        m.vec((1, 0, 1))
 
 
 def test_inverse_roundtrip_over_all_of_gl2():
@@ -181,9 +189,9 @@ def test_two_gl_generators_carry_their_certificate(q):
 
 
 def test_gl_generators_generate():
-    # n >= 3 (no transposition among the generators), non-prime q, and the
-    # two generators {D, C T} at q > 2
-    for q, n in ((2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2), (7, 2),
+    # n >= 3 (no transposition among the generators), non-prime q, the
+    # two generators {D, C T} at q > 2, and the trivial group at n = 0
+    for q, n in ((2, 0), (3, 0), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2), (7, 2),
                  (8, 2), (9, 2)):
         f = Field(q)
         gens = gl_generators(f, n)
@@ -217,6 +225,10 @@ def test_block_split_roundtrip():
     big = block2x2(f, tl, tr, bl, br)
     assert big == Mat(f, ((1, 2, 0), (0, 1, 2), (1, 0, 1)))
     assert _blocks(big, 1, 1) == (tl.data, tr.data, bl.data, br.data)
+    with pytest.raises(ValueError, match="row mismatch"):
+        block2x2(f, tl, tr, bl, Mat(f, ((1, 2),)))
+    with pytest.raises(ValueError, match="column mismatch"):
+        block2x2(f, tl, tr, bl, Mat(f, ((1,), (0,))))
 
 
 def test_lower_triangular_blocks_compose_blockwise():
@@ -310,7 +322,8 @@ def test_subspace_counts_are_gaussian_binomials():
     for q in (2, 3):
         f = Field(q)
         for n in range(4):
-            for k in range(n + 1):
+            # k = n + 1 is out of range: no subspace
+            for k in range(n + 2):
                 subs = enumerate_subspaces(f, n, k)
                 assert len(subs) == gaussian_binomial(n, k, q)
                 assert len(set(subs)) == len(subs)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hallcontract.ffalg import EnumerationBoundError, Mat
+from hallcontract.ffalg import EnumerationBoundError, Field, Mat
 from hallcontract import ffalg, hall, repspace
 from hallcontract.cache import OrbitCache
 from hallcontract.hall import (
@@ -481,6 +481,25 @@ def test_value_at_reads_orbit_coefficients(jordan_ctx):
     assert prod.value_at((2,), idem).is_zero()
 
 
+def test_value_at_refuses_a_point_outside_the_space(kron_ctx):
+    """A point holds one Mat per edge, over the context's field and of the
+    edge's shape; anything else is refused, not ranked."""
+    f = char_function(kron_ctx, (1, 1), 1) + char_function(kron_ctx, (1, 1), 2).scale(5)
+    F2, F3 = Field(2), Field(3)
+    one = Mat(F2, ((1,),))
+    assert f.value_at((1, 1), (one, Mat(F2, ((0,),)))) == sq(kron_ctx, 5)
+    for bad in ((Mat(F3, ((1,),)), Mat(F3, ((1,),))),
+                (Mat(F2, ((1,), (0,))),),
+                (one, one, one),
+                (Mat(F2, ((1, 1), (0, 1))),),
+                (one, Mat(F2, ((1, 0),))),
+                (one, None),
+                (),
+                one):
+        with pytest.raises(ValueError, match="not a point"):
+            f.value_at((1, 1), bad)
+
+
 def test_char_function_rejects_unknown_orbits(jordan_ctx):
     with pytest.raises(KeyError):
         char_function(jordan_ctx, (1,), 5)
@@ -527,13 +546,15 @@ def test_dims_key_refuses_entries_that_are_not_int(form):
     assert ctx.sym_pairing(dims((1, 0)), dims((1, 0))) == 2
 
 
-def test_contexts_do_not_mix(a1_ctx, jordan_ctx):
+def test_contexts_do_not_mix(a1_ctx, jordan_ctx, kron_heart):
     f = char_function(a1_ctx, (1,), 0)
     g = char_function(jordan_ctx, (1,), 0)
-    with pytest.raises(ValueError):
-        star(f, g)
-    with pytest.raises(ValueError):
-        f + g
+    for mixed in (lambda: star(f, g), lambda: f + g, lambda: tensor(f, g),
+                  lambda: tensor_mult(tensor(f, f), tensor(g, g)),
+                  lambda: j_shriek(kron_heart, f), lambda: j_star(kron_heart, f),
+                  lambda: mu_lower_star(kron_heart, f)):
+        with pytest.raises(ValueError, match="context mismatch"):
+            mixed()
     assert f != g
 
 

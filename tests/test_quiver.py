@@ -60,12 +60,18 @@ def test_vertex_swap_on_kronecker_is_inadmissible():
     assert any("inside one vertex orbit" in p for p in problems)
     with pytest.raises(ValueError):
         cartan_of(quiver, swap)
+    with pytest.raises(ValueError, match="automorphism not admissible"):
+        contract_quiver(quiver, swap, OrbitPair(("p",), ("m",), "e"))
 
 
 def test_automorphism_must_be_a_permutation():
     quiver = kronecker_quiver()
     broken = Automorphism({"p": "p", "m": "p"}, {"e": "e", "f": "f"})
-    assert check_admissible(quiver, broken)
+    assert check_admissible(quiver, broken) == [
+        "vertex map is not a permutation of the vertex set"]
+    broken = Automorphism({"p": "p", "m": "m"}, {"e": "e", "f": "e"})
+    assert check_admissible(quiver, broken) == [
+        "edge map is not a permutation of the edge set"]
 
 
 def test_cartan_of_small_graphs():
@@ -145,6 +151,17 @@ def test_contraction_assumptions():
     lpair = make_orbit_pair(looped, lautom, "v", "w")
     problems = check_contraction_assumptions(looped, lautom, lpair)
     assert any("loop" in p for p in problems)
+    with pytest.raises(ValueError, match="contraction assumptions fail: loop l"):
+        contract_quiver(looped, lautom, lpair)
+
+    # swapping the parallel edges is admissible and meets the assumptions,
+    # but e's edge orbit has two edges against one vertex per orbit
+    kswap = Automorphism({"p": "p", "m": "m"}, {"e": "f", "f": "e"})
+    kpair = OrbitPair(("p",), ("m",), "e")
+    assert check_admissible(quiver, kswap) == []
+    assert check_contraction_assumptions(quiver, kswap, kpair) == []
+    with pytest.raises(ValueError, match="edge orbit is not aligned"):
+        contract_quiver(quiver, kswap, kpair)
 
     unequal = OrbitPair(("p",), ("m0", "m1"), "e0")
     fan = Quiver(("p", "m0", "m1"),

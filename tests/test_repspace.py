@@ -414,12 +414,19 @@ def test_orbit_tables_agree_with_burnside_and_stabilisers():
 
 
 def test_ordinals_out_of_range_are_refused():
+    """An orbit ordinal is an int naming an orbit of the table: True and 1.0
+    are refused though they equal 1, by the table and by char_function."""
     table = orbits(jordan_space(2))
     assert table.count == 6
-    for k in (-1, 6, 7, -7):
-        for method in (table.representative, table.orbit_id):
+    ctx = HallContext(jordan_quiver(), 2)
+    for k in (-1, 6, 7, -7, True, 1.0):
+        for method in (table.representative, table.orbit_id,
+                       lambda k: char_function(ctx, (2,), k)):
             with pytest.raises(KeyError, match=f"no orbit ordinal {k}"):
                 method(k)
+    for method in (table.ordinal_of_id, lambda k: char_function(ctx, (2,), k)):
+        with pytest.raises(KeyError, match="no orbit ordinal 6"):
+            method("o6")
 
 
 #: sha256 of json.dumps(orbits(space).to_payload()): orbit ids, sizes and
@@ -857,6 +864,10 @@ def test_fibers_have_gl_size():
         assert len(fiber) == expected == gl_order(dims[0], q)
         for y in fiber:
             assert contract_point(space, con, y, hat) == xhat
+    # a 2 x 1 contraction edge is invertible nowhere: the fiber is empty
+    hat = RepSpace(con.quiver, Field(2), {"p": 1})
+    assert list(fiber_of_contraction(kron_space((1, 2)), con,
+                                     hat.point_from_rank(0), hat)) == []
 
 
 def test_fibers_cover_the_heart_on_every_provenance_kind():
@@ -890,6 +901,7 @@ def test_stable_line_counts():
     f = space.field
     nilpotent = (Mat(f, ((0, 0), (1, 0))),)
     assert len(stable_subspaces(space, nilpotent, {"1": 1})) == 1
+    assert stable_subspaces(space, nilpotent, {"1": 3}) == []
     assert len(stable_subspaces(space, space.point_from_rank(0), {"1": 1})) == 3
     identity = (Mat.identity(f, 2),)
     assert len(stable_subspaces(space, identity, {"1": 1})) == 3
@@ -977,6 +989,12 @@ def test_extensions_recover_sub_and_quotient():
         assert quotient_point(big, y, U) == xt
     zero = Mat.zeros(f, 1, 1)
     assert (block2x2(f, xt[0], zero, zero, xw[0]),) in ys
+    # the first coordinate line is stable only where the corner M is zero
+    line = (Subspace.spanned_by(f, 2, [(1, 0)]),)
+    y = (block2x2(f, xt[0], zero, Mat(f, ((1,),)), xw[0]),)
+    assert not is_stable(big, y, line)
+    with pytest.raises(ValueError, match="graded subspace is not stable"):
+        sub_point(big, y, line)
 
 
 def test_extension_counts(monkeypatch):
@@ -1012,12 +1030,17 @@ def test_extension_code_counts_of_a_split_into_one_block(kron_ctx, kron_ctx3):
 
 
 def test_extension_refuses_two_fields_also_with_big_given():
-    """big is not read, so it does not stand in for the check."""
+    """big is not read, so it does not stand in for the check of one field,
+    nor for that of one graph."""
     two, three = jordan_space(1), jordan_space(1, q=3)
     for big in (None, jordan_space(2), jordan_space(2, q=3)):
         with pytest.raises(ValueError, match="one field"):
             next(extensions_over(two, three, two.point_from_rank(0),
                                  three.point_from_rank(2), big))
+    a1 = RepSpace(a1_quiver(), Field(2), {"1": 1})
+    for big in (None, jordan_space(2)):
+        with pytest.raises(ValueError, match="same graph"):
+            next(extensions_over(two, a1, two.point_from_rank(0), (), big))
 
 
 def test_extension_is_heart_iff_both_factors_are():

@@ -59,6 +59,9 @@ def test_inverse_and_division():
 
 
 def test_mixed_base_fields_refuse_to_combine():
+    for q in (1, 0, -4):
+        with pytest.raises(ValueError, match="q must be at least 2"):
+            SqrtQScalar(q, 1)
     with pytest.raises(ValueError):
         SqrtQScalar(2, 1) + SqrtQScalar(3, 1)
     with pytest.raises(ValueError):
