@@ -70,6 +70,8 @@ def test_validation_catches_each_axiom():
 
     assert validate_cartan(CartanDatum.make(("x",), ((4,),), (1,), (-1,))) == [
         "phi2(x) = -1 must be >= 0"]
+    assert validate_cartan(CartanDatum.make(("x",), ((2,),), (1, 1), (0,))) == [
+        "phi1/phi2 length mismatch"]
 
 
 def test_pair_validation():
