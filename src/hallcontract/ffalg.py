@@ -357,24 +357,28 @@ class Subspace:
         data = tuple(tuple(row[r] for row in rows[:len(pivots)]) for r in range(ambient))
         return cls(field, ambient, Mat(field, data, cols=len(pivots)), tuple(pivots))
 
+    def _pivot_coords(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        if len(v) != self.ambient:
+            raise ValueError("vector length mismatch")
+        return tuple(v[p] for p in self.pivots)
+
     def coords(self, v: tuple[int, ...]):
-        """Coordinates of v in the echelon basis, or None if v is not a member."""
-        c = tuple(v[p] for p in self.pivots)
-        w = self.basis.vec(c)
-        if any(self.field.sub(x, y) for x, y in zip(v, w)):
-            return None
-        return c
+        """Coordinates of v in the echelon basis, or None if v is not a
+        member; v must have ambient entries."""
+        c = self._pivot_coords(v)
+        # entries are canonical ints, so equal tuples are equal vectors
+        return c if self.basis.vec(c) == tuple(v) else None
 
     def reduce(self, v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Split v into (pivot coordinates, residue on the free rows).
+        """Split v, of ambient entries, into (pivot coordinates, residue on
+        the free rows).
 
         The residue is the image of v in the quotient by this subspace, read in
         the free-row coordinate system.
         """
-        c = tuple(v[p] for p in self.pivots)
+        c = self._pivot_coords(v)
         w = self.basis.vec(c)
-        diff = tuple(self.field.sub(x, y) for x, y in zip(v, w))
-        return c, tuple(diff[r] for r in self.free_rows)
+        return c, tuple(self.field.sub(v[r], w[r]) for r in self.free_rows)
 
     def contains(self, v: tuple[int, ...]) -> bool:
         return self.coords(v) is not None

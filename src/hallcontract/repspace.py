@@ -122,32 +122,43 @@ class RepSpace:
             rank, d = divmod(rank, q)
             digits.append(d)
         digits.reverse()
-        return _mats_from_digits(self.field, self.edge_shapes, digits)
+        mats, pos = [], 0
+        for rows, cols in self.edge_shapes:
+            mats.append(Mat.from_flat(self.field, rows, cols, digits[pos:pos + rows * cols]))
+            pos += rows * cols
+        return tuple(mats)
 
     def point_to_dict(self, x: tuple) -> dict:
         return {e.id: [list(row) for row in m.data]
                 for e, m in zip(self.quiver.edges, x)}
 
 
-def _mats_from_digits(field: Field, shapes, digits) -> tuple:
-    """One matrix per (rows, cols) shape, filled row by row from consecutive
-    digits."""
-    mats = []
-    pos = 0
-    for rows, cols in shapes:
-        n = rows * cols
-        mats.append(Mat.from_flat(field, rows, cols, digits[pos:pos + n]))
-        pos += n
-    return tuple(mats)
+def _edge_matrices(field: Field, rows: int, cols: int):
+    """Every rows x cols matrix in rank order: entries row by row, the last
+    fastest."""
+    for flat in itertools.product(range(field.q), repeat=rows * cols):
+        yield Mat.from_flat(field, rows, cols, flat)
+
+
+def _edgewise_product(factors: list):
+    """An iterator over the tuples of itertools.product(*factors), in its
+    order, with the first factor streamed: only the later ones are held, as
+    tuples (which product takes without a copy). A plain product would hold
+    every factor whole, a one-edge space among them."""
+    if not factors:
+        return iter(((),))
+    rest = [tuple(f) for f in factors[1:]]
+    return itertools.chain.from_iterable(
+        itertools.product((m,), *rest) for m in factors[0])
 
 
 def enumerate_points(space: RepSpace):
     """All points in rank order (entries vary fastest at the last edge), of
-    a space with at most DEFAULT_MAX_POINTS points."""
+    a space with at most DEFAULT_MAX_POINTS points. Each edge's matrices are
+    built once per call, and the first edge's are streamed, not held."""
     space.check_bound(DEFAULT_MAX_POINTS)
-    field, shapes = space.field, space.edge_shapes
-    for digits in itertools.product(range(field.q), repeat=space.point_entries):
-        yield _mats_from_digits(field, shapes, digits)
+    yield from _edgewise_product([_edge_matrices(space.field, rows, cols)
+                                  for rows, cols in space.edge_shapes])
 
 
 def act(space: RepSpace, g: tuple, x: tuple) -> tuple:
@@ -719,8 +730,7 @@ def quotient_point(space: RepSpace, x: tuple, U: tuple) -> tuple:
     for m, Us, Ut in _graded_pieces(space, x, U):
         cols = []
         for r in Us.free_rows:
-            basis_vec = tuple(1 if i == r else 0 for i in range(Us.ambient))
-            _, residue = Ut.reduce(m.vec(basis_vec))
+            _, residue = Ut.reduce(m.column(r))
             cols.append(residue)
         rows = len(Ut.free_rows)
         data = tuple(tuple(cols[j][i] for j in range(len(cols)))
@@ -740,20 +750,23 @@ def extensions_over(space_t: RepSpace, space_w: RepSpace, xt: tuple, xw: tuple,
                     big: RepSpace | None = None):
     """All points [[xt, 0], [M, xw]] in block form, quotient coordinates first;
     the span of the trailing coordinates is stable with restriction xw. The
-    two spaces must share one graph and one field, and there must be at
-    most DEFAULT_MAX_POINTS extensions; big is accepted but not read."""
+    corners M run in rank order, as enumerate_points runs. The two spaces
+    must share one graph and one field, and there must be at most
+    DEFAULT_MAX_POINTS extensions; big is accepted but not read. An edge's
+    block depends on its corner alone, so each edge's blocks are built once
+    per call, and the first edge's are streamed, not held."""
     if space_t.quiver is not space_w.quiver and space_t.quiver != space_w.quiver:
         raise ValueError("extension requires points on the same graph")
     if space_t.field is not space_w.field:
         raise ValueError("extension requires one field")
     check_count(extension_count(space_t, space_w), "extensions", DEFAULT_MAX_POINTS)
     field = space_t.field
-    shapes = [(wt, ts) for (tt, ts), (wt, ws)
-              in zip(space_t.edge_shapes, space_w.edge_shapes)]
-    entry_count = sum(r * c for r, c in shapes)
-    zeros = [Mat.zeros(field, tt, ws) for (tt, _), (_, ws)
-             in zip(space_t.edge_shapes, space_w.edge_shapes)]
-    for digits in itertools.product(range(field.q), repeat=entry_count):
-        corners = _mats_from_digits(field, shapes, digits)
-        yield tuple(block2x2(field, a, z, m, b)
-                    for a, z, m, b in zip(xt, zeros, corners, xw))
+
+    def blocks(a: Mat, b: Mat, tt: int, ts: int, wt: int, ws: int):
+        zero = Mat.zeros(field, tt, ws)
+        return (block2x2(field, a, zero, m, b)
+                for m in _edge_matrices(field, wt, ts))
+
+    yield from _edgewise_product([
+        blocks(a, b, tt, ts, wt, ws) for a, b, (tt, ts), (wt, ws)
+        in zip(xt, xw, space_t.edge_shapes, space_w.edge_shapes)])

@@ -259,6 +259,20 @@ def test_subspace_canonical_form_is_basis_independent():
     assert not u1.contains((1, 1, 1))
 
 
+def test_subspace_refuses_a_vector_of_the_wrong_length():
+    """On the line spanned by (1, 2) in F_3^2, a vector of one or three
+    entries is refused, not truncated to a member."""
+    f = Field(3)
+    line = Subspace.spanned_by(f, 2, [(1, 2)])
+    assert line.coords((2, 1)) == (2,)
+    assert line.coords((1, 0)) is None
+    assert line.reduce((1, 0)) == ((1,), (1,))
+    for v in ((1,), (1, 2, 0)):
+        for call in (line.coords, line.reduce, line.contains):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                call(v)
+
+
 def _all_matrices(field, rows, cols):
     for flat in itertools.product(range(field.q), repeat=rows * cols):
         yield Mat.from_flat(field, rows, cols, flat)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -65,16 +66,46 @@ def test_point_counts():
     assert jordan_space(0).total_points == 1
 
 
-def test_rank_is_a_point_bijection():
-    space = jordan_space(2)
-    seen = set()
-    for x in enumerate_points(space):
-        r = space.point_rank(x)
-        assert space.point_from_rank(r) == x
-        seen.add(r)
-    assert seen == set(range(space.total_points))
-    assert space.point_from_rank(0) == tuple(Mat.zeros(space.field, r, c)
-                                             for r, c in space.edge_shapes)
+def loop_and_edge_quiver():
+    return Quiver(("1", "2"), (Edge("a", "1", "1"), Edge("b", "1", "2")))
+
+
+@pytest.mark.parametrize("space", [
+    jordan_space(2),
+    RepSpace(a1_quiver(), Field(3), {"1": 2}),
+    kron_space((1, 2), q=3),
+    kron_space((2, 1), q=3),
+    kron_space((0, 2)),
+    RepSpace(loop_and_edge_quiver(), Field(3), {"1": 2, "2": 1}),
+], ids=["jordan-2", "a1", "kron-1-2", "kron-2-1", "kron-0-2", "loop-and-edge"])
+def test_points_are_enumerated_in_rank_order(space):
+    """enumerate_points yields point_from_rank(0), ..., point_from_rank(N - 1)
+    in that order: no edges (one point ()), an edge with no entries, several
+    edges of one shape, and a loop beside an edge of another shape."""
+    points = list(enumerate_points(space))
+    assert points == [space.point_from_rank(r) for r in range(space.total_points)]
+    assert [space.point_rank(x) for x in points] == list(range(space.total_points))
+    assert points[0] == tuple(Mat.zeros(space.field, r, c)
+                              for r, c in space.edge_shapes)
+
+
+def test_one_edge_enumeration_is_streamed():
+    """The points of a one-edge space are streamed, not held: a pass over
+    Jordan q = 8 (2,), 4,096 points, keeps its traced peak under 64 KiB (an
+    enumeration that held the edge's matrices would take about 880 KiB).
+    A first untraced pass fills the interpreter's free lists, whose objects
+    would otherwise count as traced."""
+    space = jordan_space(2, q=8)
+    for _ in enumerate_points(space):
+        pass
+    tracemalloc.start()
+    try:
+        for _ in enumerate_points(space):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_action_satisfies_group_laws():
@@ -995,6 +1026,32 @@ def test_extensions_recover_sub_and_quotient():
     assert not is_stable(big, y, line)
     with pytest.raises(ValueError, match="graded subspace is not stable"):
         sub_point(big, y, line)
+
+
+@pytest.mark.parametrize("quiver,t_dims,w_dims", [
+    (kronecker_quiver(), {"p": 1, "m": 1}, {"p": 1, "m": 2}),
+    (a1_quiver(), {"1": 2}, {"1": 1}),
+], ids=["kronecker", "a1"])
+def test_extensions_are_enumerated_in_corner_rank_order(quiver, t_dims, w_dims):
+    """extensions_over yields the blocks [[xt, 0], [M, xw]] with the corners
+    M in rank order, the last edge fastest: on Kronecker with 2 x 1 corners
+    beside 1 x 1 and 2 x 1 points, and on A1 (no edges, one point ())."""
+    f = Field(3)
+    space_t, space_w = RepSpace(quiver, f, t_dims), RepSpace(quiver, f, w_dims)
+    xt = space_t.point_from_rank(space_t.total_points - 1)
+    xw = space_w.point_from_rank(space_w.total_points // 2 + 1)
+    shapes = [(w_rows, t_cols) for (_, t_cols), (w_rows, _)
+              in zip(space_t.edge_shapes, space_w.edge_shapes)]
+    expected = []
+    for flat in itertools.product(range(3), repeat=sum(r * c for r, c in shapes)):
+        blocks, pos = [], 0
+        for (rows, cols), a, b in zip(shapes, xt, xw):
+            corner = Mat.from_flat(f, rows, cols, flat[pos:pos + rows * cols])
+            pos += rows * cols
+            blocks.append(block2x2(f, a, Mat.zeros(f, a.rows, b.cols), corner, b))
+        expected.append(tuple(blocks))
+    assert len(expected) == extension_count(space_t, space_w)
+    assert list(extensions_over(space_t, space_w, xt, xw)) == expected
 
 
 def test_extension_counts(monkeypatch):
